@@ -1,0 +1,7 @@
+"""The benchmark's own tests: python3 -m pytest benchmark/tests (from the repository root)."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
