@@ -5,47 +5,47 @@ unit twist xi and per-pose magnitudes Theta_m minimizing
 
     sum_m | log( exp(Theta_m hat(xi))^-1  T_m ) |^2
 
-by damped Gauss-Newton on the gauge-fixed twist chart. Classification fits
-two models, one with the rotational part pinned to zero (prismatic) and one
-free, and calls the joint revolute only when the free fit both shows enough
-total rotation and beats the constrained fit's residual by a clear margin;
+with ``trajest.damped_gauss_newton``, the solver the regularized trajectory
+fit also uses; Theta_0 is pinned to zero. Classification weighs two models,
+one with the rotational part pinned to zero (prismatic) and one free, and
+calls the joint revolute only when the free model both shows enough total
+rotation and beats the constrained fit's residual by a clear margin;
 everything else is prismatic, the drawer-like default. The reported
-unconstrained model is whichever of the two fits has the lower residual, so
-the prismatic-constrained residual can never undercut it.
+unconstrained model is whichever of the two has the lower residual, so the
+prismatic-constrained residual can never undercut it.
+
+A regularized trajectory is one twist already, so its free model is built
+in closed form and only the prismatic-constrained model is fitted; an
+independent trajectory gets both fits.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import InsufficientMotionError
 from .lie import (
-    RigidTransform,
     Twist,
     compose,
     exp_map,
     inverse,
     log_map,
     normalize_twist,
-    retract_twist,
     rotation_angle,
     se3_adjoint,
     se3_left_jacobian,
+    transform_twist,
     twist_gauge,
-    twist_tangent_basis,
 )
-from .trajest import TrajectoryEstimate
+from .trajest import MAX_ITER, TrajectoryEstimate, damped_gauss_newton
 
 log = logging.getLogger(__name__)
 
 MIN_POSE_MOTION = 1e-6  # all poses closer than this to identity: nothing to fit
-MAX_ITER = 100
-COST_RTOL = 1e-12
-DAMPING_INIT = 1e-3
-DAMPING_MAX = 1e12
 AXIS_OMEGA_MIN = 1e-9
 
 
@@ -82,20 +82,34 @@ class ArticulationEstimate:
     flags: list = field(default_factory=list)
 
 
-def _pose_cost(poses, xi: Twist, thetas: np.ndarray) -> tuple[float, list]:
+def _pose_residual(T, xi: Twist, th: float) -> np.ndarray:
+    return log_map(compose(inverse(exp_map(xi, th)), T)).as_vector()
+
+
+def _pose_cost(poses, xi: Twist, thetas: np.ndarray) -> float:
+    """Summed squared residual of poses[1:] against magnitudes ``thetas``."""
     cost = 0.0
-    residuals = []
-    for T, th in zip(poses[1:], thetas[1:]):
-        r = log_map(compose(inverse(exp_map(xi, float(th))), T)).as_vector()
-        residuals.append(r)
+    for T, th in zip(poses[1:], thetas):
+        r = _pose_residual(T, xi, float(th))
         cost += float(r @ r)
-    return cost, residuals
+    return cost
+
+
+def _pose_blocks(poses, xi: Twist, thetas: np.ndarray, B: np.ndarray):
+    """Pose-log residuals of poses[1:] and their Jacobians, one per pose."""
+    xvec = xi.as_vector()
+    for T, th in zip(poses[1:], thetas):
+        th = float(th)
+        r = _pose_residual(T, xi, th)
+        # d r / d u = -Jr^-1(r) Ad(T^-1) Jl(u), u = th * xi the folded twist coords
+        Jr_inv = np.linalg.inv(se3_left_jacobian(-r))
+        base = -Jr_inv @ se3_adjoint(inverse(T)) @ se3_left_jacobian(th * xvec)
+        yield np.column_stack((base @ (th * B), base @ xvec)), r
 
 
 def pose_fit_rms(poses, xi: Twist, thetas: np.ndarray) -> float:
     """Tangent-space residual rms of a (twist, thetas) model on given poses."""
-    cost, _ = _pose_cost(poses, xi, thetas)
-    return float(np.sqrt(cost / (len(poses) - 1)))
+    return float(np.sqrt(_pose_cost(poses, xi, thetas[1:]) / (len(poses) - 1)))
 
 
 def _validate_poses(poses):
@@ -133,87 +147,52 @@ def fit_twist_to_poses(poses, gauge: str = "auto") -> PoseTwistFit:
     else:
         xi, _ = normalize_twist(Twist.from_vector(seed))
     x = xi.as_vector()
-    thetas = logs @ x / float(x @ x)
-    thetas[0] = 0.0
-
-    M = len(poses) - 1
-    cost, _ = _pose_cost(poses, xi, thetas)
-    lam = DAMPING_INIT
-    converged = False
-    for _ in range(MAX_ITER):
-        B = twist_tangent_basis(xi)
-        k = B.shape[1]
-        xvec = xi.as_vector()
-        JtJ = np.zeros((k + M, k + M))
-        Jtr = np.zeros(k + M)
-        for m in range(1, M + 1):
-            th = float(thetas[m])
-            u = th * xvec
-            Tm = poses[m]
-            r = log_map(compose(inverse(exp_map(xi, th)), Tm)).as_vector()
-            # d r / d u = -Jr^-1(r) Ad(T^-1) Jl(u), u the folded twist coords
-            Jr_inv = np.linalg.inv(se3_left_jacobian(-r))
-            base = -Jr_inv @ se3_adjoint(inverse(Tm)) @ se3_left_jacobian(u)
-            Jm = np.zeros((6, k + 1))
-            Jm[:, :k] = base @ (th * B)
-            Jm[:, k] = base @ xvec
-            block = Jm.T @ Jm
-            g = Jm.T @ r
-            JtJ[:k, :k] += block[:k, :k]
-            JtJ[:k, k + m - 1] += block[:k, k]
-            JtJ[k + m - 1, :k] += block[k, :k]
-            JtJ[k + m - 1, k + m - 1] += block[k, k]
-            Jtr[:k] += g[:k]
-            Jtr[k + m - 1] += g[k]
-        accepted = False
-        while lam <= DAMPING_MAX:
-            try:
-                delta = np.linalg.solve(JtJ + lam * np.eye(k + M), -Jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            xi_new = retract_twist(xi, delta[:k])
-            thetas_new = thetas.copy()
-            thetas_new[1:] += delta[k:]
-            cost_new, _ = _pose_cost(poses, xi_new, thetas_new)
-            if cost_new < cost:
-                accepted = True
-                lam = max(lam / 10.0, 1e-15)
-                drop = cost - cost_new
-                xi, thetas, cost = xi_new, thetas_new, cost_new
-                if drop < COST_RTOL * max(cost, 1e-300) or cost == 0.0:
-                    converged = True
-                break
-            lam *= 10.0
-        if converged:
-            break
-        if not accepted:
-            converged = cost == 0.0 or bool(
-                np.linalg.norm(Jtr) <= 1e-12 * max(1.0, cost)
-            )
-            break
-    if np.sum(thetas) < 0:
-        thetas = -thetas
-        xi = Twist(-xi.omega, -xi.v)
+    thetas = (logs @ x / float(x @ x))[1:]  # theta_0 is pinned to zero
+    xi, thetas, cost, converged = damped_gauss_newton(
+        xi, thetas, partial(_pose_blocks, poses), partial(_pose_cost, poses)
+    )
     if not converged:
         log.warning("pose twist fit did not converge within %d iterations", MAX_ITER)
     return PoseTwistFit(
         twist=xi,
-        thetas=thetas,
-        rms=float(np.sqrt(cost / M)),
+        thetas=np.concatenate(([0.0], thetas)),
+        rms=float(np.sqrt(cost / len(thetas))),
         gauge=twist_gauge(xi),
         converged=converged,
     )
 
 
-def fit_joint_models(poses) -> tuple[PoseTwistFit, PoseTwistFit]:
+def free_model_from_trajectory(trajectory: TrajectoryEstimate) -> PoseTwistFit:
+    """The free-gauge ``fit_twist_to_poses`` minimizer of a regularized
+    trajectory in closed form: relative pose m is exp(Theta_m Ad(anchor^-1)
+    xi), Theta_m the running sum of the step magnitudes. Same sign rule."""
+    xi, scale = normalize_twist(
+        transform_twist(inverse(trajectory.anchor), trajectory.base_twist)
+    )
+    thetas = np.concatenate(([0.0], np.cumsum(trajectory.thetas))) * scale
+    if np.sum(thetas) < 0:
+        thetas = -thetas
+        xi = Twist(-xi.omega, -xi.v)
+    return PoseTwistFit(
+        twist=xi,
+        thetas=thetas,
+        rms=pose_fit_rms(trajectory.relative_poses, xi, thetas),
+        gauge=twist_gauge(xi),
+        converged=True,
+    )
+
+
+def fit_joint_models(poses, fit_a=None) -> tuple[PoseTwistFit, PoseTwistFit]:
     """(unconstrained, prismatic-constrained) fits.
 
-    The unconstrained model is the better-scoring of the free-gauge fit and
-    the constrained fit, which guarantees rms_unconstrained <= rms_prismatic.
+    ``fit_a`` is the free-gauge model when it is already known; otherwise it
+    is fitted here. The unconstrained model is the better-scoring of the
+    free model and the constrained fit, which guarantees
+    rms_unconstrained <= rms_prismatic.
     """
     fit_p = fit_twist_to_poses(poses, gauge="prismatic")
-    fit_a = fit_twist_to_poses(poses, gauge="auto")
+    if fit_a is None:
+        fit_a = fit_twist_to_poses(poses, gauge="auto")
     fit_u = fit_a if fit_a.rms <= fit_p.rms else fit_p
     return fit_u, fit_p
 
@@ -235,16 +214,12 @@ def total_translation(fit: PoseTwistFit) -> float:
     return pitch * float(np.max(np.abs(fit.thetas)))
 
 
-def classify_joint(twist: Twist, thetas: np.ndarray, poses, cfg: ClassifierConfig) -> str:
+def classify_joint(fit_u: PoseTwistFit, fit_p: PoseTwistFit, cfg: ClassifierConfig) -> str:
     """Revolute only with enough rotation AND a clear residual win over the
     prismatic-constrained fit; ties and sub-threshold motion are prismatic.
     """
-    rms_u = pose_fit_rms(poses, twist, thetas)
-    fit_p = fit_twist_to_poses(poses, gauge="prismatic")
-    delta_rot = (
-        float(np.max(np.abs(thetas))) if twist_gauge(twist) == "revolute" else 0.0
-    )
-    if delta_rot >= cfg.theta_rot_min and rms_u < (1.0 - cfg.residual_margin) * fit_p.rms:
+    rotates = total_rotation(fit_u) >= cfg.theta_rot_min
+    if rotates and fit_u.rms < (1.0 - cfg.residual_margin) * fit_p.rms:
         return "revolute"
     return "prismatic"
 
@@ -271,9 +246,9 @@ def build_articulation_estimate(
     trajectory: TrajectoryEstimate, cfg: ClassifierConfig
 ) -> ArticulationEstimate:
     """Classify and package the articulation model for one segment."""
-    poses = trajectory.relative_poses
-    fit_u, fit_p = fit_joint_models(poses)
-    joint_type = classify_joint(fit_u.twist, fit_u.thetas, poses, cfg)
+    fit_a = None if trajectory.base_twist is None else free_model_from_trajectory(trajectory)
+    fit_u, fit_p = fit_joint_models(trajectory.relative_poses, fit_a)
+    joint_type = classify_joint(fit_u, fit_p, cfg)
     chosen = fit_u if joint_type == "revolute" else fit_p
     axis_dir, axis_point = extract_axis(chosen.twist, joint_type)
     flags = list(trajectory.flags)

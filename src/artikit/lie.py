@@ -373,11 +373,6 @@ def retract_twist(xi: Twist, delta: np.ndarray) -> Twist:
 # derivatives of the exp map
 
 
-def so3_left_jacobian(w) -> np.ndarray:
-    """Left Jacobian of SO(3); identical to the V matrix."""
-    return _v_matrix(np.asarray(w, dtype=float))
-
-
 def _q_block(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Translation-rotation coupling block of the SE(3) left Jacobian.
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import jsonio
 from .artmodel import ArticulationEstimate, ClassifierConfig, build_articulation_estimate
 from .errors import ArtikitError, IllPosedError, InsufficientTracksError, TrackFileError
-from .lie import RigidTransform, Twist, transform_twist
+from .lie import transform_twist
 from .segmenter import Segment, SegmenterConfig, extract_segments, moving_average
 from .smoother import SmootherConfig, smooth_track
 from .trackfilter import FilterConfig, filter_outliers, filter_static, filter_unreliable

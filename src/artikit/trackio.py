@@ -283,7 +283,17 @@ def load_trackset(path) -> TrackSet:
 
 
 def save_trackset(path, ts: TrackSet) -> None:
-    """Write a track file; load(save(x)) reproduces x exactly."""
+    """Write a track file; load(save(x)) reproduces x exactly.
+
+    A non-finite pixel coordinate, which load would reject, raises
+    TrackFileError naming its field.
+    """
+    for k, tr in enumerate(ts.tracks):
+        bad = np.flatnonzero(~np.all(np.isfinite(tr.uv), axis=1))
+        if len(bad):
+            t = int(bad[0])
+            raise TrackFileError(f"{path}.tracks[{k}].uv[{t}]: expected finite pixel "
+                                 f"coordinates, got {tr.uv[t].tolist()}")
     doc = {
         "version": 1,
         "units": {"length": "m"},

@@ -9,7 +9,8 @@ Two estimators share the correspondence structure:
 * ``fit_independent``: one closed-form rigid transform per step (SVD
   registration with a reflection guard),
 * ``fit_regularized``: all steps constrained to powers of a single unit
-  twist, ``Delta_m = exp(theta_m * hat(xi))``, solved by damped Gauss-Newton
+  twist, ``Delta_m = exp(theta_m * hat(xi))``, solved by
+  ``damped_gauss_newton`` (the solver ``artmodel.fit_twist_to_poses`` shares)
   over the gauge-fixed twist chart plus the per-step magnitudes, with
   analytic Jacobians of the exp-map point action.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .lie import (
     normalize_twist,
     retract_twist,
     se3_left_jacobian,
-    twist_gauge,
     twist_tangent_basis,
 )
 
@@ -60,7 +61,6 @@ class StepPairs:
     src: np.ndarray  # (n, 3)
     dst: np.ndarray  # (n, 3)
     track_ids: np.ndarray  # (n,)
-    weights: np.ndarray  # (n,), currently all ones
 
 
 @dataclass
@@ -126,11 +126,7 @@ def build_correspondences(tracks, stride: int = DEFAULT_STRIDE) -> Correspondenc
                 f"step {m} (frames {t0}->{t1}) has {len(src)} pairs; "
                 f"need at least {MIN_PAIRS_PER_STEP}"
             )
-        steps.append(
-            StepPairs(
-                np.array(src), np.array(dst), np.array(ids), np.ones(len(src))
-            )
-        )
+        steps.append(StepPairs(np.array(src), np.array(dst), np.array(ids)))
     return CorrespondenceSet(steps=steps, stride=stride, keyframes=keyframes)
 
 
@@ -235,6 +231,72 @@ def fit_independent(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
 
 
 # ---------------------------------------------------------------------------
+# shared damped Gauss-Newton solver
+
+
+def damped_gauss_newton(xi: Twist, thetas: np.ndarray, linearize, cost_fn):
+    """Levenberg-damped Gauss-Newton over a normalized twist's gauge-fixed
+    chart plus free magnitudes; the normal matrix is an arrowhead.
+
+    ``linearize(xi, thetas, B)`` yields per magnitude ``(J, r)``: residuals
+    and their Jacobian (rows x k+1) along the k chart directions of basis
+    ``B``, then that magnitude. ``cost_fn(xi, thetas)`` is the squared
+    residual sum. Returns ``(xi, thetas, cost, converged)`` signed so that
+    ``sum(thetas) >= 0``; without convergence, the best iterate.
+    """
+    M = len(thetas)
+    cost = cost_fn(xi, thetas)
+    lam = DAMPING_INIT
+    converged = False
+    for _ in range(MAX_ITER):
+        B = twist_tangent_basis(xi)
+        k = B.shape[1]
+        JtJ = np.zeros((k + M, k + M))
+        Jtr = np.zeros(k + M)
+        for m, (J, r) in enumerate(linearize(xi, thetas, B)):
+            block = J.T @ J
+            g = J.T @ r
+            JtJ[:k, :k] += block[:k, :k]
+            JtJ[:k, k + m] += block[:k, k]
+            JtJ[k + m, :k] += block[k, :k]
+            JtJ[k + m, k + m] += block[k, k]
+            Jtr[:k] += g[:k]
+            Jtr[k + m] += g[k]
+        accepted = False
+        while lam <= DAMPING_MAX:
+            try:
+                delta = np.linalg.solve(JtJ + lam * np.eye(k + M), -Jtr)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            xi_new = retract_twist(xi, delta[:k])
+            thetas_new = thetas + delta[k:]
+            cost_new = cost_fn(xi_new, thetas_new)
+            if cost_new < cost:
+                accepted = True
+                lam = max(lam / 10.0, 1e-15)
+                drop = cost - cost_new
+                xi, thetas, cost = xi_new, thetas_new, cost_new
+                if drop < COST_RTOL * max(cost, 1e-300) or cost == 0.0:
+                    converged = True
+                break
+            lam *= 10.0
+        if converged:
+            break
+        if not accepted:
+            # no productive step at any damping: converged if the gradient is
+            # numerically flat, otherwise flag the best iterate
+            converged = cost == 0.0 or bool(
+                np.linalg.norm(Jtr) <= 1e-12 * max(1.0, cost)
+            )
+            break
+    if np.sum(thetas) < 0:
+        thetas = -thetas
+        xi = Twist(-xi.omega, -xi.v)
+    return xi, thetas, cost, converged
+
+
+# ---------------------------------------------------------------------------
 # regularized joint fit
 
 
@@ -244,6 +306,25 @@ def _pair_cost(corr: CorrespondenceSet, xi: Twist, thetas: np.ndarray) -> float:
         r = step.dst - apply(exp_map(xi, th), step.src)
         c += float(np.sum(r * r))
     return c
+
+
+def _pair_blocks(corr: CorrespondenceSet, xi: Twist, thetas: np.ndarray, B: np.ndarray):
+    """Point-pair residuals and their Jacobians, one block per step."""
+    k = B.shape[1]
+    xvec = xi.as_vector()
+    for step, th in zip(corr.steps, thetas):
+        th = float(th)
+        y = apply(exp_map(xi, th), step.src)  # (n, 3)
+        r = step.dst - y
+        # (6, k): tangent motion per chart coordinate
+        C = se3_left_jacobian(th * xvec) @ (th * B)
+        J = np.zeros((len(y), 3, k + 1))
+        for j in range(k):
+            # dy = tau_w x y + tau_v per chart direction
+            J[:, :, j] = -(np.cross(C[:3, j], y) + C[3:, j])
+        # d/dtheta exp(theta xi) p = omega x y + v exactly
+        J[:, :, k] = -(np.cross(xvec[:3], y) + xvec[3:])
+        yield J.reshape(-1, k + 1), r.reshape(-1)
 
 
 def _init_from_steps(corr: CorrespondenceSet) -> tuple[Twist, np.ndarray]:
@@ -274,7 +355,7 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
     """Joint fit of a single unit twist and per-step magnitudes.
 
     Minimizes sum_m sum_j |dst_mj - exp(theta_m hat(xi)) src_mj|^2 with xi
-    confined to the normalized-twist gauge. Levenberg-damped Gauss-Newton;
+    confined to the normalized-twist gauge, by ``damped_gauss_newton``;
     non-convergence within MAX_ITER returns the best iterate flagged
     ``non_converged``.
     """
@@ -286,71 +367,9 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
             f"peak point displacement {peak:.3e} m is below {MIN_MOTION} m"
         )
     xi, thetas = _init_from_steps(corr)
-    M = corr.step_count
-    cost = _pair_cost(corr, xi, thetas)
-    lam = DAMPING_INIT
-    converged = False
-    for _ in range(MAX_ITER):
-        B = twist_tangent_basis(xi)
-        k = B.shape[1]
-        xvec = xi.as_vector()
-        JtJ = np.zeros((k + M, k + M))
-        Jtr = np.zeros(k + M)
-        for m, step in enumerate(corr.steps):
-            th = float(thetas[m])
-            Tm = exp_map(xi, th)
-            y = apply(Tm, step.src)  # (n, 3)
-            r = step.dst - y
-            Jl = se3_left_jacobian(th * xvec)
-            C = Jl @ (th * B)  # (6, k): tangent motion per chart coordinate
-            n = len(y)
-            Jm = np.zeros((n, 3, k + 1))
-            for j in range(k):
-                # dy = tau_w x y + tau_v per chart direction
-                Jm[:, :, j] = -(np.cross(C[:3, j], y) + C[3:, j])
-            # d/dtheta exp(theta xi) p = omega x y + v exactly
-            Jm[:, :, k] = -(np.cross(xvec[:3], y) + xvec[3:])
-            Jm_flat = Jm.reshape(3 * n, k + 1)
-            r_flat = r.reshape(3 * n)
-            block = Jm_flat.T @ Jm_flat
-            g = Jm_flat.T @ r_flat
-            JtJ[:k, :k] += block[:k, :k]
-            JtJ[:k, k + m] += block[:k, k]
-            JtJ[k + m, :k] += block[k, :k]
-            JtJ[k + m, k + m] += block[k, k]
-            Jtr[:k] += g[:k]
-            Jtr[k + m] += g[k]
-        accepted = False
-        while lam <= DAMPING_MAX:
-            try:
-                delta = np.linalg.solve(JtJ + lam * np.eye(k + M), -Jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            xi_new = retract_twist(xi, delta[:k])
-            thetas_new = thetas + delta[k:]
-            cost_new = _pair_cost(corr, xi_new, thetas_new)
-            if cost_new < cost:
-                accepted = True
-                lam = max(lam / 10.0, 1e-15)
-                drop = cost - cost_new
-                xi, thetas, cost = xi_new, thetas_new, cost_new
-                if drop < COST_RTOL * max(cost, 1e-300) or cost == 0.0:
-                    converged = True
-                break
-            lam *= 10.0
-        if converged:
-            break
-        if not accepted:
-            # no productive step at any damping: converged if the gradient is
-            # numerically flat, otherwise flag the best iterate
-            converged = cost == 0.0 or bool(
-                np.linalg.norm(Jtr) <= 1e-12 * max(1.0, cost)
-            )
-            break
-    if np.sum(thetas) < 0:
-        thetas = -thetas
-        xi = Twist(-xi.omega, -xi.v)
+    xi, thetas, _, converged = damped_gauss_newton(
+        xi, thetas, partial(_pair_blocks, corr), partial(_pair_cost, corr)
+    )
     flags = []
     if not converged:
         flags.append("non_converged")

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import suite_util
+from artikit import artmodel, pipeline, synth
 from artikit.artmodel import (
     ArticulationEstimate,
     ClassifierConfig,
@@ -11,12 +13,13 @@ from artikit.artmodel import (
     extract_axis,
     fit_joint_models,
     fit_twist_to_poses,
+    free_model_from_trajectory,
     total_rotation,
     total_translation,
 )
 from artikit.errors import InsufficientMotionError
 from artikit.lie import RigidTransform, Twist, exp_map, normalize_twist
-from artikit.trajest import TrajectoryEstimate
+from artikit.trajest import TrajectoryEstimate, fit_independent
 
 
 def pose_chain(xi, thetas):
@@ -160,24 +163,24 @@ def test_total_rotation_and_translation():
 def test_classify_clear_rotation_is_revolute():
     xi = Twist(np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.0, 0.0]))
     poses = pose_chain(xi, [0.0, 0.2, 0.4, 0.6])
-    fit_u, _ = fit_joint_models(poses)
-    assert classify_joint(fit_u.twist, fit_u.thetas, poses, ClassifierConfig()) == "revolute"
+    fit_u, fit_p = fit_joint_models(poses)
+    assert classify_joint(fit_u, fit_p, ClassifierConfig()) == "revolute"
 
 
 def test_classify_translation_is_prismatic():
     xi = Twist(np.zeros(3), np.array([1.0, 0.0, 0.0]))
     poses = pose_chain(xi, [0.0, 0.05, 0.1, 0.15])
-    fit_u, _ = fit_joint_models(poses)
-    assert classify_joint(fit_u.twist, fit_u.thetas, poses, ClassifierConfig()) == "prismatic"
+    fit_u, fit_p = fit_joint_models(poses)
+    assert classify_joint(fit_u, fit_p, ClassifierConfig()) == "prismatic"
 
 
 def test_classify_tiny_rotation_falls_back_to_prismatic():
     # a sub-threshold wiggle must not be promoted to a hinge
     xi = Twist(np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.0, 0.0]))
     poses = pose_chain(xi, [0.0, 0.01, 0.02, 0.03])
-    fit_u, _ = fit_joint_models(poses)
+    fit_u, fit_p = fit_joint_models(poses)
     cfg = ClassifierConfig(theta_rot_min=0.1)
-    assert classify_joint(fit_u.twist, fit_u.thetas, poses, cfg) == "prismatic"
+    assert classify_joint(fit_u, fit_p, cfg) == "prismatic"
 
 
 def test_classifier_config_validation():
@@ -265,3 +268,50 @@ def test_build_estimate_carries_trajectory_flags():
     traj = make_trajectory(pose_chain(xi, [0.0, 0.3, 0.6]), flags=["anchored_late"])
     est = build_articulation_estimate(traj, ClassifierConfig())
     assert "anchored_late" in est.flags
+
+
+# ---------------------------------------------------------------------------
+# the free model of a regularized trajectory, in closed form
+
+
+@pytest.fixture(scope="module", params=[12, 30], ids=["revolute", "prismatic"])
+def noisy_suite_fit(request):
+    """stage_estimate's output on one noisy suite scene (regularized mode)."""
+    cfg = suite_util.pipeline_config(noisy=True)
+    ts, _ = synth.generate(suite_util.scene_config(request.param, noisy=True))
+    (seg,) = pipeline.extract_hand_segments(ts, cfg.segmenter)
+    tracks, counts = pipeline.stage_filter(ts, seg, cfg)
+    tracks = pipeline.stage_smooth(tracks, cfg, counts)
+    return pipeline.stage_estimate(tracks, cfg, counts)
+
+
+def test_free_model_closed_form_matches_pose_fit(noisy_suite_fit):
+    traj = noisy_suite_fit["traj"]
+    assert traj.converged
+    closed = free_model_from_trajectory(traj)
+    ref = fit_twist_to_poses(traj.relative_poses)
+    assert ref.converged and closed.converged
+    assert closed.gauge == ref.gauge
+    assert np.max(np.abs(closed.twist.as_vector() - ref.twist.as_vector())) < 1e-9
+    assert np.max(np.abs(closed.thetas - ref.thetas)) < 1e-9
+    assert abs(closed.rms - ref.rms) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "mode, gauges",
+    [("regularized", ["prismatic"]), ("independent", ["prismatic", "auto"])],
+)
+def test_build_estimate_fits_only_unknown_models(noisy_suite_fit, monkeypatch, mode, gauges):
+    traj = noisy_suite_fit["traj"]
+    if mode == "independent":
+        traj = fit_independent(noisy_suite_fit["corr"], traj.anchor.t[None, :])
+    seen = []
+    real = artmodel.fit_twist_to_poses
+
+    def counted(poses, gauge="auto"):
+        seen.append(gauge)
+        return real(poses, gauge)
+
+    monkeypatch.setattr(artmodel, "fit_twist_to_poses", counted)
+    build_articulation_estimate(traj, ClassifierConfig())
+    assert seen == gauges

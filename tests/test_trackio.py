@@ -127,6 +127,17 @@ def test_depth_nan_becomes_null(tmp_path):
     assert np.isnan(back.tracks[0].depth[2])
 
 
+def test_save_rejects_non_finite_uv(tmp_path):
+    ts = make_trackset()
+    ts.tracks[1].uv[3] = [np.nan, 240.0]
+    ts.tracks[1].depth[3] = np.nan
+    ts.tracks[1].vis[3] = False
+    p = tmp_path / "a.json"
+    with pytest.raises(TrackFileError, match=r"tracks\[1\]\.uv\[3\]"):
+        trackio.save_trackset(p, ts)
+    assert not p.exists()
+
+
 def _doc(tmp_path, mutate):
     ts = make_trackset()
     p = tmp_path / "x.json"

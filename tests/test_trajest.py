@@ -109,7 +109,6 @@ def test_correspondences_structure():
     assert list(corr.keyframes) == [0, 2, 4, 6, 8]
     assert corr.step_count == 4
     assert all(len(s.src) == 6 for s in corr.steps)
-    assert np.all(corr.steps[0].weights == 1.0)
 
 
 def test_correspondences_require_both_endpoints():
