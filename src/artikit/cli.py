@@ -20,10 +20,8 @@ import logging
 import sys
 
 from . import evalkit, jsonio, pipeline, synth, trackio
-from .errors import ArtikitError
+from .errors import ArtikitError, TrackFileError
 from .segmenter import Segment
-
-log = logging.getLogger(__name__)
 
 
 def _config_flags(p: argparse.ArgumentParser, *groups: str) -> None:
@@ -131,33 +129,38 @@ def cmd_segment(args) -> int:
     return 0
 
 
-def _load_segments(path) -> list:
+def _load_segments(path, frame_count: int) -> list:
     doc = jsonio.load_json(path)
-    if not isinstance(doc, dict) or "segments" not in doc:
-        raise ArtikitError(f"{path}: not a segments file")
-    return [Segment(int(s["start"]), int(s["end"])) for s in doc["segments"]]
-
-
-def _skip_record(seg: Segment, stage: str, e: ArtikitError) -> dict:
-    log.warning("segment [%d, %d] skipped at %s: %s", seg.start, seg.end, stage, e)
-    return {
-        "segment": seg.to_dict(),
-        "stage": stage,
-        "error": {"type": type(e).__name__, "message": str(e)},
-    }
+    if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
+        raise TrackFileError(f"{path}: not a segments file")
+    segments = []
+    for i, entry in enumerate(doc["segments"]):
+        where = f"{path}.segments[{i}]"
+        try:
+            seg = Segment.from_dict(entry)
+        except KeyError as e:
+            raise TrackFileError(f"{where}: missing key {e}") from e
+        except (TypeError, ValueError) as e:
+            raise TrackFileError(f"{where}: {e}") from e
+        if seg.end >= frame_count:
+            raise TrackFileError(
+                f"{where}: end {seg.end} is past the recording's last frame {frame_count - 1}"
+            )
+        segments.append(seg)
+    return segments
 
 
 def cmd_filter(args) -> int:
     cfg = _load_config(args)
     ts = trackio.load_trackset(args.tracks)
-    segments = _load_segments(args.segments)
+    segments = _load_segments(args.segments, ts.frame_count)
     entries, skipped = [], []
     for seg in segments:
         try:
             tracks, counts = pipeline.stage_filter(ts, seg, cfg)
             entries.append((seg, tracks, counts))
         except ArtikitError as e:
-            skipped.append(_skip_record(seg, "filter", e))
+            skipped.append(pipeline.skip_record(seg, "filter", e))
     pipeline.save_segment_data(args.out, "filter", entries, skipped)
     print(f"filtered {len(entries)} segments ({len(skipped)} skipped)", file=sys.stderr)
     return 0
@@ -171,7 +174,7 @@ def cmd_smooth(args) -> int:
         try:
             out.append((seg, pipeline.stage_smooth(tracks, cfg, counts), counts))
         except ArtikitError as e:
-            skipped.append(_skip_record(seg, "smooth", e))
+            skipped.append(pipeline.skip_record(seg, "smooth", e))
     pipeline.save_segment_data(args.out, "smooth", out, skipped)
     print(f"smoothed {len(out)} segments ({len(skipped)} skipped)", file=sys.stderr)
     return 0
@@ -186,7 +189,7 @@ def cmd_estimate(args) -> int:
             fitted = pipeline.stage_estimate(tracks, cfg, counts)
             results.append(pipeline.segment_record(seg, fitted, counts))
         except ArtikitError as e:
-            skipped.append(_skip_record(seg, "estimate", e))
+            skipped.append(pipeline.skip_record(seg, "estimate", e))
     doc = {"version": 1, "results": results, "skipped": skipped}
     pipeline.save_results(args.out, doc)
     if args.export_ply:
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tracks", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--jobs", type=int, default=None, help="worker threads (0 = all cores)")
+    p.add_argument("--jobs", type=int, default=None, help="accepted for compatibility; has no effect (segments run serially)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--export-ply", default=None)
     _config_flags(p, "segmenter", "filter", "smoother", "estimate")

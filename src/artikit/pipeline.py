@@ -13,17 +13,14 @@ The pipeline runs four stages per interaction segment:
 
 Segments fail independently: any pipeline error (degenerate geometry, too
 little motion, too few tracks) is recorded under "skipped" with its stage
-and message, and the remaining segments still run. Worker threads process
-segments concurrently; aggregation is index-ordered, so output never
-depends on scheduling.
+and message, and the remaining segments still run. Segments run one after
+another on the calling thread, in recording order.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +63,7 @@ class PipelineConfig:
     stride: int = DEFAULT_STRIDE
     mode: str = "regularized"
     max_depth: float = DEFAULT_MAX_DEPTH
-    jobs: int = 0  # 0 = one worker per logical core
+    jobs: int = 0  # accepted but has no effect: segments always run serially
     seed: int = 0  # consumed by scene generation; estimation is seed-free
 
     def __post_init__(self):
@@ -80,34 +77,7 @@ class PipelineConfig:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
 
     def to_dict(self) -> dict:
-        return {
-            "segmenter": {
-                "w_h": self.segmenter.w_h,
-                "tau_h": self.segmenter.tau_h,
-                "t_min": self.segmenter.t_min,
-                "t_max": self.segmenter.t_max,
-            },
-            "filter": {
-                "sigma_static": self.filter.sigma_static,
-                "static_mode": self.filter.static_mode,
-                "sigma_reliable": self.filter.sigma_reliable,
-                "outlier_k": self.filter.outlier_k,
-            },
-            "smoother": {
-                "lambda_vel": self.smoother.lambda_vel,
-                "lambda_jerk": self.smoother.lambda_jerk,
-            },
-            "classifier": {
-                "theta_rot_min": self.classifier.theta_rot_min,
-                "trans_min": self.classifier.trans_min,
-                "residual_margin": self.classifier.residual_margin,
-            },
-            "stride": self.stride,
-            "mode": self.mode,
-            "max_depth": self.max_depth,
-            "jobs": self.jobs,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -264,13 +234,18 @@ def process_segment(ts: TrackSet, seg: Segment, cfg: PipelineConfig) -> dict:
         stage = "estimate"
         fitted = stage_estimate(tracks, cfg, counts)
     except ArtikitError as e:
-        log.warning("segment [%d, %d] skipped at %s: %s", seg.start, seg.end, stage, e)
-        return {
-            "segment": seg.to_dict(),
-            "stage": stage,
-            "error": {"type": type(e).__name__, "message": str(e)},
-        }
+        return skip_record(seg, stage, e)
     return segment_record(seg, fitted, counts)
+
+
+def skip_record(seg: Segment, stage: str, e: ArtikitError) -> dict:
+    """The record of a segment that failed at ``stage``; logs a warning."""
+    log.warning("segment [%d, %d] skipped at %s: %s", seg.start, seg.end, stage, e)
+    return {
+        "segment": seg.to_dict(),
+        "stage": stage,
+        "error": {"type": type(e).__name__, "message": str(e)},
+    }
 
 
 def segment_record(seg: Segment, fitted: dict, counts: dict) -> dict:
@@ -307,14 +282,7 @@ def run_pipeline(ts: TrackSet, cfg: PipelineConfig) -> dict:
     """All segments of a recording; returns the results document."""
     segments = extract_hand_segments(ts, cfg.segmenter)
     log.info("extracted %d interaction segments", len(segments))
-    if not segments:
-        return {"version": 1, "results": [], "skipped": []}
-    jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
-    if jobs == 1 or len(segments) == 1:
-        records = [process_segment(ts, seg, cfg) for seg in segments]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(lambda s: process_segment(ts, s, cfg), segments))
+    records = [process_segment(ts, seg, cfg) for seg in segments]
     results = [r for r in records if "error" not in r]
     skipped = [r for r in records if "error" in r]
     return {"version": 1, "results": results, "skipped": skipped}
@@ -375,7 +343,7 @@ def load_segment_data(path) -> tuple[list, list]:
     entries = []
     try:
         for s in doc["segments"]:
-            seg = Segment(int(s["segment"]["start"]), int(s["segment"]["end"]))
+            seg = Segment.from_dict(s["segment"])
             tracks = [_track_from_dict(t) for t in s["tracks"]]
             entries.append((seg, tracks, dict(s.get("filter_counts", {}))))
     except (KeyError, TypeError, ValueError) as e:

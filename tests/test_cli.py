@@ -140,6 +140,25 @@ def test_malformed_input_exits_2_with_json_error(workdir, capsys):
     assert "line 2" in msg["message"]
 
 
+@pytest.mark.parametrize("segments, field", [
+    ([{"start": 3}], "'end'"),
+    ([{"start": 9, "end": 3}], "invalid segment"),
+    ([{"start": 0, "end": 500}], "past the recording's last frame"),
+], ids=["missing-key", "end-before-start", "end-past-recording"])
+def test_malformed_segments_file_exits_2_with_json_error(workdir, capsys, segments, field):
+    segs = workdir / "segs.json"
+    segs.write_text(json.dumps({"segments": segments}))
+    rc = main(["filter", "--tracks", str(workdir / "tracks.json"), "--segments", str(segs),
+               "--out", str(workdir / "o.json")])
+    assert rc == 2
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("{")]
+    assert len(err_lines) == 1
+    msg = json.loads(err_lines[0])
+    assert msg["error"] == "TrackFileError"
+    assert msg["message"].startswith(f"{segs}.segments[0]: ")
+    assert field in msg["message"]
+
+
 def test_short_hand_window_yields_empty_results(workdir):
     scene = workdir / "short.json"
     scene.write_text(json.dumps(scene_doc(hand_window=[5, 12])))

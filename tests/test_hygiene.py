@@ -24,6 +24,26 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_private_names(source: str) -> list:
+    """Module-level private functions, classes and variables never read."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        defined[n.id] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(
+        (line, name) for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
 def test_unused_imports_are_detected():
     src = "import os\nimport sys\nfrom a import b, c as d\nprint(sys, d)\n"
     assert unused_imports(src) == [(1, "os"), (3, "b")]
@@ -32,3 +52,19 @@ def test_unused_imports_are_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unused_private_names_are_detected():
+    src = (
+        "_A = 1\n_B, c = 2, 3\n__all__ = []\n"
+        "def _f():\n    return _A\n"
+        "def _g():\n    pass\n"
+        "class _C:\n    pass\n"
+        "def h():\n    return _f()\n"
+    )
+    assert unused_private_names(src) == [(2, "_B"), (6, "_g"), (8, "_C")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_module_names(path):
+    assert unused_private_names(path.read_text()) == []

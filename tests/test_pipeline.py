@@ -1,10 +1,12 @@
 """End-to-end pipeline: config layering, staging files, failure isolation."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from artikit import pipeline
 from artikit.artmodel import ClassifierConfig
 from artikit.errors import TrackFileError
 from artikit.evalkit import axis_distance
@@ -153,6 +155,23 @@ def test_parallel_run_matches_serial():
     serial = run_pipeline(ts, quiet_pipeline_config(jobs=1))
     parallel = run_pipeline(ts, quiet_pipeline_config(jobs=4))
     assert serial == parallel
+
+
+def test_segments_run_in_order_on_calling_thread(monkeypatch):
+    ts = two_block_recording()
+    calls = []
+    original = pipeline.process_segment
+
+    def recording(ts_, seg, cfg):
+        calls.append((threading.get_ident(), seg))
+        return original(ts_, seg, cfg)
+
+    monkeypatch.setattr(pipeline, "process_segment", recording)
+    docs = [run_pipeline(ts, quiet_pipeline_config(jobs=j)) for j in (0, 4)]
+    segs = extract_hand_segments(ts, SegmenterConfig())
+    assert len(segs) == 2
+    assert calls == [(threading.get_ident(), s) for s in segs * 2]
+    assert docs[0] == docs[1]
 
 
 def test_empty_hand_signal_gives_empty_results():
