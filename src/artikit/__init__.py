@@ -55,6 +55,7 @@ from .trackio import (
     lift_track,
     load_trackset,
     save_trackset,
+    stack_poses,
     to_world,
 )
 from .trajest import (

@@ -1,13 +1,13 @@
 """Small JSON helpers shared by the file formats.
 
 Floats are written with Python's shortest round-trip repr, so a value survives
-save -> load bit-exactly; NaN is represented as null (JSON has no NaN).
+save -> load bit-exactly; callers map NaN to null (JSON has no NaN) before
+writing. Files are compact one-line JSON.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from .errors import TrackFileError
@@ -23,23 +23,11 @@ def load_json(path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise TrackFileError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer literal too long for Python to convert
+        raise TrackFileError(f"{path}: malformed JSON: {e}") from e
 
 
 def dump_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
-
-
-def floats_or_null(values) -> list:
-    """List of floats with NaN mapped to null."""
-    return [None if math.isnan(v) else float(v) for v in values]
-
-
-def points_or_null(array) -> list:
-    """Rows of a float array, any non-finite row mapped to null."""
-    out = []
-    for row in array:
-        if all(math.isfinite(x) for x in row):
-            out.append([float(x) for x in row])
-        else:
-            out.append(None)
-    return out
+    """Write ``obj`` as compact one-line JSON (Python's C encoder writes
+    this form; ``indent`` would switch to its pure-Python encoder)."""
+    Path(path).write_text(json.dumps(obj, allow_nan=False, separators=(",", ":")) + "\n")

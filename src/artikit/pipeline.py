@@ -38,6 +38,7 @@ from .trackio import (
     Track3D,
     TrackSet,
     lift_track,
+    stack_poses,
     to_world,
 )
 from .trajest import (
@@ -142,10 +143,11 @@ def extract_hand_segments(ts: TrackSet, cfg: SegmenterConfig) -> list:
 def stage_filter(ts: TrackSet, seg: Segment, cfg: PipelineConfig) -> tuple[list, dict]:
     """Lift one segment to world tracks and drop static or unreliable ones."""
     sub = ts.slice(seg.start, seg.end)
+    poses = stack_poses(sub.cam_poses)
     stracks = []
     for tr in sub.tracks:
         lifted = lift_track(tr, sub.intrinsics, cfg.max_depth)
-        world = to_world(lifted, sub.cam_poses)
+        world = to_world(lifted, poses)
         stracks.append(SegmentTrack(tr.id, tr.uv, world.positions, world.valid))
     if not stracks:
         raise InsufficientTracksError("segment has no tracks")
@@ -297,20 +299,38 @@ def save_results(path, doc: dict) -> None:
 
 
 def _track_to_dict(tr: SegmentTrack) -> dict:
+    finite = np.isfinite(tr.world).all(axis=1).tolist()
     return {
         "id": int(tr.id),
-        "uv": [[float(u), float(v)] for u, v in tr.uv],
-        "world": jsonio.points_or_null(tr.world),
-        "valid": [bool(b) for b in tr.valid],
+        "uv": np.asarray(tr.uv, dtype=float).tolist(),
+        "world": [row if ok else None for row, ok in zip(tr.world.tolist(), finite)],
+        "valid": np.asarray(tr.valid, dtype=bool).tolist(),
     }
 
 
-def _track_from_dict(d: dict) -> SegmentTrack:
-    uv = np.asarray(d["uv"], dtype=float)
-    world = np.array(
-        [[np.nan] * 3 if row is None else row for row in d["world"]], dtype=float
-    )
+def _rows(values, width: int, T: int, where: str) -> np.ndarray:
+    """``values`` as a (T, width) float array; anything else is a
+    TrackFileError naming ``where``."""
+    try:
+        a = np.array(values, dtype=float)
+    except (TypeError, ValueError):  # ragged rows or non-numbers
+        a = None
+    if a is None or a.shape != (T, width):
+        got = "" if a is None else f", got shape {a.shape}"
+        raise TrackFileError(
+            f"{where}: expected {T} rows of {width} numbers, one per valid flag{got}"
+        )
+    return a
+
+
+def _track_from_dict(d: dict, where: str) -> SegmentTrack:
     valid = np.asarray(d["valid"], dtype=bool)
+    if valid.ndim != 1:
+        raise TrackFileError(f"{where}.valid: must be a list of booleans")
+    T = len(valid)
+    uv = _rows(d["uv"], 2, T, f"{where}.uv")
+    world = _rows([[np.nan] * 3 if row is None else row for row in d["world"]], 3, T,
+                  f"{where}.world")
     return SegmentTrack(int(d["id"]), uv, world, valid)
 
 
@@ -342,9 +362,10 @@ def load_segment_data(path) -> tuple[list, list]:
         raise TrackFileError(f"{path}: not a segment-data file")
     entries = []
     try:
-        for s in doc["segments"]:
+        for i, s in enumerate(doc["segments"]):
             seg = Segment.from_dict(s["segment"])
-            tracks = [_track_from_dict(t) for t in s["tracks"]]
+            tracks = [_track_from_dict(t, f"{path}.segments[{i}].tracks[{k}]")
+                      for k, t in enumerate(s["tracks"])]
             entries.append((seg, tracks, dict(s.get("filter_counts", {}))))
     except (KeyError, TypeError, ValueError) as e:
         raise TrackFileError(f"{path}: bad segment data: {e}") from e

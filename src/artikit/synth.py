@@ -12,6 +12,11 @@ Determinism: all randomness flows through one numpy Generator seeded with
 documented order: dynamic base points, static points, then per-frame noise,
 occlusion and depth dropouts in track-major order. Identical configs produce
 byte-identical files.
+
+``generate`` first collects the per-point draws in that order, in one loop
+that does nothing else, and then runs the geometry (camera transform,
+visibility, projection, depth) as arrays over all frames and points, with
+the same floating-point operations as a per-point computation.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import numpy as np
 
 from . import jsonio
 from .errors import TrackFileError
-from .lie import RigidTransform, Twist, apply, exp_map, inverse, matrix_to_quat
-from .trackio import CameraIntrinsics, Track, TrackSet, project_to_2d
+from .lie import RigidTransform, Twist, apply, apply_each, exp_map, inverse, matrix_to_quat
+from .trackio import CameraIntrinsics, Track, TrackSet, stack_poses
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=525.0, fy=525.0, cx=320.0, cy=240.0)
 
@@ -221,41 +226,50 @@ def generate(cfg: SynthConfig) -> tuple[TrackSet, list]:
     )
 
     n_total = cfg.n_dynamic + cfg.n_static
-    uv = np.zeros((n_total, T, 2))
-    depth = np.full((n_total, T), np.nan)
-    vis = np.zeros((n_total, T), dtype=bool)
-
-    world = np.zeros((n_total, T, 3))
+    world = np.zeros((T, n_total, 3))
     for t in range(T):
-        moved = apply(exp_map(xi, float(cfg.joint.motion_profile[t])), base_dynamic)
-        world[: cfg.n_dynamic, t] = moved
-        world[cfg.n_dynamic :, t] = static_pts
+        world[t, : cfg.n_dynamic] = apply(
+            exp_map(xi, float(cfg.joint.motion_profile[t])), base_dynamic
+        )
+        world[t, cfg.n_dynamic :] = static_pts
 
-    # per-frame corruption, track-major order inside each frame
-    for t in range(T):
-        cam_inv = inverse(cfg.camera_path[t])
-        for i in range(n_total):
-            p = world[i, t]
-            if cfg.noise_sigma > 0:
-                p = p + rng.normal(0.0, cfg.noise_sigma, size=3)
-            p_cam = apply(cam_inv, p)
-            visible = p_cam[2] > 1e-6
-            if visible:
-                uv_t, z = project_to_2d(p_cam, cfg.intrinsics)
-                uv[i, t] = uv_t
-                depth[i, t] = z
-            if cfg.occlusion_rate > 0 and rng.random() < cfg.occlusion_rate:
-                visible = False
-            if cfg.invalid_depth_rate > 0 and rng.random() < cfg.invalid_depth_rate:
-                visible = False
-                depth[i, t] = np.nan
-            vis[i, t] = visible
+    # the draws alone, in the documented order; the geometry below uses them
+    rates = (cfg.occlusion_rate, cfg.invalid_depth_rate)
+    cols = [c for c, rate in enumerate(rates) if rate > 0]
+    noise = np.zeros((T, n_total, 3))
+    drawn = np.empty((T, n_total, len(cols)))
+    draw_noise, normal, uniform = cfg.noise_sigma > 0, rng.standard_normal, rng.random
+    for z, u in zip(list(noise.reshape(-1, 3)), list(drawn.reshape(T * n_total, -1))):
+        if draw_noise:
+            normal(out=z)
+        if cols:
+            uniform(out=u)
+    draws = np.ones((T, n_total, 2))  # occlusion, dropout; 1.0 is below no rate
+    draws[..., cols] = drawn
+    if draw_noise:
+        # rng.normal(0, sigma) returns 0 + sigma * z: the same operations
+        world = world + (0.0 + cfg.noise_sigma * noise)
+
+    cams = stack_poses([inverse(pose) for pose in cfg.camera_path])
+    p_cam = apply_each(cams.rotations[:, None], cams.translations[:, None], world)
+    front = p_cam[..., 2] > 1e-6
+    occluded = draws[..., 0] < rates[0]
+    dropped = draws[..., 1] < rates[1]
+
+    K = cfg.intrinsics
+    x, y, z = p_cam[front].T
+    uv = np.zeros((T, n_total, 2))
+    uv[front, 0] = K.fx * x / z + K.cx
+    uv[front, 1] = K.fy * y / z + K.cy
+    depth = np.full((T, n_total), np.nan)
+    depth[front & ~dropped] = p_cam[..., 2][front & ~dropped]
+    vis = front & ~occluded & ~dropped
 
     hand = np.zeros(T, dtype=bool)
     hand[cfg.hand_window[0] : cfg.hand_window[1] + 1] = True
 
     tracks = [
-        Track(i, uv[i].copy(), depth[i].copy(), vis[i].copy()) for i in range(n_total)
+        Track(i, uv[:, i].copy(), depth[:, i].copy(), vis[:, i].copy()) for i in range(n_total)
     ]
     ts = TrackSet(
         intrinsics=cfg.intrinsics,

@@ -16,17 +16,26 @@ Schema (version 1)::
 Validation errors name the offending field and index. A frame where
 ``vis`` is true must carry finite positive depth; depth beyond ``max_depth``
 is legal in the file and is marked invalid at lift time.
+
+Loading checks each track in bulk first: the element types of its lists,
+then one array conversion with finiteness checks. A track that fails any of
+these goes through the element-by-element walk, which finds and names the
+first bad element, so the bulk path never decides an error message.
+Files are written as compact one-line JSON.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from . import jsonio
 from .errors import TrackFileError
-from .lie import RigidTransform, apply
+from .lie import RigidTransform, apply_each
 
 DEFAULT_MAX_DEPTH = 10.0  # meters; depth beyond this is treated as sensor junk
 
@@ -165,17 +174,37 @@ def lift_track(track: Track, intrinsics: CameraIntrinsics, max_depth: float = DE
     return Track3D(pos, ok)
 
 
+class PoseStack(NamedTuple):
+    """Per-frame camera-to-world poses as stacked arrays, built once and
+    shared by every track lifted over those frames."""
+
+    rotations: np.ndarray  # (T, 3, 3)
+    translations: np.ndarray  # (T, 3)
+
+
+def stack_poses(cam_poses) -> PoseStack:
+    """Stack a list of RigidTransform into rotation and translation arrays."""
+    return PoseStack(
+        np.array([p.rotation_matrix() for p in cam_poses]).reshape(-1, 3, 3),
+        np.array([p.t for p in cam_poses]).reshape(-1, 3),
+    )
+
+
 def to_world(track3d: Track3D, cam_poses) -> Track3D:
-    """Map camera-frame positions to world coordinates with per-frame poses."""
-    if len(cam_poses) != len(track3d.positions):
+    """Map camera-frame positions to world coordinates with per-frame poses.
+
+    ``cam_poses`` is a list of RigidTransform or, to stack them once for
+    many tracks, its ``stack_poses``.
+    """
+    poses = cam_poses if isinstance(cam_poses, PoseStack) else stack_poses(cam_poses)
+    if len(poses.rotations) != len(track3d.positions):
         raise ValueError(
-            f"pose count {len(cam_poses)} != frame count {len(track3d.positions)}"
+            f"pose count {len(poses.rotations)} != frame count {len(track3d.positions)}"
         )
+    ok = track3d.valid
     out = np.full_like(track3d.positions, np.nan)
-    for t, pose in enumerate(cam_poses):
-        if track3d.valid[t]:
-            out[t] = apply(pose, track3d.positions[t])
-    return Track3D(out, track3d.valid.copy())
+    out[ok] = apply_each(poses.rotations[ok], poses.translations[ok], track3d.positions[ok])
+    return Track3D(out, ok.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +216,67 @@ def _require(cond: bool, where: str, msg: str):
         raise TrackFileError(f"{where}: {msg}")
 
 
+def _to_float(x) -> float:
+    """float(x); an integer too large for a float becomes +-inf, as a float
+    literal of that size does in the JSON parser."""
+    try:
+        return float(x)
+    except OverflowError:
+        return float("inf") if x > 0 else float("-inf")
+
+
 def _as_number(x, where: str) -> float:
     _require(isinstance(x, (int, float)) and not isinstance(x, bool), where, f"expected a number, got {x!r}")
-    val = float(x)
+    val = _to_float(x)
     _require(np.isfinite(val), where, f"expected a finite number, got {x!r}")
     return val
+
+
+_NUMBER = {int, float}
+_NUMBER_OR_NULL = {int, float, type(None)}
+
+
+def _track_arrays(uv: list, depth: list, vis: list):
+    """(uv, depth, vis) arrays of a well-formed track, or None.
+
+    Type checks over whole lists, then one conversion per array. None hands
+    the track to ``_walk_track``, which finds the first bad element.
+    """
+    if set(map(type, uv)) != {list} or set(map(len, uv)) != {2}:
+        return None
+    if not (set(map(type, chain.from_iterable(uv))) <= _NUMBER
+            and set(map(type, depth)) <= _NUMBER_OR_NULL
+            and set(map(type, vis)) == {bool}):
+        return None
+    try:
+        uv_arr = np.array(uv, dtype=float)
+        depth_arr = np.array(depth, dtype=float)  # null becomes NaN
+    except OverflowError:  # an integer too large for a float
+        return None
+    if not np.isfinite(uv_arr).all():
+        return None
+    return uv_arr, depth_arr, np.array(vis, dtype=bool)
+
+
+def _walk_track(uv: list, depth: list, vis: list, w: str):
+    """The element-by-element check: raises naming the first bad element."""
+    T = len(uv)
+    uv_arr = np.zeros((T, 2))
+    for t, pt in enumerate(uv):
+        _require(isinstance(pt, list) and len(pt) == 2, f"{w}.uv[{t}]", "must be a [u, v] pair")
+        uv_arr[t, 0] = _as_number(pt[0], f"{w}.uv[{t}][0]")
+        uv_arr[t, 1] = _as_number(pt[1], f"{w}.uv[{t}][1]")
+    vis_arr = np.zeros(T, dtype=bool)
+    for t, b in enumerate(vis):
+        _require(isinstance(b, bool), f"{w}.vis[{t}]", f"must be a boolean, got {b!r}")
+        vis_arr[t] = b
+    depth_arr = np.full(T, np.nan)
+    for t, d in enumerate(depth):
+        if d is None:
+            continue
+        _require(isinstance(d, (int, float)) and not isinstance(d, bool), f"{w}.depth[{t}]", f"expected a number or null, got {d!r}")
+        depth_arr[t] = _to_float(d)
+    return uv_arr, depth_arr, vis_arr
 
 
 def load_trackset(path) -> TrackSet:
@@ -255,21 +340,7 @@ def load_trackset(path) -> TrackSet:
         for name, arr in (("uv", uv), ("depth", depth), ("vis", vis)):
             _require(isinstance(arr, list), f"{w}.{name}", "must be a list")
             _require(len(arr) == T, f"{w}.{name}", f"length {len(arr)} != frame count {T}")
-        uv_arr = np.zeros((T, 2))
-        for t, pt in enumerate(uv):
-            _require(isinstance(pt, list) and len(pt) == 2, f"{w}.uv[{t}]", "must be a [u, v] pair")
-            uv_arr[t, 0] = _as_number(pt[0], f"{w}.uv[{t}][0]")
-            uv_arr[t, 1] = _as_number(pt[1], f"{w}.uv[{t}][1]")
-        vis_arr = np.zeros(T, dtype=bool)
-        for t, b in enumerate(vis):
-            _require(isinstance(b, bool), f"{w}.vis[{t}]", f"must be a boolean, got {b!r}")
-            vis_arr[t] = b
-        depth_arr = np.full(T, np.nan)
-        for t, d in enumerate(depth):
-            if d is None:
-                continue
-            _require(isinstance(d, (int, float)) and not isinstance(d, bool), f"{w}.depth[{t}]", f"expected a number or null, got {d!r}")
-            depth_arr[t] = float(d)
+        uv_arr, depth_arr, vis_arr = _track_arrays(uv, depth, vis) or _walk_track(uv, depth, vis, w)
         bad = vis_arr & ~(np.isfinite(depth_arr) & (depth_arr > 0))
         if np.any(bad):
             t = int(np.flatnonzero(bad)[0])
@@ -305,9 +376,10 @@ def save_trackset(path, ts: TrackSet) -> None:
         "tracks": [
             {
                 "id": int(tr.id),
-                "uv": [[float(u), float(v)] for u, v in tr.uv],
-                "depth": jsonio.floats_or_null(tr.depth),
-                "vis": [bool(b) for b in tr.vis],
+                "uv": np.asarray(tr.uv, dtype=float).tolist(),
+                "depth": [None if math.isnan(d) else d
+                          for d in np.asarray(tr.depth, dtype=float).tolist()],
+                "vis": np.asarray(tr.vis, dtype=bool).tolist(),
             }
             for tr in ts.tracks
         ],

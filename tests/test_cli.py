@@ -181,3 +181,31 @@ def test_bad_flag_value_is_a_usage_error(workdir):
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def three_frame_segdata(mutate) -> dict:
+    track = {"id": 0, "uv": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+             "world": [[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.2, 0.0, 1.0]],
+             "valid": [True, True, True]}
+    mutate(track)
+    return {"version": 1, "stage": "filter", "skipped": [],
+            "segments": [{"segment": {"start": 0, "end": 2}, "filter_counts": {},
+                          "tracks": [track]}]}
+
+
+@pytest.mark.parametrize("command", ["smooth", "estimate"])
+@pytest.mark.parametrize("mutate, field", [
+    (lambda tr: tr.update(world=[row[:2] for row in tr["world"]]), "world"),
+    (lambda tr: tr["world"].pop(), "world"),
+    (lambda tr: tr["uv"].pop(), "uv"),
+], ids=["world-two-columns", "world-short", "uv-short"])
+def test_malformed_segment_data_exits_2_with_json_error(tmp_path, capsys, command, mutate, field):
+    segdata = tmp_path / "segdata.json"
+    segdata.write_text(json.dumps(three_frame_segdata(mutate)))
+    rc = main([command, "--segdata", str(segdata), "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("{")]
+    assert len(err_lines) == 1
+    msg = json.loads(err_lines[0])
+    assert msg["error"] == "TrackFileError"
+    assert msg["message"].startswith(f"{segdata}.segments[0].tracks[0].{field}: ")

@@ -7,10 +7,19 @@ differences of that oracle.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from artikit import lie
 from artikit.errors import BranchAmbiguityError
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def vectors(n: int, bound: float):
+    return hnp.arrays(float, n, elements=st.floats(-bound, bound, allow_subnormal=False))
 
 
 def hat4(xi: lie.Twist, theta: float) -> np.ndarray:
@@ -243,3 +252,70 @@ def test_rotation_angle_values():
     for theta in (0.0, 0.3, 1.7, 3.0):
         T = lie.exp_map(lie.Twist(w, np.zeros(3)), theta)
         assert abs(lie.rotation_angle(T) - theta) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# properties over generated inputs
+
+
+@PROPERTY
+@given(w=vectors(3, 2.0), v=vectors(3, 3.0))
+def test_log_inverts_exp_away_from_pi(w, v):
+    assume(np.linalg.norm(w) < np.pi - 0.1)
+    u = lie.log_map(lie.exp_map(lie.Twist(w, v), 1.0))
+    assert np.allclose(u.as_vector(), np.concatenate([w, v]), rtol=0.0, atol=1e-9)
+
+
+@PROPERTY
+@given(q=vectors(4, 1.0), t=vectors(3, 3.0))
+def test_exp_inverts_log_away_from_pi(q, t):
+    assume(np.linalg.norm(q) > 0.1)
+    T = lie.RigidTransform(q / np.linalg.norm(q), t)
+    assume(lie.rotation_angle(T) < np.pi - 0.1)
+    back = lie.exp_map(lie.log_map(T), 1.0)
+    assert np.allclose(back.as_matrix(), T.as_matrix(), rtol=0.0, atol=1e-9)
+
+
+@PROPERTY
+@given(a=vectors(6, 2.0), u=vectors(6, 2.0), theta=st.floats(-2.0, 2.0))
+def test_transform_twist_is_conjugation(a, u, theta):
+    T = lie.exp_map(lie.Twist.from_vector(a), 1.0)
+    xi = lie.Twist.from_vector(u)
+    conj = lie.compose(T, lie.compose(lie.exp_map(xi, theta), lie.inverse(T)))
+    moved = lie.exp_map(lie.transform_twist(T, xi), theta)
+    assert np.allclose(moved.as_matrix(), conj.as_matrix(), rtol=0.0, atol=1e-9)
+
+
+def in_gauge(xi: lie.Twist) -> bool:
+    if np.any(xi.omega != 0):
+        return abs(np.linalg.norm(xi.omega) - 1.0) < 1e-12
+    return abs(np.linalg.norm(xi.v) - 1.0) < 1e-12
+
+
+@PROPERTY
+@given(u=vectors(6, 3.0))
+def test_normalize_twist_lands_in_gauge(u):
+    assume(np.linalg.norm(u) > 1e-6)
+    unit, scale = lie.normalize_twist(lie.Twist.from_vector(u))
+    assert in_gauge(unit)
+    assert scale > 0
+    # the gauge drops an omega below 1e-9 of |v|
+    assert np.allclose(scale * unit.as_vector(), u, rtol=1e-12, atol=1e-9 * np.linalg.norm(u))
+    again, one = lie.normalize_twist(unit)
+    assert np.allclose(again.as_vector(), unit.as_vector(), rtol=1e-14, atol=1e-15)
+    assert abs(one - 1.0) < 1e-14
+
+
+@PROPERTY
+@given(u=vectors(6, 3.0), delta=vectors(5, 3.0), prismatic=st.booleans())
+def test_retract_twist_stays_in_gauge(u, delta, prismatic):
+    if prismatic:
+        u[:3] = 0.0
+    assume(np.linalg.norm(u[3:] if prismatic else u[:3]) > 1e-3)
+    xi, _ = lie.normalize_twist(lie.Twist.from_vector(u))
+    gauge = lie.twist_gauge(xi)
+    out = lie.retract_twist(xi, delta[: lie.twist_tangent_basis(xi).shape[1]])
+    assert in_gauge(out)
+    assert lie.twist_gauge(out) == gauge
+    if gauge == "prismatic":
+        assert np.all(out.omega == 0)

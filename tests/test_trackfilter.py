@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from artikit.errors import InsufficientTracksError
 from artikit.trackfilter import (
@@ -135,3 +138,44 @@ def test_config_validation():
         FilterConfig(sigma_reliable=1.5)
     with pytest.raises(ValueError):
         FilterConfig(outlier_k=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# partition invariant over generated inputs
+
+
+@st.composite
+def filter_inputs(draw):
+    n = draw(st.integers(1, 10))
+    T = draw(st.integers(1, 6))
+    coords = st.floats(-5.0, 5.0, allow_subnormal=False)
+    tracks = [
+        make_track(i, draw(hnp.arrays(float, (T, 3), elements=coords)),
+                   valid=draw(hnp.arrays(bool, T)))
+        for i in range(n)
+    ]
+    residuals = {i: r for i in range(n)
+                 if (r := draw(st.none() | st.floats(0.0, 1.0))) is not None}
+    cfg = FilterConfig(sigma_static=draw(st.floats(0.0, 100.0)),
+                       static_mode=draw(st.sampled_from(["image2d", "world3d"])),
+                       sigma_reliable=draw(st.floats(0.0, 1.0)),
+                       outlier_k=draw(st.floats(0.0, 5.0)))
+    return tracks, residuals, cfg
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(inputs=filter_inputs())
+def test_filters_partition_their_input(inputs):
+    tracks, residuals, cfg = inputs
+    results = [filter_static(tracks, cfg), filter_unreliable(tracks, cfg)]
+    try:
+        results.append(filter_outliers(tracks, residuals, cfg))
+    except InsufficientTracksError:
+        pass  # fewer than four survivors: nothing is returned
+    for kept, removed in results:
+        # every input track lands on exactly one side, in input order
+        assert sorted([id(t) for t in kept + removed]) == sorted(id(t) for t in tracks)
+        for side in (kept, removed):
+            ids = [t.id for t in side]
+            assert ids == sorted(ids)
+            assert all(t is tracks[t.id] for t in side)

@@ -1,13 +1,21 @@
 """Track file IO, backprojection, and world-frame lifting."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from artikit import trackio
 from artikit.errors import TrackFileError
-from artikit.lie import apply, exp_map, inverse, Twist
+from artikit.lie import RigidTransform, apply, exp_map, inverse, Twist
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def make_trackset(T=5, n=3) -> trackio.TrackSet:
@@ -73,11 +81,13 @@ def test_to_world_applies_camera_poses():
     ]
     pos = rng.normal(size=(4, 3))
     valid = np.array([True, True, False, True])
-    w = trackio.to_world(trackio.Track3D(pos.copy(), valid), poses)
-    for t in range(4):
-        if valid[t]:
-            assert np.allclose(w.positions[t], apply(poses[t], pos[t]))
-    assert np.all(np.isnan(w.positions[2]))
+    for cam_poses in (poses, trackio.stack_poses(poses)):
+        w = trackio.to_world(trackio.Track3D(pos.copy(), valid), cam_poses)
+        for t in range(4):
+            if valid[t]:
+                assert np.array_equal(w.positions[t], apply(poses[t], pos[t]))
+        assert np.all(np.isnan(w.positions[2]))
+        assert np.array_equal(w.valid, valid)
 
 
 def test_world_rigidity_of_static_scene():
@@ -161,6 +171,30 @@ def _doc(tmp_path, mutate):
         (lambda d: d["tracks"][0]["depth"].__setitem__(0, None), "depth[0]"),
         (lambda d: d["tracks"][0]["depth"].__setitem__(0, "deep"), "depth[0]"),
         (lambda d: d["frames"][0]["cam_pose"].pop("q"), "cam_pose"),
+        # each of these fails a check of the array path and must get the
+        # element walk's message
+        pytest.param(lambda d: d["tracks"][0]["uv"][1].__setitem__(0, True),
+                     "tracks[0].uv[1][0]: expected a number, got True", id="uv-true"),
+        pytest.param(lambda d: d["tracks"][0]["uv"][2].append(1.0),
+                     "tracks[0].uv[2]: must be a [u, v] pair", id="uv-triple"),
+        pytest.param(lambda d: d["tracks"][0]["uv"].__setitem__(3, 5.0),
+                     "tracks[0].uv[3]: must be a [u, v] pair", id="uv-row-number"),
+        pytest.param(lambda d: d["tracks"][0]["uv"].__setitem__(3, "uv"),
+                     "tracks[0].uv[3]: must be a [u, v] pair", id="uv-row-string"),
+        pytest.param(lambda d: d["tracks"][0]["uv"][1].__setitem__(1, math.nan),
+                     "tracks[0].uv[1][1]: expected a finite number, got nan", id="uv-nan"),
+        pytest.param(lambda d: d["tracks"][2]["uv"][4].__setitem__(0, math.inf),
+                     "tracks[2].uv[4][0]: expected a finite number, got inf", id="uv-infinity"),
+        pytest.param(lambda d: d["tracks"][1]["depth"].__setitem__(2, True),
+                     "tracks[1].depth[2]: expected a number or null, got True", id="depth-true"),
+        pytest.param(lambda d: d["tracks"][0]["depth"].__setitem__(0, math.inf),
+                     "tracks[0].depth[0]: frame is visible but depth is inf",
+                     id="depth-infinity-visible"),
+        pytest.param(lambda d: d["tracks"][0]["depth"].__setitem__(3, None),
+                     "tracks[0].depth[3]: frame is visible but depth is None",
+                     id="depth-null-visible"),
+        pytest.param(lambda d: d["tracks"][0].update(id=True),
+                     "tracks[0].id: must be an integer", id="id-bool"),
     ],
 )
 def test_loader_reports_field_paths(tmp_path, mutate, fragment):
@@ -168,6 +202,78 @@ def test_loader_reports_field_paths(tmp_path, mutate, fragment):
     with pytest.raises(TrackFileError) as ei:
         trackio.load_trackset(p)
     assert fragment in str(ei.value)
+
+
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        (lambda d: d["tracks"][0]["uv"][1].__setitem__(0, 10**400),
+         "tracks[0].uv[1][0]: expected a finite number"),
+        (lambda d: d["intrinsics"].update(fx=10**400), "intrinsics.fx: expected a finite number"),
+        (lambda d: d["frames"][2]["cam_pose"]["q"].__setitem__(0, 10**400),
+         "frames[2].cam_pose.q[0]: expected a finite number"),
+        (lambda d: d["frames"][2]["cam_pose"]["t"].__setitem__(1, -10**400),
+         "frames[2].cam_pose.t[1]: expected a finite number"),
+        (lambda d: d["tracks"][0]["depth"].__setitem__(0, 10**400),
+         "tracks[0].depth[0]: frame is visible but depth is 1000"),
+    ],
+    ids=["uv", "intrinsics", "cam_pose.q", "cam_pose.t", "depth"],
+)
+def test_loader_rejects_integer_too_large_for_a_float(tmp_path, mutate, fragment):
+    p = _doc(tmp_path, mutate)
+    with pytest.raises(TrackFileError) as ei:
+        trackio.load_trackset(p)
+    assert fragment in str(ei.value)
+
+
+def test_loader_rejects_integer_literal_too_long_to_convert(tmp_path):
+    p = _doc(tmp_path, lambda d: d["tracks"][0]["uv"][1].__setitem__(0, 0))
+    p.write_text(p.read_text().replace("[0, ", "[" + "1" * 5000 + ", ", 1))
+    with pytest.raises(TrackFileError, match="malformed JSON"):
+        trackio.load_trackset(p)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-1000, 1000).map(float)
+positive = st.floats(1e-3, 50.0) | st.integers(1, 20).map(float)
+
+
+@st.composite
+def tracksets(draw) -> trackio.TrackSet:
+    """Any TrackSet that save_trackset accepts: hidden frames may carry NaN
+    or any other depth, visible frames finite positive depth."""
+    T = draw(st.integers(1, 6))
+    poses = []
+    for _ in range(T):
+        q = draw(hnp.arrays(float, 4, elements=st.floats(-1.0, 1.0)).filter(
+            lambda q: np.linalg.norm(q) > 0.1))
+        poses.append(RigidTransform(q / np.linalg.norm(q), draw(hnp.arrays(float, 3, elements=finite))))
+    ids = draw(st.lists(st.integers(-10**6, 10**6), unique=True, max_size=3))
+    tracks = []
+    for tid in ids:
+        vis = draw(hnp.arrays(bool, T))
+        depth = np.array([draw(positive) if v else draw(st.just(math.nan) | finite) for v in vis])
+        uv = draw(hnp.arrays(float, (T, 2), elements=finite))
+        tracks.append(trackio.Track(tid, uv, depth, vis))
+    intr = trackio.CameraIntrinsics(draw(positive), draw(positive), draw(finite), draw(finite))
+    return trackio.TrackSet(intr, poses, draw(hnp.arrays(bool, T)), tracks)
+
+
+@PROPERTY
+@given(ts=tracksets())
+def test_load_inverts_save(ts):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "tracks.json"
+        trackio.save_trackset(path, ts)
+        back = trackio.load_trackset(path)
+    assert back.intrinsics == ts.intrinsics
+    assert np.array_equal(back.hand, ts.hand)
+    for a, b in zip(ts.cam_poses, back.cam_poses, strict=True):
+        assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
+    for a, b in zip(ts.tracks, back.tracks, strict=True):
+        assert a.id == b.id
+        assert np.array_equal(a.uv, b.uv)
+        assert np.array_equal(a.depth, b.depth, equal_nan=True)
+        assert np.array_equal(a.vis, b.vis)
 
 
 def test_loader_malformed_json_has_position(tmp_path):
