@@ -331,6 +331,9 @@ def _track_from_dict(d: dict, where: str) -> SegmentTrack:
     uv = _rows(d["uv"], 2, T, f"{where}.uv")
     world = _rows([[np.nan] * 3 if row is None else row for row in d["world"]], 3, T,
                   f"{where}.world")
+    unset = np.flatnonzero(valid & ~np.isfinite(world).all(axis=1))
+    if len(unset):
+        raise TrackFileError(f"{where}.world[{unset[0]}]: valid frame has no finite position")
     return SegmentTrack(int(d["id"]), uv, world, valid)
 
 

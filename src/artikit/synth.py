@@ -228,9 +228,8 @@ def generate(cfg: SynthConfig) -> tuple[TrackSet, list]:
     n_total = cfg.n_dynamic + cfg.n_static
     world = np.zeros((T, n_total, 3))
     for t in range(T):
-        world[t, : cfg.n_dynamic] = apply(
-            exp_map(xi, float(cfg.joint.motion_profile[t])), base_dynamic
-        )
+        moved = apply(exp_map(xi, float(cfg.joint.motion_profile[t])), base_dynamic)
+        world[t, : cfg.n_dynamic] = moved
         world[t, cfg.n_dynamic :] = static_pts
 
     # the draws alone, in the documented order; the geometry below uses them

@@ -198,7 +198,8 @@ def three_frame_segdata(mutate) -> dict:
     (lambda tr: tr.update(world=[row[:2] for row in tr["world"]]), "world"),
     (lambda tr: tr["world"].pop(), "world"),
     (lambda tr: tr["uv"].pop(), "uv"),
-], ids=["world-two-columns", "world-short", "uv-short"])
+    (lambda tr: tr["world"].__setitem__(1, None), "world[1]"),
+], ids=["world-two-columns", "world-short", "uv-short", "world-null-on-valid-frame"])
 def test_malformed_segment_data_exits_2_with_json_error(tmp_path, capsys, command, mutate, field):
     segdata = tmp_path / "segdata.json"
     segdata.write_text(json.dumps(three_frame_segdata(mutate)))
