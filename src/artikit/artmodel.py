@@ -30,18 +30,19 @@ import numpy as np
 from .errors import InsufficientMotionError
 from .lie import (
     Twist,
-    compose,
+    apply_each,
     exp_map,
     inverse,
     log_map,
     normalize_twist,
+    quat_mul,
     rotation_angle,
     se3_adjoint,
     se3_left_jacobian,
     transform_twist,
     twist_gauge,
 )
-from .trajest import MAX_ITER, TrajectoryEstimate, damped_gauss_newton
+from .trajest import TrajectoryEstimate, damped_gauss_newton
 
 log = logging.getLogger(__name__)
 
@@ -82,34 +83,51 @@ class ArticulationEstimate:
     flags: list = field(default_factory=list)
 
 
-def _pose_residual(T, xi: Twist, th: float) -> np.ndarray:
-    return log_map(compose(inverse(exp_map(xi, th)), T)).as_vector()
+def _flatten_poses(poses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quaternions (M, 4), translations (M, 3) and inverse adjoints
+    Ad(T^-1) (M, 6, 6) of poses[1:]."""
+    rest = poses[1:]
+    return (
+        np.array([T.q for T in rest]),
+        np.array([T.t for T in rest]),
+        np.array([se3_adjoint(inverse(T)) for T in rest]),
+    )
 
 
-def _pose_cost(poses, xi: Twist, thetas: np.ndarray) -> float:
-    """Summed squared residual of poses[1:] against magnitudes ``thetas``."""
-    cost = 0.0
-    for T, th in zip(poses[1:], thetas):
-        r = _pose_residual(T, xi, float(th))
-        cost += float(r @ r)
-    return cost
+def _pose_residual(stack, xi: Twist, thetas: np.ndarray) -> np.ndarray:
+    """log(exp(theta_m hat(xi))^-1 T_m) for every stacked pose, (M, 6)."""
+    q, t, _ = stack
+    qi, Ri, ti = exp_map(xi, -thetas)  # exp(-theta xi) is the inverse motion
+    return log_map((quat_mul(qi, q), apply_each(Ri, ti, t)))
 
 
-def _pose_blocks(poses, xi: Twist, thetas: np.ndarray, B: np.ndarray):
-    """Pose-log residuals of poses[1:] and their Jacobians, one per pose."""
+def _pose_cost(stack, xi: Twist, thetas: np.ndarray) -> float:
+    """Summed squared residual of the stacked poses against ``thetas``."""
+    r = _pose_residual(stack, xi, thetas).ravel()
+    return float(r @ r)
+
+
+def _pose_blocks(stack, xi: Twist, thetas: np.ndarray, B: np.ndarray):
+    """Pose-log residual rows of all stacked poses and their Jacobian, in
+    the ``damped_gauss_newton`` linearize contract."""
+    ad_inv = stack[2]
     xvec = xi.as_vector()
-    for T, th in zip(poses[1:], thetas):
-        th = float(th)
-        r = _pose_residual(T, xi, th)
-        # d r / d u = -Jr^-1(r) Ad(T^-1) Jl(u), u = th * xi the folded twist coords
-        Jr_inv = np.linalg.inv(se3_left_jacobian(-r))
-        base = -Jr_inv @ se3_adjoint(inverse(T)) @ se3_left_jacobian(th * xvec)
-        yield np.column_stack((base @ (th * B), base @ xvec)), r
+    r = _pose_residual(stack, xi, thetas)
+    # d r / d u = -Jr^-1(r) Ad(T^-1) Jl(u), u = theta * xi the folded twist coords
+    Jr_inv = np.linalg.inv(se3_left_jacobian(-r))
+    base = -Jr_inv @ ad_inv @ se3_left_jacobian(thetas[:, None] * xvec)
+    Jc = base @ (thetas[:, None, None] * B)
+    return (
+        Jc.reshape(-1, B.shape[1]),
+        (base @ xvec).ravel(),
+        r.ravel(),
+        np.repeat(np.arange(len(thetas)), 6),
+    )
 
 
 def pose_fit_rms(poses, xi: Twist, thetas: np.ndarray) -> float:
     """Tangent-space residual rms of a (twist, thetas) model on given poses."""
-    return float(np.sqrt(_pose_cost(poses, xi, thetas[1:]) / (len(poses) - 1)))
+    return float(np.sqrt(_pose_cost(_flatten_poses(poses), xi, thetas[1:]) / (len(poses) - 1)))
 
 
 def _validate_poses(poses):
@@ -148,11 +166,13 @@ def fit_twist_to_poses(poses, gauge: str = "auto") -> PoseTwistFit:
         xi, _ = normalize_twist(Twist.from_vector(seed))
     x = xi.as_vector()
     thetas = (logs @ x / float(x @ x))[1:]  # theta_0 is pinned to zero
-    xi, thetas, cost, converged = damped_gauss_newton(
-        xi, thetas, partial(_pose_blocks, poses), partial(_pose_cost, poses)
+    stack = _flatten_poses(poses)
+    xi, thetas, cost, stop = damped_gauss_newton(
+        xi, thetas, partial(_pose_blocks, stack), partial(_pose_cost, stack)
     )
+    converged = stop == "converged"
     if not converged:
-        log.warning("pose twist fit did not converge within %d iterations", MAX_ITER)
+        log.warning("pose twist fit (%s gauge) %s", gauge, stop)
     return PoseTwistFit(
         twist=xi,
         thetas=np.concatenate(([0.0], thetas)),

@@ -12,6 +12,15 @@ Conventions used throughout the package:
 * transforms act on points as ``apply(T, p) = R @ p + t``,
 * ``compose(a, b)`` applies ``b`` first, then ``a``,
 * 6-vectors stack the rotational part first: ``(omega, v)``.
+
+Stacks: ``exp_map`` with a 1-D array of M magnitudes, ``log_map`` of a pair
+of stacked quaternions and translations, ``se3_left_jacobian`` of (M, 6)
+rows, ``skew`` of (M, 3) rows, ``quat_mul`` and ``quat_to_matrix`` of (M, 4)
+rows all work on every row at once (see each docstring). They evaluate the
+scalar formulas row by row, Taylor branch chosen per row, with cross
+products written by component, and agree with the scalar calls to rounding.
+A scalar call runs the scalar code, so its results do not depend on the
+stacked forms.
 """
 
 from __future__ import annotations
@@ -41,8 +50,14 @@ def _as_vec3(x, name: str) -> np.ndarray:
 
 
 def skew(w) -> np.ndarray:
-    """Cross-product matrix: skew(w) @ x == cross(w, x)."""
+    """Cross-product matrix: skew(w) @ x == cross(w, x); (M, 3, 3) for (M, 3) rows."""
     w = np.asarray(w, dtype=float)
+    if w.ndim == 2:
+        S = np.zeros((len(w), 3, 3))
+        S[:, 0, 1], S[:, 0, 2] = -w[:, 2], w[:, 1]
+        S[:, 1, 0], S[:, 1, 2] = w[:, 2], -w[:, 0]
+        S[:, 2, 0], S[:, 2, 1] = -w[:, 1], w[:, 0]
+        return S
     return np.array(
         [
             [0.0, -w[2], w[1]],
@@ -86,9 +101,10 @@ class Twist:
 # quaternion helpers (w, x, y, z)
 
 
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product a * b of quaternions (4,), or of (M, 4) rows."""
+    aw, ax, ay, az = a.T
+    bw, bx, by, bz = b.T
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -96,7 +112,7 @@ def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
         ]
-    )
+    ).T
 
 
 def _quat_conj(q: np.ndarray) -> np.ndarray:
@@ -104,15 +120,16 @@ def _quat_conj(q: np.ndarray) -> np.ndarray:
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
-    w, x, y, z = q
-    return np.array(
+    """Rotation matrix of a unit quaternion (w, x, y, z); (M, 3, 3) for (M, 4) rows."""
+    w, x, y, z = np.asarray(q).T
+    R = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
             [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+    return R if R.ndim == 2 else np.moveaxis(R, -1, 0)
 
 
 def matrix_to_quat(R) -> np.ndarray:
@@ -211,7 +228,7 @@ def identity() -> RigidTransform:
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """a after b: apply(compose(a, b), p) == apply(a, apply(b, p))."""
-    q = _quat_mul(a.q, b.q)
+    q = quat_mul(a.q, b.q)
     t = quat_to_matrix(a.q) @ b.t + a.t
     return RigidTransform(q, t)  # constructor renormalizes q
 
@@ -276,12 +293,16 @@ def _v_inv_matrix(w: np.ndarray) -> np.ndarray:
     return np.eye(3) - 0.5 * W + c * (W @ W)
 
 
-def exp_map(xi: Twist, theta: float) -> RigidTransform:
+def exp_map(xi: Twist, theta):
     """Screw motion exp(theta * hat(xi)).
 
     Rotation by Rodrigues' formula (as a quaternion), translation through the
-    V matrix; both use Taylor fallbacks below SMALL_ANGLE.
+    V matrix; both use Taylor fallbacks below SMALL_ANGLE. A 1-D ``theta`` of
+    M magnitudes returns the M motions stacked as arrays ``(q, R, t)``:
+    quaternions (M, 4), rotations (M, 3, 3) and translations (M, 3).
     """
+    if np.ndim(theta) == 1:
+        return _exp_rows(xi, np.asarray(theta, dtype=float))
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     w = xi.omega * theta
@@ -289,12 +310,17 @@ def exp_map(xi: Twist, theta: float) -> RigidTransform:
     return RigidTransform(_quat_from_rotvec(w), _v_matrix(w) @ rho)
 
 
-def log_map(T: RigidTransform) -> Twist:
+def log_map(T):
     """Principal log: the twist (with theta folded in) whose exp is ``T``.
 
     Raises BranchAmbiguityError when the rotation angle is within PI_MARGIN of
-    pi, where the axis is numerically undetermined.
+    pi, where the axis is numerically undetermined. ``T`` may also be a stack
+    given as the pair ``(q, t)`` of quaternions (M, 4) and translations
+    (M, 3); the logs come back as (M, 6) rows (omega, v), and the error names
+    the first pose near pi.
     """
+    if not isinstance(T, RigidTransform):
+        return _log_rows(*T)
     q = T.q if T.q[0] >= 0 else -T.q
     s = np.linalg.norm(q[1:])
     phi = 2.0 * np.arctan2(s, q[0])
@@ -308,6 +334,74 @@ def log_map(T: RigidTransform) -> Twist:
     else:
         w = (phi / s) * q[1:]
     return Twist(w, _v_inv_matrix(w) @ T.t)
+
+
+# ---------------------------------------------------------------------------
+# stacked exp / log: the scalar formulas on every row at once
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of the rows of (..., 3) arrays, by component."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
+def _split_small(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows at or above SMALL_ANGLE, phi with the other rows set to 1): the
+    closed forms are evaluated on the second and never divide by zero."""
+    big = phi >= SMALL_ANGLE
+    return big, np.where(big, phi, 1.0)
+
+
+def _rodrigues_rows(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    big, p = _split_small(phi)
+    p2, s2 = phi * phi, p * p
+    A = np.where(big, (1.0 - np.cos(p)) / s2, 0.5 - p2 / 24.0)
+    B = np.where(big, (p - np.sin(p)) / (s2 * p), 1.0 / 6.0 - p2 / 120.0)
+    return A, B
+
+
+def _exp_rows(xi: Twist, thetas: np.ndarray):
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError(f"thetas must be finite, got {thetas}")
+    w = thetas[:, None] * xi.omega
+    rho = thetas[:, None] * xi.v
+    phi = np.linalg.norm(w, axis=1)
+    big, p = _split_small(phi)
+    half = 0.5 * phi
+    k = np.where(big, np.sin(0.5 * p) / p, 0.5 - phi * phi / 48.0)
+    q = np.column_stack((np.where(big, np.cos(half), 1.0 - half * half / 2.0), k[:, None] * w))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    A, B = _rodrigues_rows(phi)
+    wxr = _cross(w, rho)
+    t = rho + A[:, None] * wxr + B[:, None] * _cross(w, wxr)
+    return q, quat_to_matrix(q), t
+
+
+def _log_rows(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    q = np.where(q[:, :1] < 0, -q, q)
+    s = np.linalg.norm(q[:, 1:], axis=1)
+    phi = 2.0 * np.arctan2(s, q[:, 0])
+    near = np.flatnonzero(phi >= np.pi - PI_MARGIN)
+    if len(near):
+        m = int(near[0])
+        raise BranchAmbiguityError(
+            f"pose {m}: rotation angle {phi[m]:.9f} rad is within {PI_MARGIN} of the pi branch cut"
+        )
+    tiny = s < 1e-9
+    w = np.where(
+        tiny[:, None], 2.0 * q[:, 1:] / q[:, :1], (phi / np.where(tiny, 1.0, s))[:, None] * q[:, 1:]
+    )
+    psi = np.linalg.norm(w, axis=1)
+    big, p = _split_small(psi)
+    c = np.where(
+        big,
+        (1.0 - 0.5 * p * np.sin(p) / (1.0 - np.cos(p))) / (p * p),
+        1.0 / 12.0 + psi * psi / 720.0,
+    )
+    wxt = _cross(w, t)
+    return np.column_stack((w, t - 0.5 * wxt + c[:, None] * _cross(w, wxt)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +509,47 @@ def _q_block(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return dtdw + skew(t) @ V
 
 
+def _left_jacobian_rows(u: np.ndarray) -> np.ndarray:
+    """``se3_left_jacobian`` of each row of ``u``, (M, 6, 6)."""
+    w, rho = u[:, :3], u[:, 3:]
+    phi = np.linalg.norm(w, axis=1)
+    A, B = (c[:, None, None] for c in _rodrigues_rows(phi))
+    big, p = _split_small(phi)
+    p2, s2 = phi * phi, p * p
+    s4 = s2 * s2
+    alpha = np.where(big, (p * np.sin(p) - 2.0 * (1.0 - np.cos(p))) / s4, -1.0 / 12.0 + p2 / 180.0)
+    beta = np.where(
+        big,
+        (p * (1.0 - np.cos(p)) - 3.0 * (p - np.sin(p))) / (s4 * p),
+        -1.0 / 60.0 + p2 / 1260.0,
+    )
+    W = skew(w)
+    P = skew(rho)
+    wxr = _cross(w, rho)
+    wwxr = _cross(w, wxr)
+    dtdw = (
+        (alpha[:, None] * wxr + beta[:, None] * wwxr)[:, :, None] * w[:, None, :]
+        - A * P
+        - B * (skew(wxr) + W @ P)
+    )
+    V = np.eye(3) + A * W + B * (W @ W)
+    t = (V @ rho[:, :, None])[:, :, 0]
+    J = np.zeros((len(u), 6, 6))
+    J[:, :3, :3] = V
+    J[:, 3:, 3:] = V
+    J[:, 3:, :3] = dtdw + skew(t) @ V
+    return J
+
+
 def se3_left_jacobian(u) -> np.ndarray:
     """6x6 left Jacobian J with exp(hat(u + d)) ~= exp(hat(J @ d)) exp(hat(u)).
 
-    ``u`` stacks (w, rho) like Twist.as_vector().
+    ``u`` stacks (w, rho) like Twist.as_vector(); (M, 6) rows give the M
+    Jacobians stacked, (M, 6, 6).
     """
     u = np.asarray(u, dtype=float)
+    if u.ndim == 2:
+        return _left_jacobian_rows(u)
     w, rho = u[:3], u[3:]
     Jw = _v_matrix(w)
     J = np.zeros((6, 6))

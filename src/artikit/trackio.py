@@ -253,7 +253,8 @@ def _track_arrays(uv: list, depth: list, vis: list):
         depth_arr = np.array(depth, dtype=float)  # null becomes NaN
     except OverflowError:  # an integer too large for a float
         return None
-    if not np.isfinite(uv_arr).all():
+    # every NaN depth must come from a null: a NaN or infinite literal is bad
+    if not np.isfinite(uv_arr).all() or np.count_nonzero(~np.isfinite(depth_arr)) != depth.count(None):
         return None
     return uv_arr, depth_arr, np.array(vis, dtype=bool)
 
@@ -276,6 +277,9 @@ def _walk_track(uv: list, depth: list, vis: list, w: str):
             continue
         _require(isinstance(d, (int, float)) and not isinstance(d, bool), f"{w}.depth[{t}]", f"expected a number or null, got {d!r}")
         depth_arr[t] = _to_float(d)
+        # a visible frame's depth gets the finite-positive check in load_trackset
+        _require(vis_arr[t] or np.isfinite(depth_arr[t]), f"{w}.depth[{t}]",
+                 f"expected a finite number or null, got {d!r}")
     return uv_arr, depth_arr, vis_arr
 
 
@@ -356,8 +360,9 @@ def load_trackset(path) -> TrackSet:
 def save_trackset(path, ts: TrackSet) -> None:
     """Write a track file; load(save(x)) reproduces x exactly.
 
-    A non-finite pixel coordinate, which load would reject, raises
-    TrackFileError naming its field.
+    A non-finite pixel coordinate or an infinite depth, which load would
+    reject, raises TrackFileError naming its field; a NaN depth is written
+    as null.
     """
     for k, tr in enumerate(ts.tracks):
         bad = np.flatnonzero(~np.all(np.isfinite(tr.uv), axis=1))
@@ -365,6 +370,11 @@ def save_trackset(path, ts: TrackSet) -> None:
             t = int(bad[0])
             raise TrackFileError(f"{path}.tracks[{k}].uv[{t}]: expected finite pixel "
                                  f"coordinates, got {tr.uv[t].tolist()}")
+        bad = np.flatnonzero(np.isinf(tr.depth))
+        if len(bad):
+            t = int(bad[0])
+            raise TrackFileError(f"{path}.tracks[{k}].depth[{t}]: expected a finite "
+                                 f"depth or NaN, got {tr.depth[t]}")
     doc = {
         "version": 1,
         "units": {"length": "m"},

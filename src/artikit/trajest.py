@@ -12,7 +12,11 @@ Two estimators share the correspondence structure:
   twist, ``Delta_m = exp(theta_m * hat(xi))``, solved by
   ``damped_gauss_newton`` (the solver ``artmodel.fit_twist_to_poses`` shares)
   over the gauge-fixed twist chart plus the per-step magnitudes, with
-  analytic Jacobians of the exp-map point action.
+  analytic Jacobians of the exp-map point action. The pairs of all steps
+  are flattened once per fit; each iteration evaluates every step's motion,
+  residuals and Jacobian rows with the stacked ``lie`` kernels, in a few
+  array calls, and the solver assembles the arrowhead normal matrix from
+  those rows (see ``damped_gauss_newton`` for the contract and stop rules).
 
 Step transforms are world-frame displacement fields and chain by left
 multiplication; poses are reported both in world coordinates and relative to
@@ -32,6 +36,7 @@ from .lie import (
     RigidTransform,
     Twist,
     apply,
+    apply_each,
     compose,
     exp_map,
     inverse,
@@ -238,93 +243,130 @@ def damped_gauss_newton(xi: Twist, thetas: np.ndarray, linearize, cost_fn):
     """Levenberg-damped Gauss-Newton over a normalized twist's gauge-fixed
     chart plus free magnitudes; the normal matrix is an arrowhead.
 
-    ``linearize(xi, thetas, B)`` yields per magnitude ``(J, r)``: residuals
-    and their Jacobian (rows x k+1) along the k chart directions of basis
-    ``B``, then that magnitude. ``cost_fn(xi, thetas)`` is the squared
-    residual sum. Returns ``(xi, thetas, cost, converged)`` signed so that
-    ``sum(thetas) >= 0``; without convergence, the best iterate.
+    ``linearize(xi, thetas, B)`` returns every residual row at once as
+    ``(Jc, jt, r, idx)``: the Jacobian along the k chart directions of basis
+    ``B`` (R, k), the Jacobian along each row's own magnitude (R,), the
+    residuals (R,) and the index of that magnitude (R,). The chart block of
+    the normal matrix is one matmul; the magnitude border and diagonal are
+    sums per magnitude, by ``np.bincount``. ``cost_fn(xi, thetas)`` is the
+    squared residual sum.
+
+    A step is accepted when it lowers the cost; a relative drop below
+    COST_RTOL converges. When no damping up to DAMPING_MAX lowers the cost,
+    the fit has converged if the first (least damped) step of that iteration
+    predicted a decrease ``-(Jtr . d) - d.JtJ.d / 2`` of at most COST_RTOL
+    times the cost, or if the gradient is as flat as an exact fit leaves it
+    (``|Jtr| <= 1e-12 max(1, cost)``, cost at the rounding floor); otherwise
+    it has stalled.
+
+    Returns ``(xi, thetas, cost, stop)`` signed so that ``sum(thetas) >= 0``;
+    ``stop`` is "converged", "stalled" or "reached MAX_ITER", and without
+    convergence the best iterate comes back.
     """
     M = len(thetas)
     cost = cost_fn(xi, thetas)
     lam = DAMPING_INIT
-    converged = False
+    stop = None
     for _ in range(MAX_ITER):
         B = twist_tangent_basis(xi)
         k = B.shape[1]
+        Jc, jt, r, idx = linearize(xi, thetas, B)
+        border = np.bincount(
+            (idx[:, None] * k + np.arange(k)).ravel(), (Jc * jt[:, None]).ravel(), M * k
+        ).reshape(M, k)
         JtJ = np.zeros((k + M, k + M))
-        Jtr = np.zeros(k + M)
-        for m, (J, r) in enumerate(linearize(xi, thetas, B)):
-            block = J.T @ J
-            g = J.T @ r
-            JtJ[:k, :k] += block[:k, :k]
-            JtJ[:k, k + m] += block[:k, k]
-            JtJ[k + m, :k] += block[k, :k]
-            JtJ[k + m, k + m] += block[k, k]
-            Jtr[:k] += g[:k]
-            Jtr[k + m] += g[k]
-        accepted = False
+        JtJ[:k, :k] = Jc.T @ Jc
+        JtJ[k:, :k] = border
+        JtJ[:k, k:] = border.T
+        JtJ[np.arange(k, k + M), np.arange(k, k + M)] = np.bincount(idx, jt * jt, M)
+        Jtr = np.concatenate((Jc.T @ r, np.bincount(idx, jt * r, M)))
+        predicted = None
         while lam <= DAMPING_MAX:
             try:
                 delta = np.linalg.solve(JtJ + lam * np.eye(k + M), -Jtr)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
+            if predicted is None:
+                predicted = -(Jtr @ delta) - 0.5 * (delta @ JtJ @ delta)
             xi_new = retract_twist(xi, delta[:k])
             thetas_new = thetas + delta[k:]
             cost_new = cost_fn(xi_new, thetas_new)
             if cost_new < cost:
-                accepted = True
                 lam = max(lam / 10.0, 1e-15)
                 drop = cost - cost_new
                 xi, thetas, cost = xi_new, thetas_new, cost_new
                 if drop < COST_RTOL * max(cost, 1e-300) or cost == 0.0:
-                    converged = True
+                    stop = "converged"
                 break
             lam *= 10.0
-        if converged:
-            break
-        if not accepted:
-            # no productive step at any damping: converged if the gradient is
-            # numerically flat, otherwise flag the best iterate
-            converged = cost == 0.0 or bool(
-                np.linalg.norm(Jtr) <= 1e-12 * max(1.0, cost)
+        else:
+            # no damping gave a decrease: converged if the gradient is at the
+            # rounding floor of an exact fit, or if even the least damped step
+            # promised a negligible decrease
+            flat = (
+                cost == 0.0
+                or np.linalg.norm(Jtr) <= 1e-12 * max(1.0, cost)
+                or (predicted is not None and predicted <= COST_RTOL * cost)
             )
+            stop = "converged" if flat else "stalled"
+        if stop:
             break
     if np.sum(thetas) < 0:
         thetas = -thetas
         xi = Twist(-xi.omega, -xi.v)
-    return xi, thetas, cost, converged
+    return xi, thetas, cost, stop or "reached MAX_ITER"
 
 
 # ---------------------------------------------------------------------------
 # regularized joint fit
 
 
-def _pair_cost(corr: CorrespondenceSet, xi: Twist, thetas: np.ndarray) -> float:
-    c = 0.0
-    for step, th in zip(corr.steps, thetas):
-        r = step.dst - apply(exp_map(xi, th), step.src)
-        c += float(np.sum(r * r))
-    return c
+def _flatten_pairs(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every step's pairs as one (src, dst, step index) triple."""
+    src = np.concatenate([s.src for s in corr.steps])
+    dst = np.concatenate([s.dst for s in corr.steps])
+    step = np.repeat(np.arange(corr.step_count), [len(s.src) for s in corr.steps])
+    return src, dst, step
 
 
-def _pair_blocks(corr: CorrespondenceSet, xi: Twist, thetas: np.ndarray, B: np.ndarray):
-    """Point-pair residuals and their Jacobians, one block per step."""
+def _pair_residual(pairs, xi: Twist, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moved sources exp(theta_m hat(xi)) src and residuals dst - moved, (N, 3) each."""
+    src, dst, step = pairs
+    _, R, t = exp_map(xi, thetas)
+    y = apply_each(R[step], t[step], src)
+    return y, dst - y
+
+
+def _pair_cost(pairs, xi: Twist, thetas: np.ndarray) -> float:
+    r = _pair_residual(pairs, xi, thetas)[1].ravel()
+    return float(r @ r)
+
+
+def _pair_blocks(pairs, xi: Twist, thetas: np.ndarray, B: np.ndarray):
+    """Point-pair residual rows of all steps and their Jacobian, in the
+    ``damped_gauss_newton`` linearize contract."""
+    step = pairs[2]
     k = B.shape[1]
     xvec = xi.as_vector()
-    for step, th in zip(corr.steps, thetas):
-        th = float(th)
-        y = apply(exp_map(xi, th), step.src)  # (n, 3)
-        r = step.dst - y
-        # (6, k): tangent motion per chart coordinate
-        C = se3_left_jacobian(th * xvec) @ (th * B)
-        J = np.zeros((len(y), 3, k + 1))
-        for j in range(k):
-            # dy = tau_w x y + tau_v per chart direction
-            J[:, :, j] = -(np.cross(C[:3, j], y) + C[3:, j])
-        # d/dtheta exp(theta xi) p = omega x y + v exactly
-        J[:, :, k] = -(np.cross(xvec[:3], y) + xvec[3:])
-        yield J.reshape(-1, k + 1), r.reshape(-1)
+    y, r = _pair_residual(pairs, xi, thetas)
+    # (M, 6, k+1): per step, the tangent motion along each chart coordinate,
+    # then d/dtheta exp(theta xi) = xi exactly
+    D = np.concatenate(
+        (
+            se3_left_jacobian(thetas[:, None] * xvec) @ (thetas[:, None, None] * B),
+            np.broadcast_to(xvec[:, None], (len(thetas), 6, 1)),
+        ),
+        axis=2,
+    )
+    # d(residual) = -(tau_w x y + tau_v) per column, by component
+    y0, y1, y2 = y[:, 0:1], y[:, 1:2], y[:, 2:3]
+    J = np.empty((len(y), 3, k + 1))
+    J[:, 0] = D[step, 2] * y1 - D[step, 1] * y2 - D[step, 3]
+    J[:, 1] = D[step, 0] * y2 - D[step, 2] * y0 - D[step, 4]
+    J[:, 2] = D[step, 1] * y0 - D[step, 0] * y1 - D[step, 5]
+    J = J.reshape(-1, k + 1)
+    return J[:, :k], J[:, k], r.ravel(), np.repeat(step, 3)
 
 
 def _init_from_steps(corr: CorrespondenceSet) -> tuple[Twist, np.ndarray]:
@@ -356,7 +398,7 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
 
     Minimizes sum_m sum_j |dst_mj - exp(theta_m hat(xi)) src_mj|^2 with xi
     confined to the normalized-twist gauge, by ``damped_gauss_newton``;
-    non-convergence within MAX_ITER returns the best iterate flagged
+    a fit that stalls or reaches MAX_ITER returns the best iterate flagged
     ``non_converged``.
     """
     peak = max(
@@ -367,13 +409,15 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
             f"peak point displacement {peak:.3e} m is below {MIN_MOTION} m"
         )
     xi, thetas = _init_from_steps(corr)
-    xi, thetas, _, converged = damped_gauss_newton(
-        xi, thetas, partial(_pair_blocks, corr), partial(_pair_cost, corr)
+    pairs = _flatten_pairs(corr)
+    xi, thetas, _, stop = damped_gauss_newton(
+        xi, thetas, partial(_pair_blocks, pairs), partial(_pair_cost, pairs)
     )
+    converged = stop == "converged"
     flags = []
     if not converged:
         flags.append("non_converged")
-        log.warning("regularized fit did not converge within %d iterations", MAX_ITER)
+        log.warning("regularized fit %s; flagged non_converged", stop)
     transforms = [exp_map(xi, float(t)) for t in thetas]
     rms, per_track = _residual_stats(corr, transforms)
     if anchor_points is None:

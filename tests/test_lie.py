@@ -319,3 +319,62 @@ def test_retract_twist_stays_in_gauge(u, delta, prismatic):
     assert lie.twist_gauge(out) == gauge
     if gauge == "prismatic":
         assert np.all(out.omega == 0)
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels against the scalar calls, row by row
+
+# magnitudes mixing ordinary angles, angles below SMALL_ANGLE and exact zeros
+magnitudes = st.lists(
+    st.floats(-2.0, 2.0) | st.floats(-1e-7, 1e-7) | st.just(0.0), min_size=1, max_size=6
+)
+
+
+@PROPERTY
+@given(u=vectors(6, 1.5), thetas=magnitudes)
+def test_stacked_exp_matches_scalar(u, thetas):
+    xi = lie.Twist.from_vector(u)
+    q, R, t = lie.exp_map(xi, np.array(thetas))
+    assert q.shape == (len(thetas), 4) and R.shape == (len(thetas), 3, 3)
+    for m, th in enumerate(thetas):
+        T = lie.exp_map(xi, th)
+        assert np.allclose(q[m], T.q, rtol=0.0, atol=1e-12)
+        assert np.allclose(R[m], T.rotation_matrix(), rtol=0.0, atol=1e-12)
+        assert np.allclose(t[m], T.t, rtol=0.0, atol=1e-12)
+
+
+@PROPERTY
+@given(u=vectors(6, 1.5), thetas=magnitudes)
+def test_stacked_log_matches_scalar(u, thetas):
+    xi = lie.Twist.from_vector(u)
+    poses = [lie.exp_map(xi, th) for th in thetas]
+    assume(all(lie.rotation_angle(T) < np.pi - 0.1 for T in poses))
+    logs = lie.log_map((np.array([T.q for T in poses]), np.array([T.t for T in poses])))
+    assert logs.shape == (len(thetas), 6)
+    for m, T in enumerate(poses):
+        assert np.allclose(logs[m], lie.log_map(T).as_vector(), rtol=0.0, atol=1e-12)
+
+
+@PROPERTY
+@given(u=vectors(6, 1.0), thetas=magnitudes, data=st.data())
+def test_stacked_log_names_first_pose_near_pi(u, thetas, data):
+    xi = lie.Twist.from_vector(u)
+    poses = [lie.exp_map(xi, th) for th in thetas]
+    assume(all(lie.rotation_angle(T) < np.pi - 0.1 for T in poses))
+    j = data.draw(st.integers(0, len(poses)), label="position")
+    off = data.draw(st.sampled_from([0.0, 1e-9, 0.5 * lie.PI_MARGIN]), label="below pi")
+    axis = np.array([0.0, 0.6, 0.8])
+    poses.insert(j, lie.exp_map(lie.Twist(axis, np.array([0.1, 0.0, 0.2])), np.pi - off))
+    stack = (np.array([T.q for T in poses]), np.array([T.t for T in poses]))
+    with pytest.raises(BranchAmbiguityError, match=rf"^pose {j}: "):
+        lie.log_map(stack)
+
+
+@PROPERTY
+@given(rows=st.lists(vectors(6, 2.0) | vectors(6, 1e-7), min_size=1, max_size=6))
+def test_stacked_left_jacobian_matches_scalar(rows):
+    u = np.array(rows)
+    J = lie.se3_left_jacobian(u)
+    assert J.shape == (len(u), 6, 6)
+    for m in range(len(u)):
+        assert np.allclose(J[m], lie.se3_left_jacobian(u[m]), rtol=0.0, atol=1e-12)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -148,6 +149,11 @@ def test_save_rejects_non_finite_uv(tmp_path):
     assert not p.exists()
 
 
+def hide_with_depth(doc, k, t, depth):
+    doc["tracks"][k]["vis"][t] = False
+    doc["tracks"][k]["depth"][t] = depth
+
+
 def _doc(tmp_path, mutate):
     ts = make_trackset()
     p = tmp_path / "x.json"
@@ -195,6 +201,19 @@ def _doc(tmp_path, mutate):
                      id="depth-null-visible"),
         pytest.param(lambda d: d["tracks"][0].update(id=True),
                      "tracks[0].id: must be an integer", id="id-bool"),
+        # a hidden frame's depth is a finite number or null
+        pytest.param(lambda d: hide_with_depth(d, 1, 2, math.inf),
+                     "tracks[1].depth[2]: expected a finite number or null, got inf",
+                     id="depth-infinity-hidden"),
+        pytest.param(lambda d: hide_with_depth(d, 0, 4, -math.inf),
+                     "tracks[0].depth[4]: expected a finite number or null, got -inf",
+                     id="depth-minus-infinity-hidden"),
+        pytest.param(lambda d: hide_with_depth(d, 2, 0, math.nan),
+                     "tracks[2].depth[0]: expected a finite number or null, got nan",
+                     id="depth-nan-literal-hidden"),
+        pytest.param(lambda d: hide_with_depth(d, 0, 1, 10**400),
+                     "tracks[0].depth[1]: expected a finite number or null, got 1000",
+                     id="depth-huge-integer-hidden"),
     ],
 )
 def test_loader_reports_field_paths(tmp_path, mutate, fragment):
@@ -226,6 +245,13 @@ def test_loader_rejects_integer_too_large_for_a_float(tmp_path, mutate, fragment
     assert fragment in str(ei.value)
 
 
+def test_loader_rejects_overflowing_depth_literal_on_hidden_frame(tmp_path):
+    p = _doc(tmp_path, lambda d: hide_with_depth(d, 1, 3, 123.25))
+    p.write_text(p.read_text().replace("123.25", "1e400", 1))
+    with pytest.raises(TrackFileError, match=r"tracks\[1\]\.depth\[3\]: expected a finite number or null, got inf"):
+        trackio.load_trackset(p)
+
+
 def test_loader_rejects_integer_literal_too_long_to_convert(tmp_path):
     p = _doc(tmp_path, lambda d: d["tracks"][0]["uv"][1].__setitem__(0, 0))
     p.write_text(p.read_text().replace("[0, ", "[" + "1" * 5000 + ", ", 1))
@@ -239,8 +265,9 @@ positive = st.floats(1e-3, 50.0) | st.integers(1, 20).map(float)
 
 @st.composite
 def tracksets(draw) -> trackio.TrackSet:
-    """Any TrackSet that save_trackset accepts: hidden frames may carry NaN
-    or any other depth, visible frames finite positive depth."""
+    """A TrackSet whose hidden frames may carry NaN, any finite or an
+    infinite depth, and whose visible frames carry finite positive depth;
+    save_trackset accepts it unless a depth is infinite."""
     T = draw(st.integers(1, 6))
     poses = []
     for _ in range(T):
@@ -251,7 +278,8 @@ def tracksets(draw) -> trackio.TrackSet:
     tracks = []
     for tid in ids:
         vis = draw(hnp.arrays(bool, T))
-        depth = np.array([draw(positive) if v else draw(st.just(math.nan) | finite) for v in vis])
+        hidden = st.sampled_from([math.nan, math.inf, -math.inf]) | finite
+        depth = np.array([draw(positive) if v else draw(hidden) for v in vis])
         uv = draw(hnp.arrays(float, (T, 2), elements=finite))
         tracks.append(trackio.Track(tid, uv, depth, vis))
     intr = trackio.CameraIntrinsics(draw(positive), draw(positive), draw(finite), draw(finite))
@@ -261,8 +289,15 @@ def tracksets(draw) -> trackio.TrackSet:
 @PROPERTY
 @given(ts=tracksets())
 def test_load_inverts_save(ts):
+    infinite = [(k, t) for k, tr in enumerate(ts.tracks) for t in np.flatnonzero(np.isinf(tr.depth))]
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "tracks.json"
+        if infinite:
+            k, t = infinite[0]
+            with pytest.raises(TrackFileError, match=re.escape(f"tracks[{k}].depth[{t}]: ")):
+                trackio.save_trackset(path, ts)
+            assert not path.exists()
+            return
         trackio.save_trackset(path, ts)
         back = trackio.load_trackset(path)
     assert back.intrinsics == ts.intrinsics

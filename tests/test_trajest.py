@@ -1,8 +1,13 @@
-"""Trajectory estimation: registration, correspondences, twist-constrained fits."""
+"""Trajectory estimation: registration, correspondences, twist-constrained
+fits, and the shared solver's linearizations and stop rules."""
+
+import itertools
+from functools import partial
 
 import numpy as np
 import pytest
 
+from artikit.artmodel import _flatten_poses, _pose_blocks, _pose_cost, _pose_residual
 from artikit.errors import (
     DegenerateGeometryError,
     DegenerateStepError,
@@ -15,14 +20,22 @@ from artikit.lie import (
     exp_map,
     inverse,
     normalize_twist,
+    retract_twist,
     rotation_angle,
+    twist_tangent_basis,
     _quat_from_rotvec,
     RigidTransform,
 )
 from artikit.trackio import SegmentTrack
 from artikit.trajest import (
+    MAX_ITER,
+    _flatten_pairs,
+    _pair_blocks,
+    _pair_cost,
+    _pair_residual,
     build_correspondences,
     choose_anchor,
+    damped_gauss_newton,
     fit_independent,
     fit_regularized,
     integrate_poses,
@@ -275,3 +288,108 @@ def test_regularized_matches_independent_on_noiseless_screw():
     assert reg.rms_residual <= ind.rms_residual + 1e-9
     for a, b in zip(reg.world_poses, ind.world_poses):
         assert transform_err(a, b) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the linearization against central differences
+
+
+def central_difference_check(residual, linearize, xi, thetas, h=1e-6, tol=1e-7):
+    """Compare a linearize contract with central differences of ``residual``
+    along each chart direction (through retract_twist) and each magnitude."""
+    B = twist_tangent_basis(xi)
+    k = B.shape[1]
+    Jc, jt, r, idx = linearize(xi, thetas, B)
+    assert np.array_equal(r, residual(xi, thetas))
+    assert Jc.shape == (len(r), k) and jt.shape == idx.shape == r.shape
+    for j in range(k):
+        e = h * np.eye(k)[j]
+        num = (residual(retract_twist(xi, e), thetas) - residual(retract_twist(xi, -e), thetas)) / (2 * h)
+        assert np.max(np.abs(num - Jc[:, j])) < tol, j
+    for m in range(len(thetas)):
+        e = h * np.eye(len(thetas))[m]
+        num = (residual(xi, thetas + e) - residual(xi, thetas - e)) / (2 * h)
+        assert np.max(np.abs(num - np.where(idx == m, jt, 0.0))) < tol, m
+
+
+@pytest.mark.parametrize("gauge", ["revolute", "prismatic"])
+def test_pair_linearization_matches_central_differences(gauge):
+    rng = np.random.default_rng(15)
+    if gauge == "revolute":
+        w = np.array([0.36, 0.48, 0.8])
+        xi = Twist(w, -np.cross(w, [0.3, -0.1, 0.9]) + 0.05 * w)
+    else:
+        xi = Twist(np.zeros(3), np.array([0.6, 0.0, 0.8]))
+    thetas = np.array([0.0, 0.2, 3e-8, -0.15, 0.4])
+    base = rng.uniform(-0.3, 0.3, (7, 3)) + [0.5, 0, 1.0]
+    tracks = screw_tracks(xi, np.concatenate(([0.0], np.cumsum(thetas))), base)
+    for tr in tracks:  # noise, so that residuals and curvature terms are non-zero
+        tr.world += rng.normal(0.0, 0.01, tr.world.shape)
+    pairs = _flatten_pairs(build_correspondences(tracks, stride=1))
+    start = retract_twist(xi, 0.05 * np.ones(twist_tangent_basis(xi).shape[1]))
+    central_difference_check(
+        lambda x, th: _pair_residual(pairs, x, th)[1].ravel(),
+        partial(_pair_blocks, pairs),
+        start,
+        thetas + 0.01,
+    )
+    r = _pair_residual(pairs, start, thetas)[1].ravel()
+    assert _pair_cost(pairs, start, thetas) == float(r @ r)
+
+
+@pytest.mark.parametrize("gauge", ["revolute", "prismatic"])
+def test_pose_linearization_matches_central_differences(gauge):
+    rng = np.random.default_rng(16)
+    if gauge == "revolute":
+        w = np.array([0.0, 0.6, 0.8])
+        xi = Twist(w, -np.cross(w, [0.2, 0.4, 1.0]))
+    else:
+        xi = Twist(np.zeros(3), np.array([0.48, -0.6, 0.64]))
+    thetas = np.array([0.1, 2e-8, 0.3, -0.2, 0.5])
+    # poses off the model, so that residuals are non-zero
+    poses = [RigidTransform.identity()] + [
+        compose(exp_map(Twist(rng.normal(0, 0.02, 3), rng.normal(0, 0.01, 3)), 1.0), exp_map(xi, th))
+        for th in thetas
+    ]
+    stack = _flatten_poses(poses)
+    start = retract_twist(xi, 0.05 * np.ones(twist_tangent_basis(xi).shape[1]))
+    central_difference_check(
+        lambda x, th: _pose_residual(stack, x, th).ravel(),
+        partial(_pose_blocks, stack),
+        start,
+        thetas + 0.01,
+    )
+    r = _pose_residual(stack, start, thetas).ravel()
+    assert _pose_cost(stack, start, thetas) == float(r @ r)
+
+
+# ---------------------------------------------------------------------------
+# the solver's stop reasons
+
+
+def toy_linearize(scale):
+    """Three residual rows over a prismatic chart (k = 2) and one magnitude."""
+    J = np.array([[1.0, 0.0, 0.5], [0.0, 2.0, 0.0], [0.3, 0.0, 1.0]])
+    r = scale * np.array([1.0, -1.0, 0.5])
+    return lambda xi, thetas, B: (J[:, :2], J[:, 2], r, np.zeros(3, dtype=int))
+
+
+PRISMATIC = Twist(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("scale, stop", [(1e-7, "converged"), (1e-3, "stalled")])
+def test_solver_without_decrease_converges_only_on_negligible_prediction(scale, stop):
+    # no step lowers the cost; with scale 1e-7 the gradient (~1e-7) is far
+    # above the exact-fit floor but the predicted decrease (~1e-14) is below
+    # COST_RTOL times the cost
+    out = damped_gauss_newton(PRISMATIC, np.array([1.0]), toy_linearize(scale), lambda xi, th: 1.0)
+    assert out[2] == 1.0 and out[3] == stop
+
+
+def test_solver_reports_max_iter():
+    calls = itertools.count(1)
+    out = damped_gauss_newton(
+        PRISMATIC, np.array([1.0]), toy_linearize(1e-3), lambda xi, th: 1.0 / next(calls)
+    )
+    assert out[3] == "reached MAX_ITER"
+    assert next(calls) > MAX_ITER
