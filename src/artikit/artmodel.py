@@ -36,9 +36,10 @@ from .lie import (
     log_map,
     normalize_twist,
     quat_mul,
+    quat_to_matrix,
     rotation_angle,
-    se3_adjoint,
     se3_left_jacobian,
+    skew,
     transform_twist,
     twist_gauge,
 )
@@ -83,20 +84,26 @@ class ArticulationEstimate:
     flags: list = field(default_factory=list)
 
 
-def _flatten_poses(poses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quaternions (M, 4), translations (M, 3) and inverse adjoints
-    Ad(T^-1) (M, 6, 6) of poses[1:]."""
+def _flatten_poses(poses) -> tuple[np.ndarray, np.ndarray]:
+    """Quaternions (M, 4) and translations (M, 3) of poses[1:]."""
     rest = poses[1:]
-    return (
-        np.array([T.q for T in rest]),
-        np.array([T.t for T in rest]),
-        np.array([se3_adjoint(inverse(T)) for T in rest]),
-    )
+    return np.array([T.q for T in rest]), np.array([T.t for T in rest])
+
+
+def _inverse_adjoints(stack) -> np.ndarray:
+    """Ad(T^-1) of every stacked pose, (M, 6, 6)."""
+    q, t = stack
+    Rt = quat_to_matrix(q).transpose(0, 2, 1)
+    A = np.zeros((len(q), 6, 6))
+    A[:, :3, :3] = Rt
+    A[:, 3:, 3:] = Rt
+    A[:, 3:, :3] = skew(-(Rt @ t[:, :, None])[:, :, 0]) @ Rt
+    return A
 
 
 def _pose_residual(stack, xi: Twist, thetas: np.ndarray) -> np.ndarray:
     """log(exp(theta_m hat(xi))^-1 T_m) for every stacked pose, (M, 6)."""
-    q, t, _ = stack
+    q, t = stack
     qi, Ri, ti = exp_map(xi, -thetas)  # exp(-theta xi) is the inverse motion
     return log_map((quat_mul(qi, q), apply_each(Ri, ti, t)))
 
@@ -107,10 +114,10 @@ def _pose_cost(stack, xi: Twist, thetas: np.ndarray) -> float:
     return float(r @ r)
 
 
-def _pose_blocks(stack, xi: Twist, thetas: np.ndarray, B: np.ndarray):
+def _pose_blocks(stack, ad_inv, xi: Twist, thetas: np.ndarray, B: np.ndarray):
     """Pose-log residual rows of all stacked poses and their Jacobian, in
-    the ``damped_gauss_newton`` linearize contract."""
-    ad_inv = stack[2]
+    the ``damped_gauss_newton`` linearize contract; ``ad_inv`` holds the
+    poses' ``_inverse_adjoints``."""
     xvec = xi.as_vector()
     r = _pose_residual(stack, xi, thetas)
     # d r / d u = -Jr^-1(r) Ad(T^-1) Jl(u), u = theta * xi the folded twist coords
@@ -148,7 +155,8 @@ def fit_twist_to_poses(poses, gauge: str = "auto") -> PoseTwistFit:
     _validate_poses(poses)
     if gauge not in ("auto", "prismatic"):
         raise ValueError(f"gauge must be 'auto' or 'prismatic', got {gauge!r}")
-    logs = np.array([log_map(T).as_vector() for T in poses])
+    stack = _flatten_poses(poses)
+    logs = np.vstack((np.zeros(6), log_map(stack)))  # pose 0 is the identity
     mags = np.linalg.norm(logs, axis=1)
     if float(mags.max()) <= MIN_POSE_MOTION:
         raise InsufficientMotionError(
@@ -166,9 +174,11 @@ def fit_twist_to_poses(poses, gauge: str = "auto") -> PoseTwistFit:
         xi, _ = normalize_twist(Twist.from_vector(seed))
     x = xi.as_vector()
     thetas = (logs @ x / float(x @ x))[1:]  # theta_0 is pinned to zero
-    stack = _flatten_poses(poses)
     xi, thetas, cost, stop = damped_gauss_newton(
-        xi, thetas, partial(_pose_blocks, stack), partial(_pose_cost, stack)
+        xi,
+        thetas,
+        partial(_pose_blocks, stack, _inverse_adjoints(stack)),
+        partial(_pose_cost, stack),
     )
     converged = stop == "converged"
     if not converged:

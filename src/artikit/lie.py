@@ -16,11 +16,11 @@ Conventions used throughout the package:
 Stacks: ``exp_map`` with a 1-D array of M magnitudes, ``log_map`` of a pair
 of stacked quaternions and translations, ``se3_left_jacobian`` of (M, 6)
 rows, ``skew`` of (M, 3) rows, ``quat_mul`` and ``quat_to_matrix`` of (M, 4)
-rows all work on every row at once (see each docstring). They evaluate the
-scalar formulas row by row, Taylor branch chosen per row, with cross
-products written by component, and agree with the scalar calls to rounding.
-A scalar call runs the scalar code, so its results do not depend on the
-stacked forms.
+rows all work on every row at once (see each docstring), Taylor branch chosen
+per row, with cross products written by component. A single ``log_map`` or
+``se3_left_jacobian`` is a one-row stack. A scalar ``exp_map`` keeps its own
+code, which synthetic scenes are generated with, so their digests do not
+depend on the stacked form; the two agree to rounding.
 """
 
 from __future__ import annotations
@@ -283,16 +283,6 @@ def _v_matrix(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + A * W + B * (W @ W)
 
 
-def _v_inv_matrix(w: np.ndarray) -> np.ndarray:
-    phi = np.linalg.norm(w)
-    W = skew(w)
-    if phi < SMALL_ANGLE:
-        c = 1.0 / 12.0 + phi * phi / 720.0
-    else:
-        c = (1.0 - 0.5 * phi * np.sin(phi) / (1.0 - np.cos(phi))) / (phi * phi)
-    return np.eye(3) - 0.5 * W + c * (W @ W)
-
-
 def exp_map(xi: Twist, theta):
     """Screw motion exp(theta * hat(xi)).
 
@@ -319,21 +309,9 @@ def log_map(T):
     (M, 3); the logs come back as (M, 6) rows (omega, v), and the error names
     the first pose near pi.
     """
-    if not isinstance(T, RigidTransform):
-        return _log_rows(*T)
-    q = T.q if T.q[0] >= 0 else -T.q
-    s = np.linalg.norm(q[1:])
-    phi = 2.0 * np.arctan2(s, q[0])
-    if phi >= np.pi - PI_MARGIN:
-        raise BranchAmbiguityError(
-            f"rotation angle {phi:.9f} rad is within {PI_MARGIN} of the pi branch cut"
-        )
-    if s < 1e-9:
-        # q ~ (1, w/2): third-order error is far below double precision here
-        w = 2.0 * q[1:] / q[0]
-    else:
-        w = (phi / s) * q[1:]
-    return Twist(w, _v_inv_matrix(w) @ T.t)
+    if isinstance(T, RigidTransform):
+        return Twist.from_vector(_log_rows(T.q[None], T.t[None], stacked=False)[0])
+    return _log_rows(*T)
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +357,16 @@ def _exp_rows(xi: Twist, thetas: np.ndarray):
     return q, quat_to_matrix(q), t
 
 
-def _log_rows(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _log_rows(q: np.ndarray, t: np.ndarray, stacked: bool = True) -> np.ndarray:
     q = np.where(q[:, :1] < 0, -q, q)
     s = np.linalg.norm(q[:, 1:], axis=1)
     phi = 2.0 * np.arctan2(s, q[:, 0])
     near = np.flatnonzero(phi >= np.pi - PI_MARGIN)
     if len(near):
         m = int(near[0])
+        where = f"pose {m}: " if stacked else ""
         raise BranchAmbiguityError(
-            f"pose {m}: rotation angle {phi[m]:.9f} rad is within {PI_MARGIN} of the pi branch cut"
+            f"{where}rotation angle {phi[m]:.9f} rad is within {PI_MARGIN} of the pi branch cut"
         )
     tiny = s < 1e-9
     w = np.where(
@@ -477,46 +456,23 @@ def retract_twist(xi: Twist, delta: np.ndarray) -> Twist:
 # derivatives of the exp map
 
 
-def _q_block(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Translation-rotation coupling block of the SE(3) left Jacobian.
+def se3_left_jacobian(u) -> np.ndarray:
+    """6x6 left Jacobian J with exp(hat(u + d)) ~= exp(hat(J @ d)) exp(hat(u)).
 
-    Derived from d/dw [V(w) rho] plus the frame correction skew(t) V(w),
-    where t = V(w) rho. All angle coefficients have Taylor fallbacks.
+    ``u`` stacks (w, rho) like Twist.as_vector(); (M, 6) rows give the M
+    Jacobians stacked, (M, 6, 6). The translation-rotation block is
+    d/dw [V(w) rho] plus the frame correction skew(t) V(w), t = V(w) rho; all
+    angle coefficients have Taylor fallbacks.
     """
-    phi = np.linalg.norm(w)
-    W = skew(w)
-    P = skew(rho)
-    wxr = np.cross(w, rho)
-    wwxr = np.cross(w, wxr)
-    A, B = _rodrigues_coeffs(phi)
-    if phi < SMALL_ANGLE:
-        p2 = phi * phi
-        alpha = -1.0 / 12.0 + p2 / 180.0  # A'(phi)/phi
-        beta = -1.0 / 60.0 + p2 / 1260.0  # B'(phi)/phi
-    else:
-        p2 = phi * phi
-        p4 = p2 * p2
-        alpha = (phi * np.sin(phi) - 2.0 * (1.0 - np.cos(phi))) / p4
-        beta = (phi * (1.0 - np.cos(phi)) - 3.0 * (phi - np.sin(phi))) / (p4 * phi)
-    dtdw = (
-        alpha * np.outer(wxr, w)
-        + beta * np.outer(wwxr, w)
-        - A * P
-        - B * (skew(wxr) + W @ P)
-    )
-    V = np.eye(3) + A * W + B * (W @ W)
-    t = V @ rho
-    return dtdw + skew(t) @ V
-
-
-def _left_jacobian_rows(u: np.ndarray) -> np.ndarray:
-    """``se3_left_jacobian`` of each row of ``u``, (M, 6, 6)."""
-    w, rho = u[:, :3], u[:, 3:]
+    u = np.asarray(u, dtype=float)
+    rows = u if u.ndim == 2 else u[None]
+    w, rho = rows[:, :3], rows[:, 3:]
     phi = np.linalg.norm(w, axis=1)
     A, B = (c[:, None, None] for c in _rodrigues_rows(phi))
     big, p = _split_small(phi)
     p2, s2 = phi * phi, p * p
     s4 = s2 * s2
+    # A'(phi)/phi and B'(phi)/phi
     alpha = np.where(big, (p * np.sin(p) - 2.0 * (1.0 - np.cos(p))) / s4, -1.0 / 12.0 + p2 / 180.0)
     beta = np.where(
         big,
@@ -534,29 +490,11 @@ def _left_jacobian_rows(u: np.ndarray) -> np.ndarray:
     )
     V = np.eye(3) + A * W + B * (W @ W)
     t = (V @ rho[:, :, None])[:, :, 0]
-    J = np.zeros((len(u), 6, 6))
+    J = np.zeros((len(rows), 6, 6))
     J[:, :3, :3] = V
     J[:, 3:, 3:] = V
     J[:, 3:, :3] = dtdw + skew(t) @ V
-    return J
-
-
-def se3_left_jacobian(u) -> np.ndarray:
-    """6x6 left Jacobian J with exp(hat(u + d)) ~= exp(hat(J @ d)) exp(hat(u)).
-
-    ``u`` stacks (w, rho) like Twist.as_vector(); (M, 6) rows give the M
-    Jacobians stacked, (M, 6, 6).
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 2:
-        return _left_jacobian_rows(u)
-    w, rho = u[:3], u[3:]
-    Jw = _v_matrix(w)
-    J = np.zeros((6, 6))
-    J[:3, :3] = Jw
-    J[3:, 3:] = Jw
-    J[3:, :3] = _q_block(w, rho)
-    return J
+    return J if u.ndim == 2 else J[0]
 
 
 def se3_adjoint(T: RigidTransform) -> np.ndarray:

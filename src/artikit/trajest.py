@@ -239,6 +239,16 @@ def fit_independent(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
 # shared damped Gauss-Newton solver
 
 
+def _predicted_decrease(JtJ: np.ndarray, Jtr: np.ndarray, lam: float) -> float:
+    """Gauss-Newton model decrease of the step damped by ``lam``; infinite
+    when that system is singular."""
+    try:
+        delta = np.linalg.solve(JtJ + lam * np.eye(len(Jtr)), -Jtr)
+    except np.linalg.LinAlgError:
+        return np.inf
+    return float(-(Jtr @ delta) - 0.5 * (delta @ JtJ @ delta))
+
+
 def damped_gauss_newton(xi: Twist, thetas: np.ndarray, linearize, cost_fn):
     """Levenberg-damped Gauss-Newton over a normalized twist's gauge-fixed
     chart plus free magnitudes; the normal matrix is an arrowhead.
@@ -253,11 +263,14 @@ def damped_gauss_newton(xi: Twist, thetas: np.ndarray, linearize, cost_fn):
 
     A step is accepted when it lowers the cost; a relative drop below
     COST_RTOL converges. When no damping up to DAMPING_MAX lowers the cost,
-    the fit has converged if the first (least damped) step of that iteration
-    predicted a decrease ``-(Jtr . d) - d.JtJ.d / 2`` of at most COST_RTOL
-    times the cost, or if the gradient is as flat as an exact fit leaves it
+    the fit has converged if a step damped by at most DAMPING_INIT (less if
+    the iteration started less damped) predicted a decrease
+    ``-(Jtr . d) - d.JtJ.d / 2`` of at most COST_RTOL times the cost, or if
+    the gradient is as flat as an exact fit leaves it
     (``|Jtr| <= 1e-12 max(1, cost)``, cost at the rounding floor); otherwise
-    it has stalled.
+    it has stalled. The predicted decrease only grows as the damping falls,
+    so a large damping carried over from earlier iterations cannot make a
+    real gradient look negligible.
 
     Returns ``(xi, thetas, cost, stop)`` signed so that ``sum(thetas) >= 0``;
     ``stop`` is "converged", "stalled" or "reached MAX_ITER", and without
@@ -280,15 +293,13 @@ def damped_gauss_newton(xi: Twist, thetas: np.ndarray, linearize, cost_fn):
         JtJ[:k, k:] = border.T
         JtJ[np.arange(k, k + M), np.arange(k, k + M)] = np.bincount(idx, jt * jt, M)
         Jtr = np.concatenate((Jc.T @ r, np.bincount(idx, jt * r, M)))
-        predicted = None
+        lam_start = lam
         while lam <= DAMPING_MAX:
             try:
                 delta = np.linalg.solve(JtJ + lam * np.eye(k + M), -Jtr)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            if predicted is None:
-                predicted = -(Jtr @ delta) - 0.5 * (delta @ JtJ @ delta)
             xi_new = retract_twist(xi, delta[:k])
             thetas_new = thetas + delta[k:]
             cost_new = cost_fn(xi_new, thetas_new)
@@ -302,12 +313,12 @@ def damped_gauss_newton(xi: Twist, thetas: np.ndarray, linearize, cost_fn):
             lam *= 10.0
         else:
             # no damping gave a decrease: converged if the gradient is at the
-            # rounding floor of an exact fit, or if even the least damped step
+            # rounding floor of an exact fit, or if a lightly damped step
             # promised a negligible decrease
             flat = (
                 cost == 0.0
                 or np.linalg.norm(Jtr) <= 1e-12 * max(1.0, cost)
-                or (predicted is not None and predicted <= COST_RTOL * cost)
+                or _predicted_decrease(JtJ, Jtr, min(lam_start, DAMPING_INIT)) <= COST_RTOL * cost
             )
             stop = "converged" if flat else "stalled"
         if stop:
@@ -376,13 +387,9 @@ def _init_from_steps(corr: CorrespondenceSet) -> tuple[Twist, np.ndarray]:
     weights, normalized; magnitudes come from least-squares projection onto
     the seed.
     """
-    etas = []
-    weights = []
-    for step in corr.steps:
-        G = register_rigid(step.src, step.dst)
-        etas.append(log_map(G).as_vector())
-        weights.append(float(len(step.src)))
-    etas = np.array(etas)
+    regs = [register_rigid(step.src, step.dst) for step in corr.steps]
+    etas = log_map((np.array([G.q for G in regs]), np.array([G.t for G in regs])))
+    weights = [float(len(step.src)) for step in corr.steps]
     norms = np.linalg.norm(etas, axis=1)
     ref = etas[int(np.argmax(norms))]
     signs = np.where(etas @ ref < 0, -1.0, 1.0)

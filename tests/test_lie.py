@@ -87,7 +87,7 @@ def test_log_principal_branch_magnitude():
 def test_log_refuses_angle_near_pi():
     w = np.array([0.0, 0.0, 1.0])
     T = lie.exp_map(lie.Twist(w, np.zeros(3)), np.pi)
-    with pytest.raises(BranchAmbiguityError):
+    with pytest.raises(BranchAmbiguityError, match=r"^rotation angle 3\.14"):
         lie.log_map(T)
     T2 = lie.exp_map(lie.Twist(w, np.zeros(3)), np.pi - 1e-8)
     with pytest.raises(BranchAmbiguityError):
@@ -373,6 +373,7 @@ def test_stacked_log_names_first_pose_near_pi(u, thetas, data):
 @PROPERTY
 @given(rows=st.lists(vectors(6, 2.0) | vectors(6, 1e-7), min_size=1, max_size=6))
 def test_stacked_left_jacobian_matches_scalar(rows):
+    # rows mixing the Taylor and closed-form branches, each as its own call
     u = np.array(rows)
     J = lie.se3_left_jacobian(u)
     assert J.shape == (len(u), 6, 6)

@@ -7,7 +7,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from artikit.artmodel import _flatten_poses, _pose_blocks, _pose_cost, _pose_residual
+from artikit.artmodel import (
+    _flatten_poses,
+    _inverse_adjoints,
+    _pose_blocks,
+    _pose_cost,
+    _pose_residual,
+)
 from artikit.errors import (
     DegenerateGeometryError,
     DegenerateStepError,
@@ -355,7 +361,7 @@ def test_pose_linearization_matches_central_differences(gauge):
     start = retract_twist(xi, 0.05 * np.ones(twist_tangent_basis(xi).shape[1]))
     central_difference_check(
         lambda x, th: _pose_residual(stack, x, th).ravel(),
-        partial(_pose_blocks, stack),
+        partial(_pose_blocks, stack, _inverse_adjoints(stack)),
         start,
         thetas + 0.01,
     )
@@ -384,6 +390,19 @@ def test_solver_without_decrease_converges_only_on_negligible_prediction(scale, 
     # COST_RTOL times the cost
     out = damped_gauss_newton(PRISMATIC, np.array([1.0]), toy_linearize(scale), lambda xi, th: 1.0)
     assert out[2] == 1.0 and out[3] == stop
+
+
+@pytest.mark.parametrize("scale, stop", [(1e-7, "converged"), (1e-3, "stalled")])
+def test_solver_stall_rule_ignores_carried_over_damping(scale, stop):
+    # only a step of length below 1e-12 lowers the cost, so the first
+    # iteration accepts one at a large damping; the next iteration starts
+    # from that damping and finds no decrease. Judged at that damping, the
+    # predicted decrease would be negligible even for scale 1e-3.
+    def cost(xi, thetas):
+        return 0.5 if 0.0 < abs(thetas[0] - 1.0) < 1e-12 else 1.0
+
+    out = damped_gauss_newton(PRISMATIC, np.array([1.0]), toy_linearize(scale), cost)
+    assert out[2] == 0.5 and out[3] == stop
 
 
 def test_solver_reports_max_iter():
