@@ -383,26 +383,25 @@ def toy_linearize(scale):
 PRISMATIC = Twist(np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
 
+def only_tiny_steps_decrease(xi, thetas):
+    # the first iteration accepts a step only at a large damping, and the
+    # next starts from that damping and finds no decrease; judged at that
+    # damping, the predicted decrease would be negligible even at scale 1e-3
+    return 0.5 if 0.0 < abs(thetas[0] - 1.0) < 1e-12 else 1.0
+
+
+@pytest.mark.parametrize(
+    "cost, final",
+    [(lambda xi, thetas: 1.0, 1.0), (only_tiny_steps_decrease, 0.5)],
+    ids=["no-decrease", "damping-carried-over"],
+)
 @pytest.mark.parametrize("scale, stop", [(1e-7, "converged"), (1e-3, "stalled")])
-def test_solver_without_decrease_converges_only_on_negligible_prediction(scale, stop):
-    # no step lowers the cost; with scale 1e-7 the gradient (~1e-7) is far
-    # above the exact-fit floor but the predicted decrease (~1e-14) is below
-    # COST_RTOL times the cost
-    out = damped_gauss_newton(PRISMATIC, np.array([1.0]), toy_linearize(scale), lambda xi, th: 1.0)
-    assert out[2] == 1.0 and out[3] == stop
-
-
-@pytest.mark.parametrize("scale, stop", [(1e-7, "converged"), (1e-3, "stalled")])
-def test_solver_stall_rule_ignores_carried_over_damping(scale, stop):
-    # only a step of length below 1e-12 lowers the cost, so the first
-    # iteration accepts one at a large damping; the next iteration starts
-    # from that damping and finds no decrease. Judged at that damping, the
-    # predicted decrease would be negligible even for scale 1e-3.
-    def cost(xi, thetas):
-        return 0.5 if 0.0 < abs(thetas[0] - 1.0) < 1e-12 else 1.0
-
+def test_solver_without_decrease_converges_only_on_negligible_prediction(scale, stop, cost, final):
+    # no step lowers the cost (after the first accepted one); with scale 1e-7
+    # the gradient (~1e-7) is far above the exact-fit floor but the predicted
+    # decrease (~1e-14) is below COST_RTOL times the cost
     out = damped_gauss_newton(PRISMATIC, np.array([1.0]), toy_linearize(scale), cost)
-    assert out[2] == 0.5 and out[3] == stop
+    assert out[2] == final and out[3] == stop
 
 
 def test_solver_reports_max_iter():
