@@ -112,6 +112,43 @@ def run_suite(noisy: bool, mode: str = "regularized") -> list:
     return [run_scene(i, noisy, mode) for i in range(N_SCENES)]
 
 
+def snapshot_records(doc: dict) -> list:
+    """The outcome of one run for the refactor snapshot: per result its
+    joint type, flags, axis and magnitudes; per skip its stage and error
+    type."""
+    out = [
+        {
+            "type": r["type"],
+            "flags": r["flags"],
+            "axis_dir": r["axis_dir"],
+            "axis_point": r["axis_point"],
+            "thetas": r["thetas"],
+        }
+        for r in doc["results"]
+    ]
+    out += [{"stage": r["stage"], "error": r["error"]["type"]} for r in doc["skipped"]]
+    return out
+
+
+def suite_snapshot(noisy: bool, mode: str) -> list:
+    """``snapshot_records`` of every scene of one suite, in scene order."""
+    records = []
+    for i in range(N_SCENES):
+        ts, _ = synth.generate(scene_config(i, noisy))
+        records.append(snapshot_records(run_pipeline(ts, pipeline_config(noisy, mode))))
+    return records
+
+
+def derive_suite_snapshot() -> dict:
+    """Recompute fixtures/suite_snapshot.json: both suites in both modes,
+    keyed "clean/regularized", "noisy/independent" and so on."""
+    return {
+        f"{suite}/{mode}": suite_snapshot(suite == "noisy", mode)
+        for suite in ("clean", "noisy")
+        for mode in ("regularized", "independent")
+    }
+
+
 def derive_noisy_thresholds() -> dict:
     """Recompute the frozen noisy-closure caps (fixtures/noisy_thresholds.json).
 
