@@ -58,8 +58,10 @@ class ClassifierConfig:
     residual_margin: float = 0.2  # free fit must beat constrained by this fraction
 
     def __post_init__(self):
-        if self.theta_rot_min <= 0 or self.trans_min <= 0:
-            raise ValueError("theta_rot_min and trans_min must be positive")
+        if not (self.theta_rot_min > 0 and self.trans_min > 0):  # NaN fails too
+            raise ValueError(
+                f"theta_rot_min and trans_min must be positive, got {self.theta_rot_min}, {self.trans_min}"
+            )
         if not (0.0 <= self.residual_margin < 1.0):
             raise ValueError(f"residual_margin must be in [0, 1), got {self.residual_margin}")
 
@@ -108,33 +110,28 @@ def _pose_residual(stack, xi: Twist, thetas: np.ndarray) -> np.ndarray:
     return log_map((quat_mul(qi, q), apply_each(Ri, ti, t)))
 
 
-def _pose_cost(stack, xi: Twist, thetas: np.ndarray) -> float:
-    """Summed squared residual of the stacked poses against ``thetas``."""
-    r = _pose_residual(stack, xi, thetas).ravel()
-    return float(r @ r)
-
-
-def _pose_blocks(stack, ad_inv, xi: Twist, thetas: np.ndarray, B: np.ndarray):
-    """Pose-log residual rows of all stacked poses and their Jacobian, in
-    the ``damped_gauss_newton`` linearize contract; ``ad_inv`` holds the
-    poses' ``_inverse_adjoints``."""
-    xvec = xi.as_vector()
+def _pose_model(stack, ad_inv, xi: Twist, thetas: np.ndarray):
+    """Pose-log residual rows of all stacked poses and their Jacobian
+    callable, in the ``damped_gauss_newton`` model contract; ``ad_inv``
+    holds the poses' ``_inverse_adjoints``."""
     r = _pose_residual(stack, xi, thetas)
+    return r.ravel(), partial(_pose_blocks, ad_inv, r, xi, thetas)
+
+
+def _pose_blocks(ad_inv, r: np.ndarray, xi: Twist, thetas: np.ndarray, B: np.ndarray):
+    """Jacobian rows ``(Jc, jt, idx)`` of the pose residuals ``r`` (M, 6)."""
+    xvec = xi.as_vector()
     # d r / d u = -Jr^-1(r) Ad(T^-1) Jl(u), u = theta * xi the folded twist coords
     Jr_inv = np.linalg.inv(se3_left_jacobian(-r))
     base = -Jr_inv @ ad_inv @ se3_left_jacobian(thetas[:, None] * xvec)
     Jc = base @ (thetas[:, None, None] * B)
-    return (
-        Jc.reshape(-1, B.shape[1]),
-        (base @ xvec).ravel(),
-        r.ravel(),
-        np.repeat(np.arange(len(thetas)), 6),
-    )
+    return Jc.reshape(-1, B.shape[1]), (base @ xvec).ravel(), np.repeat(np.arange(len(thetas)), 6)
 
 
 def pose_fit_rms(poses, xi: Twist, thetas: np.ndarray) -> float:
     """Tangent-space residual rms of a (twist, thetas) model on given poses."""
-    return float(np.sqrt(_pose_cost(_flatten_poses(poses), xi, thetas[1:]) / (len(poses) - 1)))
+    r = _pose_residual(_flatten_poses(poses), xi, thetas[1:]).ravel()
+    return float(np.sqrt(r @ r / (len(poses) - 1)))
 
 
 def _validate_poses(poses):
@@ -175,10 +172,7 @@ def fit_twist_to_poses(poses, gauge: str = "auto") -> PoseTwistFit:
     x = xi.as_vector()
     thetas = (logs @ x / float(x @ x))[1:]  # theta_0 is pinned to zero
     xi, thetas, cost, stop = damped_gauss_newton(
-        xi,
-        thetas,
-        partial(_pose_blocks, stack, _inverse_adjoints(stack)),
-        partial(_pose_cost, stack),
+        xi, thetas, partial(_pose_model, stack, _inverse_adjoints(stack))
     )
     converged = stop == "converged"
     if not converged:

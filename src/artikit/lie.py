@@ -416,7 +416,7 @@ def _orthonormal_complement(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e[k] = 1.0
     b1 = e - n * n[k]
     b1 /= np.linalg.norm(b1)
-    b2 = np.cross(n, b1)
+    b2 = _cross(n, b1)
     return b1, b2
 
 

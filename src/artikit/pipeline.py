@@ -72,7 +72,7 @@ class PipelineConfig:
             raise ValueError(f"mode must be one of {ESTIMATOR_MODES}, got {self.mode!r}")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.max_depth <= 0:
+        if not self.max_depth > 0:  # NaN fails too
             raise ValueError(f"max_depth must be > 0, got {self.max_depth}")
         if self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")

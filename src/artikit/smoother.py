@@ -33,7 +33,7 @@ class SmootherConfig:
     lambda_jerk: float = 5.0
 
     def __post_init__(self):
-        if self.lambda_vel < 0 or self.lambda_jerk < 0:
+        if not (self.lambda_vel >= 0 and self.lambda_jerk >= 0):  # NaN fails too
             raise ValueError(
                 f"smoothing weights must be >= 0, got {self.lambda_vel}, {self.lambda_jerk}"
             )

@@ -32,7 +32,7 @@ class FilterConfig:
             raise ValueError(f"static_mode must be 'image2d' or 'world3d', got {self.static_mode!r}")
         if not (0.0 <= self.sigma_reliable <= 1.0):
             raise ValueError(f"sigma_reliable must be in [0, 1], got {self.sigma_reliable}")
-        if self.outlier_k < 0:
+        if not self.outlier_k >= 0:  # NaN fails too
             raise ValueError(f"outlier_k must be >= 0, got {self.outlier_k}")
 
 

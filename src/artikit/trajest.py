@@ -13,10 +13,12 @@ Two estimators share the correspondence structure:
   ``damped_gauss_newton`` (the solver ``artmodel.fit_twist_to_poses`` shares)
   over the gauge-fixed twist chart plus the per-step magnitudes, with
   analytic Jacobians of the exp-map point action. The pairs of all steps
-  are flattened once per fit; each iteration evaluates every step's motion,
-  residuals and Jacobian rows with the stacked ``lie`` kernels, in a few
-  array calls, and the solver assembles the arrowhead normal matrix from
-  those rows (see ``damped_gauss_newton`` for the contract and stop rules).
+  are flattened once per fit. The fit hands the solver one model callable:
+  at each trial point it moves every step's sources with the stacked
+  ``lie`` kernels, in a few array calls, and returns the residuals plus a
+  Jacobian callable that reuses the moved points; the solver linearizes
+  only accepted points and assembles the arrowhead normal matrix from those
+  rows (see ``damped_gauss_newton`` for the contract and stop rules).
 
 Step transforms are world-frame displacement fields and chain by left
 multiplication; poses are reported both in world coordinates and relative to
@@ -83,8 +85,11 @@ class CorrespondenceSet:
 class TrajectoryEstimate:
     """Per-step transforms plus integrated poses and fit diagnostics.
 
-    ``base_twist``/``thetas`` are populated by the regularized estimator only.
-    ``relative_poses[0]`` is the identity; ``world_poses[0]`` is the anchor.
+    ``rms_residual`` is the pair residual rms of either estimator.
+    ``per_track_residuals`` is populated by the independent estimator only
+    (the outlier gate reads the baseline's); ``base_twist``/``thetas`` by the
+    regularized estimator only. ``relative_poses[0]`` is the identity;
+    ``world_poses[0]`` is the anchor.
     """
 
     mode: str
@@ -93,7 +98,7 @@ class TrajectoryEstimate:
     world_poses: list  # list[RigidTransform], length M+1
     relative_poses: list  # list[RigidTransform], length M+1
     rms_residual: float
-    per_track_residuals: dict  # track id -> mean pair residual (m)
+    per_track_residuals: dict | None = None  # track id -> mean pair residual (m)
     base_twist: Twist | None = None
     thetas: np.ndarray | None = None
     converged: bool = True
@@ -163,22 +168,12 @@ def register_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
 
 def _residual_stats(corr: CorrespondenceSet, transforms) -> tuple[float, dict]:
     """Residual RMS over all pairs plus per-track mean residual."""
-    total = 0.0
-    count = 0
-    sums: dict = {}
-    counts: dict = {}
-    for step, T in zip(corr.steps, transforms):
-        r = step.dst - apply(T, step.src)
-        norms = np.linalg.norm(r, axis=1)
-        total += float(np.sum(norms * norms))
-        count += len(norms)
-        for tid, nr in zip(step.track_ids, norms):
-            tid = int(tid)
-            sums[tid] = sums.get(tid, 0.0) + float(nr)
-            counts[tid] = counts.get(tid, 0) + 1
-    rms = float(np.sqrt(total / count)) if count else 0.0
-    per_track = {tid: sums[tid] / counts[tid] for tid in sums}
-    return rms, per_track
+    norms = [np.linalg.norm(s.dst - apply(T, s.src), axis=1) for s, T in zip(corr.steps, transforms)]
+    total = sum(float(np.sum(n * n)) for n in norms)
+    ids, track = np.unique(np.concatenate([s.track_ids for s in corr.steps]), return_inverse=True)
+    flat = np.concatenate(norms)
+    means = np.bincount(track, flat) / np.bincount(track)
+    return float(np.sqrt(total / len(flat))), dict(zip(ids.tolist(), means.tolist()))
 
 
 def integrate_poses(step_transforms, anchor_points: np.ndarray):
@@ -249,17 +244,20 @@ def _predicted_decrease(JtJ: np.ndarray, Jtr: np.ndarray, lam: float) -> float:
     return float(-(Jtr @ delta) - 0.5 * (delta @ JtJ @ delta))
 
 
-def damped_gauss_newton(xi: Twist, thetas: np.ndarray, linearize, cost_fn):
+def damped_gauss_newton(xi: Twist, thetas: np.ndarray, model):
     """Levenberg-damped Gauss-Newton over a normalized twist's gauge-fixed
     chart plus free magnitudes; the normal matrix is an arrowhead.
 
-    ``linearize(xi, thetas, B)`` returns every residual row at once as
-    ``(Jc, jt, r, idx)``: the Jacobian along the k chart directions of basis
-    ``B`` (R, k), the Jacobian along each row's own magnitude (R,), the
-    residuals (R,) and the index of that magnitude (R,). The chart block of
-    the normal matrix is one matmul; the magnitude border and diagonal are
-    sums per magnitude, by ``np.bincount``. ``cost_fn(xi, thetas)`` is the
-    squared residual sum.
+    ``model(xi, thetas)`` returns ``(r, jacobian)``: every residual row at
+    that point (R,), and a callable ``jacobian(B)`` that linearizes the same
+    point as ``(Jc, jt, idx)``: the Jacobian along the k chart directions of
+    basis ``B`` (R, k), the Jacobian along each row's own magnitude (R,) and
+    the index of that magnitude (R,). The cost is ``r @ r``. Each point is
+    evaluated once; ``jacobian`` is called only for accepted points, so a
+    model defers the Jacobian's work to it and reuses what the residual step
+    computed. The chart block of the normal matrix is one matmul; the
+    magnitude border and diagonal are sums per magnitude, by
+    ``np.bincount``.
 
     A step is accepted when it lowers the cost; a relative drop below
     COST_RTOL converges. When no damping up to DAMPING_MAX lowers the cost,
@@ -277,13 +275,14 @@ def damped_gauss_newton(xi: Twist, thetas: np.ndarray, linearize, cost_fn):
     convergence the best iterate comes back.
     """
     M = len(thetas)
-    cost = cost_fn(xi, thetas)
+    r, jacobian = model(xi, thetas)
+    cost = float(r @ r)
     lam = DAMPING_INIT
     stop = None
     for _ in range(MAX_ITER):
         B = twist_tangent_basis(xi)
         k = B.shape[1]
-        Jc, jt, r, idx = linearize(xi, thetas, B)
+        Jc, jt, idx = jacobian(B)
         border = np.bincount(
             (idx[:, None] * k + np.arange(k)).ravel(), (Jc * jt[:, None]).ravel(), M * k
         ).reshape(M, k)
@@ -302,11 +301,13 @@ def damped_gauss_newton(xi: Twist, thetas: np.ndarray, linearize, cost_fn):
                 continue
             xi_new = retract_twist(xi, delta[:k])
             thetas_new = thetas + delta[k:]
-            cost_new = cost_fn(xi_new, thetas_new)
+            r_new, jacobian_new = model(xi_new, thetas_new)
+            cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 lam = max(lam / 10.0, 1e-15)
                 drop = cost - cost_new
                 xi, thetas, cost = xi_new, thetas_new, cost_new
+                r, jacobian = r_new, jacobian_new
                 if drop < COST_RTOL * max(cost, 1e-300) or cost == 0.0:
                     stop = "converged"
                 break
@@ -349,18 +350,18 @@ def _pair_residual(pairs, xi: Twist, thetas: np.ndarray) -> tuple[np.ndarray, np
     return y, dst - y
 
 
-def _pair_cost(pairs, xi: Twist, thetas: np.ndarray) -> float:
-    r = _pair_residual(pairs, xi, thetas)[1].ravel()
-    return float(r @ r)
+def _pair_model(pairs, xi: Twist, thetas: np.ndarray):
+    """Point-pair residual rows of all steps and their Jacobian callable, in
+    the ``damped_gauss_newton`` model contract."""
+    y, r = _pair_residual(pairs, xi, thetas)
+    return r.ravel(), partial(_pair_blocks, pairs[2], y, xi, thetas)
 
 
-def _pair_blocks(pairs, xi: Twist, thetas: np.ndarray, B: np.ndarray):
-    """Point-pair residual rows of all steps and their Jacobian, in the
-    ``damped_gauss_newton`` linearize contract."""
-    step = pairs[2]
+def _pair_blocks(step: np.ndarray, y: np.ndarray, xi: Twist, thetas: np.ndarray, B: np.ndarray):
+    """Jacobian rows ``(Jc, jt, idx)`` of the pair residuals at the point
+    whose moved sources are ``y``."""
     k = B.shape[1]
     xvec = xi.as_vector()
-    y, r = _pair_residual(pairs, xi, thetas)
     # (M, 6, k+1): per step, the tangent motion along each chart coordinate,
     # then d/dtheta exp(theta xi) = xi exactly
     D = np.concatenate(
@@ -377,7 +378,7 @@ def _pair_blocks(pairs, xi: Twist, thetas: np.ndarray, B: np.ndarray):
     J[:, 1] = D[step, 0] * y2 - D[step, 2] * y0 - D[step, 4]
     J[:, 2] = D[step, 1] * y0 - D[step, 0] * y1 - D[step, 5]
     J = J.reshape(-1, k + 1)
-    return J[:, :k], J[:, k], r.ravel(), np.repeat(step, 3)
+    return J[:, :k], J[:, k], np.repeat(step, 3)
 
 
 def _init_from_steps(corr: CorrespondenceSet) -> tuple[Twist, np.ndarray]:
@@ -406,7 +407,8 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
     Minimizes sum_m sum_j |dst_mj - exp(theta_m hat(xi)) src_mj|^2 with xi
     confined to the normalized-twist gauge, by ``damped_gauss_newton``;
     a fit that stalls or reaches MAX_ITER returns the best iterate flagged
-    ``non_converged``.
+    ``non_converged``. ``rms_residual`` comes from the solver's final cost;
+    ``per_track_residuals`` is left unset.
     """
     peak = max(
         float(np.max(np.linalg.norm(s.dst - s.src, axis=1))) for s in corr.steps
@@ -417,16 +419,13 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
         )
     xi, thetas = _init_from_steps(corr)
     pairs = _flatten_pairs(corr)
-    xi, thetas, _, stop = damped_gauss_newton(
-        xi, thetas, partial(_pair_blocks, pairs), partial(_pair_cost, pairs)
-    )
+    xi, thetas, cost, stop = damped_gauss_newton(xi, thetas, partial(_pair_model, pairs))
     converged = stop == "converged"
     flags = []
     if not converged:
         flags.append("non_converged")
         log.warning("regularized fit %s; flagged non_converged", stop)
     transforms = [exp_map(xi, float(t)) for t in thetas]
-    rms, per_track = _residual_stats(corr, transforms)
     if anchor_points is None:
         anchor_points = corr.steps[0].src
     anchor, world, relative = integrate_poses(transforms, anchor_points)
@@ -436,8 +435,7 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
         anchor=anchor,
         world_poses=world,
         relative_poses=relative,
-        rms_residual=rms,
-        per_track_residuals=per_track,
+        rms_residual=float(np.sqrt(cost / len(pairs[0]))),
         base_twist=xi,
         thetas=thetas,
         converged=converged,

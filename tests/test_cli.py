@@ -159,6 +159,23 @@ def test_malformed_segments_file_exits_2_with_json_error(workdir, capsys, segmen
     assert field in msg["message"]
 
 
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+def test_nan_config_value_exits_2_with_json_error(workdir, capsys, source):
+    argv = ["run", "--tracks", str(workdir / "tracks.json"), "--out", str(workdir / "o.json")]
+    if source == "flag":
+        argv += ["--theta-rot-min", "nan"]
+    else:
+        cfg = workdir / "nan.json"
+        cfg.write_text('{"classifier": {"theta_rot_min": NaN}}')
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("{")]
+    assert len(err_lines) == 1
+    msg = json.loads(err_lines[0])
+    assert msg["message"].startswith("bad configuration: ")
+    assert not (workdir / "o.json").exists()
+
+
 def test_short_hand_window_yields_empty_results(workdir):
     scene = workdir / "short.json"
     scene.write_text(json.dumps(scene_doc(hand_window=[5, 12])))

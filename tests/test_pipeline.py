@@ -1,5 +1,6 @@
 """End-to-end pipeline: config layering, staging files, failure isolation."""
 
+import json
 import math
 import threading
 
@@ -90,6 +91,29 @@ def test_effective_config_rejects_unknown_keys():
         effective_config({"filter": {"sigma": 60.0}}, {})
     with pytest.raises(ValueError):
         effective_config(None, {"mode": "fancy"})
+
+
+NAN_CHECKED_FIELDS = [
+    "classifier.theta_rot_min",
+    "classifier.trans_min",
+    "max_depth",
+    "smoother.lambda_vel",
+    "smoother.lambda_jerk",
+    "filter.outlier_k",
+]
+
+
+@pytest.mark.parametrize("dotted", NAN_CHECKED_FIELDS)
+def test_effective_config_rejects_nan_and_keeps_infinity(dotted):
+    # NaN fails every comparison, so a check written as "x < 0" lets it through
+    section, _, leaf = dotted.rpartition(".")
+    file_text = f'{{"{section}": {{"{leaf}": NaN}}}}' if section else f'{{"{leaf}": NaN}}'
+    with pytest.raises(ValueError, match="bad configuration"):
+        effective_config(None, {dotted: math.nan})
+    with pytest.raises(ValueError, match="bad configuration"):
+        effective_config(json.loads(file_text), {})
+    cfg = effective_config(None, {dotted: math.inf})
+    assert getattr(getattr(cfg, section) if section else cfg, leaf) == math.inf
 
 
 def test_config_dict_round_trip():

@@ -10,8 +10,7 @@ import pytest
 from artikit.artmodel import (
     _flatten_poses,
     _inverse_adjoints,
-    _pose_blocks,
-    _pose_cost,
+    _pose_model,
     _pose_residual,
 )
 from artikit.errors import (
@@ -32,12 +31,12 @@ from artikit.lie import (
     _quat_from_rotvec,
     RigidTransform,
 )
+from artikit import trajest
 from artikit.trackio import SegmentTrack
 from artikit.trajest import (
     MAX_ITER,
     _flatten_pairs,
-    _pair_blocks,
-    _pair_cost,
+    _pair_model,
     _pair_residual,
     build_correspondences,
     choose_anchor,
@@ -300,13 +299,15 @@ def test_regularized_matches_independent_on_noiseless_screw():
 # the linearization against central differences
 
 
-def central_difference_check(residual, linearize, xi, thetas, h=1e-6, tol=1e-7):
-    """Compare a linearize contract with central differences of ``residual``
-    along each chart direction (through retract_twist) and each magnitude."""
+def central_difference_check(residual, model, xi, thetas, h=1e-6, tol=1e-7):
+    """Compare a solver model's residuals with ``residual`` and its Jacobian
+    with central differences of ``residual`` along each chart direction
+    (through retract_twist) and each magnitude."""
     B = twist_tangent_basis(xi)
     k = B.shape[1]
-    Jc, jt, r, idx = linearize(xi, thetas, B)
+    r, jacobian = model(xi, thetas)
     assert np.array_equal(r, residual(xi, thetas))
+    Jc, jt, idx = jacobian(B)
     assert Jc.shape == (len(r), k) and jt.shape == idx.shape == r.shape
     for j in range(k):
         e = h * np.eye(k)[j]
@@ -335,12 +336,10 @@ def test_pair_linearization_matches_central_differences(gauge):
     start = retract_twist(xi, 0.05 * np.ones(twist_tangent_basis(xi).shape[1]))
     central_difference_check(
         lambda x, th: _pair_residual(pairs, x, th)[1].ravel(),
-        partial(_pair_blocks, pairs),
+        partial(_pair_model, pairs),
         start,
         thetas + 0.01,
     )
-    r = _pair_residual(pairs, start, thetas)[1].ravel()
-    assert _pair_cost(pairs, start, thetas) == float(r @ r)
 
 
 @pytest.mark.parametrize("gauge", ["revolute", "prismatic"])
@@ -361,23 +360,27 @@ def test_pose_linearization_matches_central_differences(gauge):
     start = retract_twist(xi, 0.05 * np.ones(twist_tangent_basis(xi).shape[1]))
     central_difference_check(
         lambda x, th: _pose_residual(stack, x, th).ravel(),
-        partial(_pose_blocks, stack, _inverse_adjoints(stack)),
+        partial(_pose_model, stack, _inverse_adjoints(stack)),
         start,
         thetas + 0.01,
     )
-    r = _pose_residual(stack, start, thetas).ravel()
-    assert _pose_cost(stack, start, thetas) == float(r @ r)
 
 
 # ---------------------------------------------------------------------------
 # the solver's stop reasons
 
 
-def toy_linearize(scale):
-    """Three residual rows over a prismatic chart (k = 2) and one magnitude."""
-    J = np.array([[1.0, 0.0, 0.5], [0.0, 2.0, 0.0], [0.3, 0.0, 1.0]])
-    r = scale * np.array([1.0, -1.0, 0.5])
-    return lambda xi, thetas, B: (J[:, :2], J[:, 2], r, np.zeros(3, dtype=int))
+def toy_model(scale, level=lambda xi, thetas: 1.0):
+    """Three residual rows over a prismatic chart (k = 2) and one magnitude,
+    with a fixed Jacobian, plus a fourth row outside its column space worth
+    ``level(xi, thetas)``: the cost stays near ``level`` while the gradient
+    scales with ``scale``."""
+    J = np.array([[1.0, 0.0, 0.5], [0.0, 2.0, 0.0], [0.3, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    jacobian = lambda B: (J[:, :2], J[:, 2], np.zeros(4, dtype=int))
+    return lambda xi, thetas: (
+        np.append(scale * np.array([1.0, -1.0, 0.5]), np.sqrt(level(xi, thetas))),
+        jacobian,
+    )
 
 
 PRISMATIC = Twist(np.zeros(3), np.array([0.0, 0.0, 1.0]))
@@ -391,23 +394,50 @@ def only_tiny_steps_decrease(xi, thetas):
 
 
 @pytest.mark.parametrize(
-    "cost, final",
+    "level, final",
     [(lambda xi, thetas: 1.0, 1.0), (only_tiny_steps_decrease, 0.5)],
     ids=["no-decrease", "damping-carried-over"],
 )
 @pytest.mark.parametrize("scale, stop", [(1e-7, "converged"), (1e-3, "stalled")])
-def test_solver_without_decrease_converges_only_on_negligible_prediction(scale, stop, cost, final):
+def test_solver_without_decrease_converges_only_on_negligible_prediction(scale, stop, level, final):
     # no step lowers the cost (after the first accepted one); with scale 1e-7
     # the gradient (~1e-7) is far above the exact-fit floor but the predicted
     # decrease (~1e-14) is below COST_RTOL times the cost
-    out = damped_gauss_newton(PRISMATIC, np.array([1.0]), toy_linearize(scale), cost)
-    assert out[2] == final and out[3] == stop
+    model = toy_model(scale, level)
+    xi, thetas, cost, reason = damped_gauss_newton(PRISMATIC, np.array([1.0]), model)
+    r, _ = model(xi, thetas)
+    assert reason == stop
+    assert cost == float(r @ r) and abs(cost - final) < 1e-5
 
 
 def test_solver_reports_max_iter():
     calls = itertools.count(1)
     out = damped_gauss_newton(
-        PRISMATIC, np.array([1.0]), toy_linearize(1e-3), lambda xi, th: 1.0 / next(calls)
+        PRISMATIC, np.array([1.0]), toy_model(1e-3, lambda xi, th: 1.0 / next(calls))
     )
     assert out[3] == "reached MAX_ITER"
     assert next(calls) > MAX_ITER
+
+
+def test_regularized_fit_evaluates_each_point_once(monkeypatch):
+    rng = np.random.default_rng(21)
+    w = np.array([0.36, 0.48, 0.8])
+    xi = Twist(w, -np.cross(w, [0.3, -0.1, 0.9]))
+    base = rng.uniform(-0.3, 0.3, (9, 3)) + [0.5, 0, 1.0]
+    tracks = screw_tracks(xi, np.linspace(0.0, 0.6, 8), base)
+    for tr in tracks:  # noise, so that the fit takes several iterations
+        tr.world += rng.normal(0.0, 0.005, tr.world.shape)
+    corr = build_correspondences(tracks, stride=1)
+    seen = []
+
+    def recording_model(pairs, x, th):
+        seen.append((tuple(x.as_vector()), tuple(th)))
+        return _pair_model(pairs, x, th)
+
+    monkeypatch.setattr(trajest, "_pair_model", recording_model)
+    est = fit_regularized(corr)
+    assert est.converged and len(seen) > 3
+    assert len(set(seen)) == len(seen)
+    # the reported rms is the solver's final cost over the pair count
+    r = _pair_residual(_flatten_pairs(corr), est.base_twist, est.thetas)[1]
+    assert abs(est.rms_residual - np.sqrt(np.sum(r * r) / len(r))) < 1e-15
