@@ -33,7 +33,6 @@ from .lie import (
     apply,
     compose,
     exp_map,
-    identity,
     inverse,
     log_map,
     normalize_twist,

@@ -3,9 +3,12 @@
 ``run`` executes the whole pipeline in one process; the individual
 subcommands (segment, filter, smooth, estimate) exchange JSON intermediates
 so the same computation can be driven stage by stage. Both paths call the
-identical stage functions in the identical order, so their outputs are
-byte-for-byte equal.
+same stage functions on each segment and assemble their output with
+``pipeline.results_doc``, so the two results files are byte-for-byte equal,
+skipped segments included.
 
+The CLI holds no pipeline knowledge of its own: each tuning flag's dest is
+its dotted config key, and ``pipeline.effective_config`` validates them.
 Configuration precedence: command-line flag > --config file > built-in
 default. The effective configuration is echoed to stderr before work
 starts. Errors print a one-line machine-readable JSON object to stderr and
@@ -15,6 +18,7 @@ exit nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -22,68 +26,52 @@ import sys
 from . import evalkit, jsonio, pipeline, synth, trackio
 from .errors import ArtikitError, TrackFileError
 from .segmenter import Segment
+from .trackfilter import STATIC_MODES
 
 
-def _config_flags(p: argparse.ArgumentParser, *groups: str) -> None:
-    """Attach the stage-tuning flags shared by several subcommands."""
-    if "segmenter" in groups:
-        p.add_argument("--wh", type=int, default=None, help="hand-signal smoothing window")
-        p.add_argument("--tau", type=float, default=None, help="hand-signal threshold")
-        p.add_argument("--tmin", type=int, default=None, help="min segment length (frames)")
-        p.add_argument("--tmax", type=int, default=None, help="max segment length (frames)")
-    if "filter" in groups:
-        p.add_argument("--sigma-static", type=float, default=None,
+def _config_flags(p: argparse.ArgumentParser, *stages: str):
+    """Attach the tuning flags of the named stage subcommands.
+
+    Each flag's dest is its dotted config key, and an absent flag sets no
+    attribute, so the parsed namespace is the override set as it stands.
+    """
+    g = p.add_argument_group("pipeline configuration", argument_default=argparse.SUPPRESS)
+    if "segment" in stages:
+        g.add_argument("--wh", dest="segmenter.w_h", type=int, help="hand-signal smoothing window")
+        g.add_argument("--tau", dest="segmenter.tau_h", type=float, help="hand-signal threshold")
+        g.add_argument("--tmin", dest="segmenter.t_min", type=int, help="min segment length (frames)")
+        g.add_argument("--tmax", dest="segmenter.t_max", type=int, help="max segment length (frames)")
+    if "filter" in stages:
+        g.add_argument("--sigma-static", dest="filter.sigma_static", type=float,
                        help="percentile of least-moving tracks removed")
-        p.add_argument("--static-mode", choices=("image2d", "world3d"), default=None,
+        g.add_argument("--static-mode", dest="filter.static_mode", choices=STATIC_MODES,
                        help="coordinates used for the motion score")
-        p.add_argument("--sigma-reliable", type=float, default=None,
+        g.add_argument("--sigma-reliable", dest="filter.sigma_reliable", type=float,
                        help="max tolerated unobserved fraction per track")
-        p.add_argument("--max-depth", type=float, default=None,
+        g.add_argument("--max-depth", dest="max_depth", type=float,
                        help="max trusted depth in meters")
-    if "smoother" in groups:
-        p.add_argument("--lambda-vel", type=float, default=None, help="velocity penalty weight")
-        p.add_argument("--lambda-jerk", type=float, default=None, help="jerk penalty weight")
-    if "estimate" in groups:
-        p.add_argument("--stride", type=int, default=None, help="keyframe stride (frames)")
-        p.add_argument("--mode", choices=pipeline.ESTIMATOR_MODES, default=None,
+    if "smooth" in stages:
+        g.add_argument("--lambda-vel", dest="smoother.lambda_vel", type=float, help="velocity penalty weight")
+        g.add_argument("--lambda-jerk", dest="smoother.lambda_jerk", type=float, help="jerk penalty weight")
+    if "estimate" in stages:
+        g.add_argument("--stride", dest="stride", type=int, help="keyframe stride (frames)")
+        g.add_argument("--mode", dest="mode", choices=pipeline.ESTIMATOR_MODES,
                        help="trajectory estimator")
-        p.add_argument("--outlier-k", type=float, default=None,
+        g.add_argument("--outlier-k", dest="filter.outlier_k", type=float,
                        help="MAD multiplier of the residual outlier gate")
-        p.add_argument("--theta-rot-min", type=float, default=None,
+        g.add_argument("--theta-rot-min", dest="classifier.theta_rot_min", type=float,
                        help="min total rotation (rad) to call a joint revolute")
-        p.add_argument("--trans-min", type=float, default=None,
+        g.add_argument("--trans-min", dest="classifier.trans_min", type=float,
                        help="min total translation (m) considered real motion")
-        p.add_argument("--residual-margin", type=float, default=None,
+        g.add_argument("--residual-margin", dest="classifier.residual_margin", type=float,
                        help="relative residual improvement required for revolute")
+    return g
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    """Dotted-key config overrides from whatever flags the subcommand has."""
-    mapping = {
-        "wh": "segmenter.w_h",
-        "tau": "segmenter.tau_h",
-        "tmin": "segmenter.t_min",
-        "tmax": "segmenter.t_max",
-        "sigma_static": "filter.sigma_static",
-        "static_mode": "filter.static_mode",
-        "sigma_reliable": "filter.sigma_reliable",
-        "outlier_k": "filter.outlier_k",
-        "lambda_vel": "smoother.lambda_vel",
-        "lambda_jerk": "smoother.lambda_jerk",
-        "theta_rot_min": "classifier.theta_rot_min",
-        "trans_min": "classifier.trans_min",
-        "residual_margin": "classifier.residual_margin",
-        "max_depth": "max_depth",
-        "stride": "stride",
-        "mode": "mode",
-        "jobs": "jobs",
-        "seed": "seed",
-    }
-    out = {}
-    for attr, dotted in mapping.items():
-        if hasattr(args, attr):
-            out[dotted] = getattr(args, attr)
-    return out
+    """The dotted-key config overrides among the parsed arguments."""
+    keys = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
+    return {k: v for k, v in vars(args).items() if k.split(".")[0] in keys}
 
 
 def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
@@ -182,20 +170,24 @@ def cmd_smooth(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = _load_config(args)
-    entries, skipped = pipeline.load_segment_data(args.segdata)
-    results = []
+    entries, records = pipeline.load_segment_data(args.segdata)
     for seg, tracks, counts in entries:
         try:
             fitted = pipeline.stage_estimate(tracks, cfg, counts)
-            results.append(pipeline.segment_record(seg, fitted, counts))
+            records.append(pipeline.segment_record(seg, fitted, counts))
         except ArtikitError as e:
-            skipped.append(pipeline.skip_record(seg, "estimate", e))
-    doc = {"version": 1, "results": results, "skipped": skipped}
+            records.append(pipeline.skip_record(seg, "estimate", e))
+    return _write_results(args, pipeline.results_doc(records))
+
+
+def _write_results(args, doc: dict) -> int:
+    """Save the results document, export PLY if asked, print the summary."""
     pipeline.save_results(args.out, doc)
     if args.export_ply:
         paths = pipeline.export_ply(args.export_ply, doc)
         print(f"exported {len(paths)} PLY files to {args.export_ply}", file=sys.stderr)
-    print(f"estimated {len(results)} joints ({len(skipped)} segments skipped)", file=sys.stderr)
+    print(f"estimated {len(doc['results'])} joints "
+          f"({len(doc['skipped'])} segments skipped)", file=sys.stderr)
     return 0
 
 
@@ -212,14 +204,7 @@ def cmd_eval(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     ts = trackio.load_trackset(args.tracks)
-    doc = pipeline.run_pipeline(ts, cfg)
-    pipeline.save_results(args.out, doc)
-    if args.export_ply:
-        paths = pipeline.export_ply(args.export_ply, doc)
-        print(f"exported {len(paths)} PLY files to {args.export_ply}", file=sys.stderr)
-    print(f"estimated {len(doc['results'])} joints "
-          f"({len(doc['skipped'])} segments skipped)", file=sys.stderr)
-    return 0
+    return _write_results(args, pipeline.run_pipeline(ts, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tracks", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="pipeline config JSON")
-    _config_flags(p, "segmenter")
+    _config_flags(p, "segment")
 
     p = add("filter", cmd_filter, "lift segments to world tracks and drop static/unreliable ones")
     p.add_argument("--tracks", required=True)
@@ -262,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segdata", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    _config_flags(p, "smoother")
+    _config_flags(p, "smooth")
 
     p = add("estimate", cmd_estimate, "fit trajectories and joint models")
     p.add_argument("--segdata", required=True)
@@ -280,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tracks", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--jobs", type=int, default=None, help="accepted for compatibility; has no effect (segments run serially)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--export-ply", default=None)
-    _config_flags(p, "segmenter", "filter", "smoother", "estimate")
+    g = _config_flags(p, "segment", "filter", "smooth", "estimate")
+    g.add_argument("--jobs", dest="jobs", type=int,
+                   help="accepted for compatibility; has no effect (segments run serially)")
 
     return ap
 

@@ -222,10 +222,6 @@ class RigidTransform:
         return cls(np.asarray(d["q"], dtype=float), np.asarray(d["t"], dtype=float))
 
 
-def identity() -> RigidTransform:
-    return RigidTransform.identity()
-
-
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """a after b: apply(compose(a, b), p) == apply(a, apply(b, p))."""
     q = quat_mul(a.q, b.q)

@@ -20,7 +20,7 @@ another on the calling thread, in recording order.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from . import jsonio
 from .artmodel import ArticulationEstimate, ClassifierConfig, build_articulation_estimate
 from .errors import ArtikitError, IllPosedError, InsufficientTracksError, TrackFileError
 from .lie import transform_twist
-from .segmenter import Segment, SegmenterConfig, extract_segments, moving_average
+from .segmenter import Segment, SegmenterConfig, extract_segments, moving_average, require_int
 from .smoother import SmootherConfig, smooth_track
 from .trackfilter import FilterConfig, filter_outliers, filter_static, filter_unreliable
 from .trackio import (
@@ -65,9 +65,10 @@ class PipelineConfig:
     mode: str = "regularized"
     max_depth: float = DEFAULT_MAX_DEPTH
     jobs: int = 0  # accepted but has no effect: segments always run serially
-    seed: int = 0  # consumed by scene generation; estimation is seed-free
 
     def __post_init__(self):
+        require_int("stride", self.stride)
+        require_int("jobs", self.jobs)
         if self.mode not in ESTIMATOR_MODES:
             raise ValueError(f"mode must be one of {ESTIMATOR_MODES}, got {self.mode!r}")
         if self.stride < 1:
@@ -84,16 +85,12 @@ class PipelineConfig:
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         """Build a config from a (possibly partial) nested dictionary.
 
+        The sections are the dataclass-valued fields, the scalars the rest.
         Unknown keys are rejected: a silently ignored typo in a config file
         would change results without a trace.
         """
-        sections = {
-            "segmenter": SegmenterConfig,
-            "filter": FilterConfig,
-            "smoother": SmootherConfig,
-            "classifier": ClassifierConfig,
-        }
-        scalars = ("stride", "mode", "max_depth", "jobs", "seed")
+        sections = {f.name: f.default_factory for f in fields(cls) if f.default_factory is not MISSING}
+        scalars = {f.name for f in fields(cls)} - sections.keys()
         kwargs = {}
         for key, val in doc.items():
             if key in sections:
@@ -110,8 +107,8 @@ class PipelineConfig:
 def effective_config(file_doc: dict | None, overrides: dict) -> PipelineConfig:
     """Defaults, overlaid by a config file, overlaid by explicit flags.
 
-    ``overrides`` uses dotted keys ("filter.sigma_static", "stride"); None
-    values mean "not given on the command line" and are skipped.
+    ``overrides`` uses dotted keys ("filter.sigma_static", "stride"), as the
+    CLI's flag dests spell them; None values mean "not given" and are skipped.
     """
     doc = {}
     if file_doc:
@@ -284,10 +281,19 @@ def run_pipeline(ts: TrackSet, cfg: PipelineConfig) -> dict:
     """All segments of a recording; returns the results document."""
     segments = extract_hand_segments(ts, cfg.segmenter)
     log.info("extracted %d interaction segments", len(segments))
-    records = [process_segment(ts, seg, cfg) for seg in segments]
-    results = [r for r in records if "error" not in r]
-    skipped = [r for r in records if "error" in r]
-    return {"version": 1, "results": results, "skipped": skipped}
+    return results_doc([process_segment(ts, seg, cfg) for seg in segments])
+
+
+def results_doc(records: list) -> dict:
+    """The results document from result and skip records in any order:
+    each list sorted by segment, so every way of running the stages
+    writes the same document."""
+    records = sorted(records, key=lambda r: (r["segment"]["start"], r["segment"]["end"]))
+    return {
+        "version": 1,
+        "results": [r for r in records if "error" not in r],
+        "skipped": [r for r in records if "error" in r],
+    }
 
 
 def save_results(path, doc: dict) -> None:

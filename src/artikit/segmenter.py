@@ -12,8 +12,16 @@ hysteresis). A segment's length is its inclusive frame count
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
+
+
+def require_int(name: str, value) -> None:
+    """Reject a non-integer config value (NaN, 2.5, true) that the range
+    checks would let through; Python and numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -24,6 +32,8 @@ class SegmenterConfig:
     t_max: int = 90
 
     def __post_init__(self):
+        for name in ("w_h", "t_min", "t_max"):
+            require_int(name, getattr(self, name))
         if self.w_h < 1:
             raise ValueError(f"w_h must be >= 1, got {self.w_h}")
         if not (0.0 < self.tau_h <= 1.0):

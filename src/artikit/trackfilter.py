@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InsufficientTracksError
 
 MAD_FLOOR = 1e-9  # keeps the outlier bound meaningful when residuals are near-identical
+STATIC_MODES = ("image2d", "world3d")  # motion scored on pixel tracks or world positions
 
 
 @dataclass
@@ -28,8 +29,8 @@ class FilterConfig:
     def __post_init__(self):
         if not (0.0 <= self.sigma_static <= 100.0):
             raise ValueError(f"sigma_static must be in [0, 100], got {self.sigma_static}")
-        if self.static_mode not in ("image2d", "world3d"):
-            raise ValueError(f"static_mode must be 'image2d' or 'world3d', got {self.static_mode!r}")
+        if self.static_mode not in STATIC_MODES:
+            raise ValueError(f"static_mode must be one of {STATIC_MODES}, got {self.static_mode!r}")
         if not (0.0 <= self.sigma_reliable <= 1.0):
             raise ValueError(f"sigma_reliable must be in [0, 1], got {self.sigma_reliable}")
         if not self.outlier_k >= 0:  # NaN fails too

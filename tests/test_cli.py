@@ -1,11 +1,17 @@
 """Command-line driver, exercised in process through main()."""
 
+import argparse
 import json
 
+import numpy as np
 import pytest
 
-from artikit.cli import main
+from artikit.cli import _overrides, build_parser, main
 from artikit.jsonio import load_json
+from artikit.lie import RigidTransform
+from artikit.pipeline import PipelineConfig, effective_config
+from artikit.synth import JointSpec, SynthConfig, generate
+from artikit.trackio import save_trackset
 
 
 def scene_doc(**overrides):
@@ -49,25 +55,89 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def test_run_matches_stage_composition(workdir):
+def run_and_stage(workdir, tracks: str) -> tuple:
+    """Results of ``run`` and of the four stage commands on one track file."""
     c = str(workdir / "pipeline.json")
-    assert main(["run", "--tracks", str(workdir / "tracks.json"),
-                 "--out", str(workdir / "run.json"), "--config", c]) == 0
-    assert main(["segment", "--tracks", str(workdir / "tracks.json"),
-                 "--out", str(workdir / "segments.json"), "--config", c]) == 0
-    assert main(["filter", "--tracks", str(workdir / "tracks.json"),
-                 "--segments", str(workdir / "segments.json"),
-                 "--out", str(workdir / "filtered.json"), "--config", c]) == 0
-    assert main(["smooth", "--segdata", str(workdir / "filtered.json"),
-                 "--out", str(workdir / "smoothed.json"), "--config", c]) == 0
-    assert main(["estimate", "--segdata", str(workdir / "smoothed.json"),
-                 "--out", str(workdir / "staged.json"), "--config", c]) == 0
-    assert (workdir / "run.json").read_bytes() == (workdir / "staged.json").read_bytes()
+    assert main(["run", "--tracks", tracks, "--out", str(workdir / "run.json"), "--config", c]) == 0
+    steps = [
+        ["segment", "--tracks", tracks, "--out", str(workdir / "segments.json")],
+        ["filter", "--tracks", tracks, "--segments", str(workdir / "segments.json"),
+         "--out", str(workdir / "filtered.json")],
+        ["smooth", "--segdata", str(workdir / "filtered.json"), "--out", str(workdir / "smoothed.json")],
+        ["estimate", "--segdata", str(workdir / "smoothed.json"), "--out", str(workdir / "staged.json")],
+    ]
+    for argv in steps:
+        assert main(argv + ["--config", c]) == 0
+    return (workdir / "run.json").read_bytes(), (workdir / "staged.json").read_bytes()
+
+
+def test_run_matches_stage_composition(workdir):
+    run, staged = run_and_stage(workdir, str(workdir / "tracks.json"))
+    assert run == staged
 
     doc = load_json(workdir / "run.json")
     assert doc["version"] == 1
     assert len(doc["results"]) == 1
     assert doc["results"][0]["type"] == "revolute"
+
+
+def test_stage_composition_matches_run_with_skips_at_several_stages(workdir):
+    # three hand windows: the part rests in the first (skipped at estimate),
+    # no track is visible in the second (skipped at filter), the third hinges
+    T = 150
+    profile = np.zeros(T)
+    profile[110:141] = np.linspace(0.0, 0.5, 31)
+    profile[141:] = 0.5
+    ts, _ = generate(SynthConfig(
+        seed=21,
+        joint=JointSpec("revolute", np.array([0.0, 0.0, 1.0]), profile,
+                        axis_point=np.array([0.4, 0.0, 1.0])),
+        camera_path=[RigidTransform.identity() for _ in range(T)],
+        n_dynamic=15,
+        n_static=8,
+    ))
+    ts.hand = np.zeros(T, dtype=bool)
+    ts.hand[10:41] = ts.hand[60:91] = ts.hand[110:141] = True
+    for tr in ts.tracks:
+        tr.vis[60:91] = False
+    save_trackset(workdir / "skips.json", ts)
+
+    run, staged = run_and_stage(workdir, str(workdir / "skips.json"))
+    assert run == staged
+    doc = json.loads(run)
+    assert [(r["segment"]["start"], r["stage"]) for r in doc["skipped"]] == [
+        (12, "estimate"), (62, "filter")]
+    assert [r["segment"]["start"] for r in doc["results"]] == [112]
+
+
+def config_dotted_keys() -> dict:
+    """Every settable config value by dotted key, with its default."""
+    out = {}
+    for key, val in PipelineConfig().to_dict().items():
+        if isinstance(val, dict):
+            out.update({f"{key}.{leaf}": v for leaf, v in val.items()})
+        else:
+            out[key] = val
+    return out
+
+
+def test_every_tuning_flag_sets_its_config_key():
+    defaults = config_dotted_keys()
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    seen = set()
+    for command, parser in sub.choices.items():
+        required = [x for a in parser._actions if a.required for x in (a.option_strings[0], "x")]
+        assert _overrides(parser.parse_args(required)) == {}  # absent flags set nothing
+        for action in parser._actions:
+            if action.default is not argparse.SUPPRESS or isinstance(action, argparse._HelpAction):
+                continue
+            assert action.dest in defaults, f"{command} {action.option_strings[0]}"
+            value = defaults[action.dest]
+            args = parser.parse_args(required + [action.option_strings[0], str(value)])
+            assert _overrides(args) == {action.dest: value}
+            assert effective_config(None, _overrides(args)).to_dict() == PipelineConfig().to_dict()
+            seen.add(action.dest)
+    assert seen == set(defaults)  # every settable value has a flag
 
 
 def test_worker_count_does_not_change_output(workdir):

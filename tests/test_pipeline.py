@@ -87,6 +87,8 @@ def test_effective_config_precedence():
 def test_effective_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config key"):
         effective_config({"sigma_static": 60.0}, {})  # section name missing
+    with pytest.raises(ValueError, match="unknown config key 'seed'"):
+        effective_config({"seed": 3}, {})  # synthesis takes the seed, not the pipeline
     with pytest.raises(ValueError, match="bad configuration"):
         effective_config({"filter": {"sigma": 60.0}}, {})
     with pytest.raises(ValueError):
@@ -114,6 +116,29 @@ def test_effective_config_rejects_nan_and_keeps_infinity(dotted):
         effective_config(json.loads(file_text), {})
     cfg = effective_config(None, {dotted: math.inf})
     assert getattr(getattr(cfg, section) if section else cfg, leaf) == math.inf
+
+
+INTEGER_FIELDS = ["stride", "jobs", "segmenter.w_h", "segmenter.t_min", "segmenter.t_max"]
+
+
+@pytest.mark.parametrize("text", ["NaN", "2.5", "true"])
+@pytest.mark.parametrize("dotted", INTEGER_FIELDS)
+def test_effective_config_rejects_non_integer_counts(dotted, text):
+    # NaN passes "x < 1", 2.5 truncates to uneven keyframes, true is an int subclass
+    section, _, leaf = dotted.rpartition(".")
+    file_text = f'{{"{section}": {{"{leaf}": {text}}}}}' if section else f'{{"{leaf}": {text}}}'
+    value = json.loads(text)
+    with pytest.raises(ValueError, match=f"bad configuration: {leaf} must be an integer"):
+        effective_config(None, {dotted: value})
+    with pytest.raises(ValueError, match=f"bad configuration: {leaf} must be an integer"):
+        effective_config(json.loads(file_text), {})
+
+
+@pytest.mark.parametrize("dotted", INTEGER_FIELDS)
+def test_effective_config_accepts_numpy_integers(dotted):
+    cfg = effective_config(None, {dotted: np.int64(40)})
+    section, _, leaf = dotted.rpartition(".")
+    assert getattr(getattr(cfg, section) if section else cfg, leaf) == 40
 
 
 def test_config_dict_round_trip():
@@ -172,6 +197,16 @@ def test_failed_segment_does_not_poison_the_run():
     assert skip["stage"] == "estimate"
     assert skip["error"]["type"] == "InsufficientMotionError"
     assert skip["error"]["message"]
+
+
+def test_results_doc_keeps_segment_order():
+    ts = two_block_recording()
+    cfg = quiet_pipeline_config()
+    records = [process_segment(ts, seg, cfg) for seg in extract_hand_segments(ts, cfg.segmenter)]
+    skip = pipeline.skip_record(Segment(0, 5), "filter", TrackFileError("x"))
+    doc = pipeline.results_doc([records[1], skip, records[0]])
+    assert doc == {"version": 1, "results": [records[0]], "skipped": [skip, records[1]]}
+    assert doc == pipeline.results_doc([skip, *records])
 
 
 def test_parallel_run_matches_serial():
