@@ -27,6 +27,7 @@ from functools import partial
 
 import numpy as np
 
+from .bounds import bounded, check_bounds
 from .errors import InsufficientMotionError
 from .lie import (
     Twist,
@@ -51,19 +52,17 @@ MIN_POSE_MOTION = 1e-6  # all poses closer than this to identity: nothing to fit
 AXIS_OMEGA_MIN = 1e-9
 
 
+_GATES = "theta_rot_min and trans_min must be positive, got {theta_rot_min}, {trans_min}"
+
+
 @dataclass
 class ClassifierConfig:
-    theta_rot_min: float = 0.1  # rad of total rotation needed to call revolute
-    trans_min: float = 0.02  # m of total translation for a confident prismatic call
-    residual_margin: float = 0.2  # free fit must beat constrained by this fraction
+    theta_rot_min: float = bounded(0.1, "> 0", message=_GATES)  # rad of total rotation needed to call revolute
+    trans_min: float = bounded(0.02, "> 0", message=_GATES)  # m of total translation for a confident prismatic call
+    residual_margin: float = bounded(0.2, "[0, 1)")  # free fit must beat constrained by this fraction
 
     def __post_init__(self):
-        if not (self.theta_rot_min > 0 and self.trans_min > 0):  # NaN fails too
-            raise ValueError(
-                f"theta_rot_min and trans_min must be positive, got {self.theta_rot_min}, {self.trans_min}"
-            )
-        if not (0.0 <= self.residual_margin < 1.0):
-            raise ValueError(f"residual_margin must be in [0, 1), got {self.residual_margin}")
+        check_bounds(self)
 
 
 @dataclass
@@ -271,7 +270,11 @@ def build_articulation_estimate(
 ) -> ArticulationEstimate:
     """Classify and package the articulation model for one segment."""
     fit_a = None if trajectory.base_twist is None else free_model_from_trajectory(trajectory)
-    fit_u, fit_p = fit_joint_models(trajectory.relative_poses, fit_a)
+    if fit_a is not None and fit_a.gauge == "prismatic":
+        # a prismatic chart's poses lie on its model: it is the prismatic fit too
+        fit_u = fit_p = fit_a
+    else:
+        fit_u, fit_p = fit_joint_models(trajectory.relative_poses, fit_a)
     joint_type = classify_joint(fit_u, fit_p, cfg)
     chosen = fit_u if joint_type == "revolute" else fit_p
     axis_dir, axis_point = extract_axis(chosen.twist, joint_type)

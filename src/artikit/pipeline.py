@@ -27,9 +27,10 @@ import numpy as np
 
 from . import jsonio
 from .artmodel import ArticulationEstimate, ClassifierConfig, build_articulation_estimate
+from .bounds import bounded, check_bounds
 from .errors import ArtikitError, IllPosedError, InsufficientTracksError, TrackFileError
 from .lie import transform_twist
-from .segmenter import Segment, SegmenterConfig, extract_segments, moving_average, require_int
+from .segmenter import Segment, SegmenterConfig, extract_segments, moving_average
 from .smoother import SmootherConfig, smooth_track
 from .trackfilter import FilterConfig, filter_outliers, filter_static, filter_unreliable
 from .trackio import (
@@ -61,22 +62,15 @@ class PipelineConfig:
     filter: FilterConfig = field(default_factory=FilterConfig)
     smoother: SmootherConfig = field(default_factory=SmootherConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
-    stride: int = DEFAULT_STRIDE
+    stride: int = bounded(DEFAULT_STRIDE, ">= 1", int)
     mode: str = "regularized"
-    max_depth: float = DEFAULT_MAX_DEPTH
-    jobs: int = 0  # accepted but has no effect: segments always run serially
+    max_depth: float = bounded(DEFAULT_MAX_DEPTH, "> 0")
+    jobs: int = bounded(0, ">= 0", int)  # accepted but has no effect: segments always run serially
 
     def __post_init__(self):
-        require_int("stride", self.stride)
-        require_int("jobs", self.jobs)
+        check_bounds(self)
         if self.mode not in ESTIMATOR_MODES:
             raise ValueError(f"mode must be one of {ESTIMATOR_MODES}, got {self.mode!r}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if not self.max_depth > 0:  # NaN fails too
-            raise ValueError(f"max_depth must be > 0, got {self.max_depth}")
-        if self.jobs < 0:
-            raise ValueError(f"jobs must be >= 0, got {self.jobs}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -12,32 +12,21 @@ hysteresis). A segment's length is its inclusive frame count
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-
-def require_int(name: str, value) -> None:
-    """Reject a non-integer config value (NaN, 2.5, true) that the range
-    checks would let through; Python and numpy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+from .bounds import bounded, check_bounds
 
 
 @dataclass
 class SegmenterConfig:
-    w_h: int = 6
-    tau_h: float = 0.5
-    t_min: int = 30
-    t_max: int = 90
+    w_h: int = bounded(6, ">= 1", int)
+    tau_h: float = bounded(0.5, "(0, 1]")
+    t_min: int = bounded(30, kind=int)
+    t_max: int = bounded(90, kind=int)
 
     def __post_init__(self):
-        for name in ("w_h", "t_min", "t_max"):
-            require_int(name, getattr(self, name))
-        if self.w_h < 1:
-            raise ValueError(f"w_h must be >= 1, got {self.w_h}")
-        if not (0.0 < self.tau_h <= 1.0):
-            raise ValueError(f"tau_h must be in (0, 1], got {self.tau_h}")
+        check_bounds(self)
         if not (1 <= self.t_min <= self.t_max):
             raise ValueError(f"need 1 <= t_min <= t_max, got {self.t_min}, {self.t_max}")
 

@@ -21,22 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solveh_banded
 
+from .bounds import bounded, check_bounds
 from .errors import IllPosedError
 from .trackio import Track3D
 
 JERK_STENCIL = np.array([-1.0, 3.0, -3.0, 1.0])  # coefficients at t-3 .. t
 
 
+_WEIGHTS = "smoothing weights must be >= 0, got {lambda_vel}, {lambda_jerk}"
+
+
 @dataclass
 class SmootherConfig:
-    lambda_vel: float = 0.5
-    lambda_jerk: float = 5.0
+    lambda_vel: float = bounded(0.5, ">= 0", message=_WEIGHTS)
+    lambda_jerk: float = bounded(5.0, ">= 0", message=_WEIGHTS)
 
     def __post_init__(self):
-        if not (self.lambda_vel >= 0 and self.lambda_jerk >= 0):  # NaN fails too
-            raise ValueError(
-                f"smoothing weights must be >= 0, got {self.lambda_vel}, {self.lambda_jerk}"
-            )
+        check_bounds(self)
 
 
 def smoothing_energy(positions, targets, weights, cfg: SmootherConfig) -> float:

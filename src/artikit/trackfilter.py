@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import bounded, check_bounds
 from .errors import InsufficientTracksError
 
 MAD_FLOOR = 1e-9  # keeps the outlier bound meaningful when residuals are near-identical
@@ -21,20 +22,15 @@ STATIC_MODES = ("image2d", "world3d")  # motion scored on pixel tracks or world 
 
 @dataclass
 class FilterConfig:
-    sigma_static: float = 50.0  # percentile of motion scores removed as static
+    sigma_static: float = bounded(50.0, "[0, 100]")  # percentile of motion scores removed as static
     static_mode: str = "image2d"  # "image2d" (pixel tracks) or "world3d"
-    sigma_reliable: float = 0.5  # max tolerated fraction of unobserved frames
-    outlier_k: float = 3.0  # MAD multiplier for the residual gate
+    sigma_reliable: float = bounded(0.5, "[0, 1]")  # max tolerated fraction of unobserved frames
+    outlier_k: float = bounded(3.0, ">= 0")  # MAD multiplier for the residual gate
 
     def __post_init__(self):
-        if not (0.0 <= self.sigma_static <= 100.0):
-            raise ValueError(f"sigma_static must be in [0, 100], got {self.sigma_static}")
+        check_bounds(self)
         if self.static_mode not in STATIC_MODES:
             raise ValueError(f"static_mode must be one of {STATIC_MODES}, got {self.static_mode!r}")
-        if not (0.0 <= self.sigma_reliable <= 1.0):
-            raise ValueError(f"sigma_reliable must be in [0, 1], got {self.sigma_reliable}")
-        if not self.outlier_k >= 0:  # NaN fails too
-            raise ValueError(f"outlier_k must be >= 0, got {self.outlier_k}")
 
 
 def motion_score(track, mode: str) -> float:

@@ -234,6 +234,24 @@ def fit_independent(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
 # shared damped Gauss-Newton solver
 
 
+def _normal_equations(Jc: np.ndarray, jt: np.ndarray, idx: np.ndarray, r: np.ndarray, M: int):
+    """Arrowhead normal matrix ``JtJ`` and gradient ``Jtr`` of the residual
+    rows ``r`` from their Jacobian rows ``(Jc, jt, idx)`` (see
+    ``damped_gauss_newton``) over M magnitudes: the chart block is one
+    matmul; the magnitude border and diagonal are sums per magnitude, by
+    ``np.bincount``."""
+    k = Jc.shape[1]
+    border = np.bincount(
+        (idx[:, None] * k + np.arange(k)).ravel(), (Jc * jt[:, None]).ravel(), M * k
+    ).reshape(M, k)
+    JtJ = np.zeros((k + M, k + M))
+    JtJ[:k, :k] = Jc.T @ Jc
+    JtJ[k:, :k] = border
+    JtJ[:k, k:] = border.T
+    JtJ[np.arange(k, k + M), np.arange(k, k + M)] = np.bincount(idx, jt * jt, M)
+    return JtJ, np.concatenate((Jc.T @ r, np.bincount(idx, jt * r, M)))
+
+
 def _predicted_decrease(JtJ: np.ndarray, Jtr: np.ndarray, lam: float) -> float:
     """Gauss-Newton model decrease of the step damped by ``lam``; infinite
     when that system is singular."""
@@ -255,9 +273,8 @@ def damped_gauss_newton(xi: Twist, thetas: np.ndarray, model):
     the index of that magnitude (R,). The cost is ``r @ r``. Each point is
     evaluated once; ``jacobian`` is called only for accepted points, so a
     model defers the Jacobian's work to it and reuses what the residual step
-    computed. The chart block of the normal matrix is one matmul; the
-    magnitude border and diagonal are sums per magnitude, by
-    ``np.bincount``.
+    computed. ``_normal_equations`` assembles the arrowhead normal matrix
+    from those rows.
 
     A step is accepted when it lowers the cost; a relative drop below
     COST_RTOL converges. When no damping up to DAMPING_MAX lowers the cost,
@@ -280,18 +297,8 @@ def damped_gauss_newton(xi: Twist, thetas: np.ndarray, model):
     lam = DAMPING_INIT
     stop = None
     for _ in range(MAX_ITER):
-        B = twist_tangent_basis(xi)
-        k = B.shape[1]
-        Jc, jt, idx = jacobian(B)
-        border = np.bincount(
-            (idx[:, None] * k + np.arange(k)).ravel(), (Jc * jt[:, None]).ravel(), M * k
-        ).reshape(M, k)
-        JtJ = np.zeros((k + M, k + M))
-        JtJ[:k, :k] = Jc.T @ Jc
-        JtJ[k:, :k] = border
-        JtJ[:k, k:] = border.T
-        JtJ[np.arange(k, k + M), np.arange(k, k + M)] = np.bincount(idx, jt * jt, M)
-        Jtr = np.concatenate((Jc.T @ r, np.bincount(idx, jt * r, M)))
+        JtJ, Jtr = _normal_equations(*jacobian(twist_tangent_basis(xi)), r, M)
+        k = len(Jtr) - M
         lam_start = lam
         while lam <= DAMPING_MAX:
             try:
@@ -401,25 +408,70 @@ def _init_from_steps(corr: CorrespondenceSet) -> tuple[Twist, np.ndarray]:
     return xi0, thetas0
 
 
+def _fit_prismatic(pairs, M: int) -> tuple[Twist, np.ndarray, np.ndarray]:
+    """The global least-squares fit of the prismatic chart, in closed form.
+
+    With omega = 0 every step is a translation theta_m v, so the fit
+    minimizes sum_m sum_j |d_mj - theta_m v|^2 over the displacements
+    d = dst - src: v is the top eigenvector of S = sum_m n_m dbar_m dbar_m^T
+    (dbar_m step m's mean displacement, n_m its pair count) and
+    theta_m = dbar_m . v, signed so that sum(thetas) >= 0. Returns the unit
+    twist, the magnitudes and the residual rows (N, 3).
+    """
+    src, dst, step = pairs
+    d = dst - src
+    n = np.bincount(step, minlength=M).astype(float)
+    dbar = np.stack([np.bincount(step, d[:, c], M) for c in range(3)], axis=1) / n[:, None]
+    v = np.linalg.eigh((n[:, None] * dbar).T @ dbar)[1][:, -1]
+    thetas = dbar @ v
+    if np.sum(thetas) < 0:
+        v, thetas = -v, -thetas
+    return Twist(np.zeros(3), v), thetas, d - thetas[step, None] * v
+
+
+def _score_drop(pairs, xi: Twist, thetas: np.ndarray, r: np.ndarray) -> float:
+    """Rao's score test for freeing omega at the prismatic optimum ``xi``,
+    ``thetas`` with residual rows ``r``: the Gauss-Newton predicted cost drop
+    ``Jtr^T (J^T J)^-1 Jtr`` over omega's three axes, v's two tangent
+    directions and the magnitudes; infinite when that system is singular."""
+    B = np.hstack((np.eye(6)[:, :3], twist_tangent_basis(xi)))
+    blocks = _pair_blocks(pairs[2], pairs[1] - r, xi, thetas, B)
+    JtJ, Jtr = _normal_equations(*blocks, r.ravel(), len(thetas))
+    return 2.0 * _predicted_decrease(JtJ, Jtr, 0.0)  # that model drop is of half the cost
+
+
 def fit_regularized(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEstimate:
     """Joint fit of a single unit twist and per-step magnitudes.
 
     Minimizes sum_m sum_j |dst_mj - exp(theta_m hat(xi)) src_mj|^2 with xi
-    confined to the normalized-twist gauge, by ``damped_gauss_newton``;
-    a fit that stalls or reaches MAX_ITER returns the best iterate flagged
-    ``non_converged``. ``rms_residual`` comes from the solver's final cost;
+    confined to the normalized-twist gauge. The prismatic chart is fitted
+    first, in closed form (``_fit_prismatic``). The revolute chart has three
+    more parameters; BIC prefers it when it lowers the cost c_p by more than
+    c_p (1 - exp(-3 ln N / N)), N residual rows. It is fitted, from
+    ``_init_from_steps`` by ``damped_gauss_newton``, only when the score test
+    (``_score_drop``) predicts a drop above that need, and kept only when its
+    fitted drop is above it too. Both tests count a drop below the rounding
+    floor (machine eps * max |src|)^2 * N as none. A kept revolute fit that
+    stalls or reaches MAX_ITER returns the best iterate flagged
+    ``non_converged``. ``rms_residual`` comes from the chosen fit's cost;
     ``per_track_residuals`` is left unset.
     """
-    peak = max(
-        float(np.max(np.linalg.norm(s.dst - s.src, axis=1))) for s in corr.steps
-    )
+    pairs = _flatten_pairs(corr)
+    peak = float(np.max(np.linalg.norm(pairs[1] - pairs[0], axis=1)))
     if peak <= MIN_MOTION:
         raise InsufficientMotionError(
             f"peak point displacement {peak:.3e} m is below {MIN_MOTION} m"
         )
-    xi, thetas = _init_from_steps(corr)
-    pairs = _flatten_pairs(corr)
-    xi, thetas, cost, stop = damped_gauss_newton(xi, thetas, partial(_pair_model, pairs))
+    xi, thetas, r = _fit_prismatic(pairs, corr.step_count)
+    cost = float(np.sum(r * r))
+    N = r.size
+    floor = (np.finfo(float).eps * float(np.max(np.abs(pairs[0])))) ** 2 * N
+    need = max(-cost * np.expm1(-3.0 * np.log(N) / N), floor)
+    stop = "converged"
+    if _score_drop(pairs, xi, thetas, r) > need:
+        fit = damped_gauss_newton(*_init_from_steps(corr), partial(_pair_model, pairs))
+        if cost - fit[2] > need:
+            xi, thetas, cost, stop = fit
     converged = stop == "converged"
     flags = []
     if not converged:

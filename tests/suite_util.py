@@ -29,7 +29,10 @@ OCCLUSION_RATE = 0.20
 INVALID_DEPTH_RATE = 0.05
 
 
-def scene_config(i: int, noisy: bool) -> synth.SynthConfig:
+def scene_config(i: int, noisy: bool, redraw: int = 0) -> synth.SynthConfig:
+    """Scene i of the clean or noisy suite. ``redraw`` > 0 draws the noise,
+    occlusion and point layout afresh (synth seed 1000 + i + 100 * redraw)
+    on the same joint and camera path."""
     dirs = synth.fibonacci_sphere(N_SCENES)
     axis_dir = dirs[i]
     layout = np.random.default_rng(9000 + i)
@@ -59,7 +62,7 @@ def scene_config(i: int, noisy: bool) -> synth.SynthConfig:
         else {}
     )
     return synth.SynthConfig(
-        seed=1000 + i,
+        seed=1000 + i + 100 * redraw,
         joint=joint,
         camera_path=path,
         hand_window=WINDOW,

@@ -18,7 +18,7 @@ from artikit.artmodel import (
     total_translation,
 )
 from artikit.errors import InsufficientMotionError
-from artikit.lie import RigidTransform, Twist, exp_map, normalize_twist
+from artikit.lie import RigidTransform, Twist, exp_map, normalize_twist, twist_gauge
 from artikit.trajest import TrajectoryEstimate, fit_independent
 
 
@@ -295,14 +295,25 @@ def test_free_model_closed_form_matches_pose_fit(noisy_suite_fit):
     assert np.max(np.abs(closed.twist.as_vector() - ref.twist.as_vector())) < 1e-9
     assert np.max(np.abs(closed.thetas - ref.thetas)) < 1e-9
     assert abs(closed.rms - ref.rms) < 1e-9
+    if closed.gauge == "prismatic":  # the constrained fit build_articulation_estimate skips
+        ref = fit_twist_to_poses(traj.relative_poses, gauge="prismatic")
+        assert ref.converged
+        assert np.max(np.abs(closed.twist.as_vector() - ref.twist.as_vector())) < 1e-9
+        assert np.max(np.abs(closed.thetas - ref.thetas)) < 1e-9
 
 
 @pytest.mark.parametrize(
     "mode, gauges",
-    [("regularized", ["prismatic"]), ("independent", ["prismatic", "auto"])],
+    [
+        # keyed by the chart of the scene's regularized trajectory: a
+        # prismatic chart's pose fits are both known in closed form
+        ("regularized", {"revolute": ["prismatic"], "prismatic": []}),
+        ("independent", {"revolute": ["prismatic", "auto"], "prismatic": ["prismatic", "auto"]}),
+    ],
 )
 def test_build_estimate_fits_only_unknown_models(noisy_suite_fit, monkeypatch, mode, gauges):
     traj = noisy_suite_fit["traj"]
+    gauges = gauges[twist_gauge(traj.base_twist)]
     if mode == "independent":
         traj = fit_independent(noisy_suite_fit["corr"], traj.anchor.t[None, :])
     seen = []

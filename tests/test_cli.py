@@ -1,11 +1,14 @@
 """Command-line driver, exercised in process through main()."""
 
 import argparse
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from artikit import cli
 from artikit.cli import _overrides, build_parser, main
 from artikit.jsonio import load_json
 from artikit.lie import RigidTransform
@@ -244,6 +247,60 @@ def test_nan_config_value_exits_2_with_json_error(workdir, capsys, source):
     msg = json.loads(err_lines[0])
     assert msg["message"].startswith("bad configuration: ")
     assert not (workdir / "o.json").exists()
+
+
+# one value outside each numeric field's range; the keys must be every field
+# declared with bounds.bounded, so a new numeric field needs an entry here
+OUT_OF_RANGE = {
+    "segmenter.w_h": 0,
+    "segmenter.tau_h": 1.5,
+    "segmenter.t_min": 0,
+    "segmenter.t_max": 0,
+    "filter.sigma_static": 101.0,
+    "filter.sigma_reliable": 1.5,
+    "filter.outlier_k": -1.0,
+    "smoother.lambda_vel": -1.0,
+    "smoother.lambda_jerk": -1.0,
+    "classifier.theta_rot_min": 0.0,
+    "classifier.trans_min": 0.0,
+    "classifier.residual_margin": 1.0,
+    "stride": 0,
+    "max_depth": 0.0,
+    "jobs": -1,
+}
+
+
+def test_every_numeric_config_field_has_an_out_of_range_value():
+    bounded = []
+    for f in dataclasses.fields(PipelineConfig):
+        if "bounds" in f.metadata:
+            bounded.append(f.name)
+        elif f.default_factory is not dataclasses.MISSING:
+            section = dataclasses.fields(f.default_factory)
+            bounded += [f"{f.name}.{g.name}" for g in section if "bounds" in g.metadata]
+    assert sorted(bounded) == sorted(OUT_OF_RANGE)
+
+
+@pytest.mark.parametrize("source", ["overrides", "config-file"])
+@pytest.mark.parametrize("bad", ["true", "nan", "out-of-range"])
+@pytest.mark.parametrize("dotted", sorted(OUT_OF_RANGE))
+def test_bad_numeric_config_value_exits_2(tmp_path, capsys, monkeypatch, dotted, bad, source):
+    value = {"true": True, "nan": math.nan, "out-of-range": OUT_OF_RANGE[dotted]}[bad]
+    argv = ["run", "--tracks", str(tmp_path / "tracks.json"), "--out", str(tmp_path / "o.json")]
+    if source == "overrides":
+        # typed values, as a caller of effective_config passes them (a flag's
+        # text "true" would already fail argparse's type conversion)
+        monkeypatch.setattr(cli, "_overrides", lambda args: {dotted: value})
+    else:
+        section, _, leaf = dotted.rpartition(".")
+        doc = {section: {leaf: value}} if section else {leaf: value}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("{")]
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["message"].startswith("bad configuration: ")
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_short_hand_window_yields_empty_results(workdir):
