@@ -15,7 +15,9 @@ unconstrained model is whichever of the two has the lower residual, so the
 prismatic-constrained residual can never undercut it.
 
 A regularized trajectory is one twist already, so its free model is built
-in closed form and only the prismatic-constrained model is fitted; an
+in closed form. In the prismatic chart its poses lie on that model, which
+is then the prismatic-constrained fit too, and nothing is fitted; in the
+revolute chart only the prismatic-constrained model is fitted. An
 independent trajectory gets both fits.
 """
 

@@ -9,16 +9,24 @@ Two estimators share the correspondence structure:
 * ``fit_independent``: one closed-form rigid transform per step (SVD
   registration with a reflection guard),
 * ``fit_regularized``: all steps constrained to powers of a single unit
-  twist, ``Delta_m = exp(theta_m * hat(xi))``, solved by
-  ``damped_gauss_newton`` (the solver ``artmodel.fit_twist_to_poses`` shares)
-  over the gauge-fixed twist chart plus the per-step magnitudes, with
-  analytic Jacobians of the exp-map point action. The pairs of all steps
-  are flattened once per fit. The fit hands the solver one model callable:
-  at each trial point it moves every step's sources with the stacked
-  ``lie`` kernels, in a few array calls, and returns the residuals plus a
-  Jacobian callable that reuses the moved points; the solver linearizes
-  only accepted points and assembles the arrowhead normal matrix from those
-  rows (see ``damped_gauss_newton`` for the contract and stop rules).
+  twist, ``Delta_m = exp(theta_m * hat(xi))``, in one of two charts chosen
+  by BIC. The prismatic chart (omega = 0) is fitted in closed form, its
+  global optimum. At that optimum a score test (Rao's) predicts, from the
+  Gauss-Newton normal equations, how far freeing omega would lower the
+  cost; only a prediction above BIC's need for three more parameters runs
+  the revolute fit, and only a fitted drop above it keeps that chart. Drops
+  below the rounding floor of the data's scale count as none. The revolute
+  fit is solved by ``damped_gauss_newton`` (the solver
+  ``artmodel.fit_twist_to_poses`` shares) over the gauge-fixed twist chart
+  plus the per-step magnitudes, with analytic Jacobians of the exp-map
+  point action. The pairs of all steps are flattened once per fit. The fit
+  hands the solver one model callable: at each trial point it moves every
+  step's sources with the stacked ``lie`` kernels, in a few array calls,
+  and returns the residuals plus a Jacobian callable that reuses the moved
+  points; the solver linearizes only accepted points and assembles the
+  arrowhead normal matrix from those rows with ``_normal_equations``, which
+  the score test calls too (see ``damped_gauss_newton`` for the contract
+  and stop rules).
 
 Step transforms are world-frame displacement fields and chain by left
 multiplication; poses are reported both in world coordinates and relative to
@@ -420,7 +428,7 @@ def _fit_prismatic(pairs, M: int) -> tuple[Twist, np.ndarray, np.ndarray]:
     """
     src, dst, step = pairs
     d = dst - src
-    n = np.bincount(step, minlength=M).astype(float)
+    n = np.bincount(step, minlength=M)
     dbar = np.stack([np.bincount(step, d[:, c], M) for c in range(3)], axis=1) / n[:, None]
     v = np.linalg.eigh((n[:, None] * dbar).T @ dbar)[1][:, -1]
     thetas = dbar @ v

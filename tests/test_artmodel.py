@@ -340,8 +340,9 @@ def test_noisy_pose_fits_without_decrease_are_not_flagged(scene, mode):
     """Prismatic pose fits that can end where no damping lowers the cost
     while the least damped step predicts a decrease near 1e-20 against a
     cost near 1e-3 (noisy scenes 38 and 48 in independent mode, and 26 in
-    regularized mode, depending on the order of summation): that is
-    convergence, so no ``non_converged`` flag."""
+    regularized mode when that fitted the revolute chart, depending on the
+    order of summation): that is convergence, so no ``non_converged`` flag.
+    Regularized scene 26 now takes the prismatic chart and no pose fit."""
     cfg = suite_util.pipeline_config(noisy=True, mode=mode)
     ts, _ = synth.generate(suite_util.scene_config(scene, noisy=True))
     (record,) = pipeline.run_pipeline(ts, cfg)["results"]

@@ -1,5 +1,6 @@
 """Trajectory estimation: registration, correspondences, twist-constrained
-fits, and the shared solver's linearizations and stop rules."""
+fits, the shared solver's linearizations and stop rules, and the regularized
+fit's chart decision."""
 
 import itertools
 from functools import partial
