@@ -57,7 +57,7 @@ print(f"smoothed {len(tracks)} tracks ({counts['unsmoothable']} unsmoothable)")
 fitted = stage_estimate(tracks, cfg, counts)
 rec = segment_record(seg, fitted, counts)
 print(f"estimate: {rec['type']}, {counts['outliers']} residual outliers dropped, "
-      f"pose rms {rec['rms']:.2e}")
+      f"trajectory rms residual {rec['trajectory']['rms_residual']:.2e} m")
 
 true = gt[0]
 theta_err = angular_error(rec["axis_dir"], true.axis_dir)

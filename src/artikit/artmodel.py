@@ -1,24 +1,22 @@
 """Articulation model fitting and joint classification.
 
-Works in pose space: given the part's poses relative to its anchor, find the
-unit twist xi and per-pose magnitudes Theta_m minimizing
+A regularized trajectory is one twist, chosen in point space by
+``trajest``'s chart selection, so its model is built in closed form and its
+type is its chart's: revolute when that chart rotates by ``theta_rot_min``
+or more, else prismatic. Its poses lie on the model, whose pose rms is 0.
+Only a revolute chart below the gate gets a (prismatic) pose fit.
+
+An independent trajectory is classified in pose space: find the unit twist
+xi and per-pose magnitudes Theta_m minimizing
 
     sum_m | log( exp(Theta_m hat(xi))^-1  T_m ) |^2
 
-with ``trajest.damped_gauss_newton``, the solver the regularized trajectory
-fit also uses; Theta_0 is pinned to zero. Classification weighs two models,
-one with the rotational part pinned to zero (prismatic) and one free, and
-calls the joint revolute only when the free model both shows enough total
-rotation and beats the constrained fit's residual by a clear margin;
-everything else is prismatic, the drawer-like default. The reported
-unconstrained model is whichever of the two has the lower residual, so the
-prismatic-constrained residual can never undercut it.
-
-A regularized trajectory is one twist already, so its free model is built
-in closed form. In the prismatic chart its poses lie on that model, which
-is then the prismatic-constrained fit too, and nothing is fitted; in the
-revolute chart only the prismatic-constrained model is fitted. An
-independent trajectory gets both fits.
+with ``trajest.damped_gauss_newton``; Theta_0 is pinned to zero. It is
+revolute only when the free model shows enough total rotation and beats
+the prismatic-constrained (omega = 0) fit's residual by
+``residual_margin``; everything else is prismatic, the drawer-like default.
+The reported unconstrained model is whichever of the two has the lower
+residual, so the constrained residual can never undercut it.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ _GATES = "theta_rot_min and trans_min must be positive, got {theta_rot_min}, {tr
 class ClassifierConfig:
     theta_rot_min: float = bounded(0.1, "> 0", message=_GATES)  # rad of total rotation needed to call revolute
     trans_min: float = bounded(0.02, "> 0", message=_GATES)  # m of total translation for a confident prismatic call
-    residual_margin: float = bounded(0.2, "[0, 1)")  # free fit must beat constrained by this fraction
+    residual_margin: float = bounded(0.2, "[0, 1)")  # independent mode only: free fit must beat constrained by this fraction
 
     def __post_init__(self):
         check_bounds(self)
@@ -83,7 +81,7 @@ class ArticulationEstimate:
     axis_point: np.ndarray | None  # on the axis; revolute only
     twist: Twist
     thetas: np.ndarray  # rad (revolute) or m (prismatic), per pose
-    pose_rms: float
+    pose_rms: float  # the chosen model's pose-space rms; 0 for a regularized chart's own model
     flags: list = field(default_factory=list)
 
 
@@ -127,12 +125,6 @@ def _pose_blocks(ad_inv, r: np.ndarray, xi: Twist, thetas: np.ndarray, B: np.nda
     base = -Jr_inv @ ad_inv @ se3_left_jacobian(thetas[:, None] * xvec)
     Jc = base @ (thetas[:, None, None] * B)
     return Jc.reshape(-1, B.shape[1]), (base @ xvec).ravel(), np.repeat(np.arange(len(thetas)), 6)
-
-
-def pose_fit_rms(poses, xi: Twist, thetas: np.ndarray) -> float:
-    """Tangent-space residual rms of a (twist, thetas) model on given poses."""
-    r = _pose_residual(_flatten_poses(poses), xi, thetas[1:]).ravel()
-    return float(np.sqrt(r @ r / (len(poses) - 1)))
 
 
 def _validate_poses(poses):
@@ -201,23 +193,20 @@ def free_model_from_trajectory(trajectory: TrajectoryEstimate) -> PoseTwistFit:
     return PoseTwistFit(
         twist=xi,
         thetas=thetas,
-        rms=pose_fit_rms(trajectory.relative_poses, xi, thetas),
+        rms=0.0,
         gauge=twist_gauge(xi),
         converged=True,
     )
 
 
-def fit_joint_models(poses, fit_a=None) -> tuple[PoseTwistFit, PoseTwistFit]:
+def fit_joint_models(poses) -> tuple[PoseTwistFit, PoseTwistFit]:
     """(unconstrained, prismatic-constrained) fits.
 
-    ``fit_a`` is the free-gauge model when it is already known; otherwise it
-    is fitted here. The unconstrained model is the better-scoring of the
-    free model and the constrained fit, which guarantees
-    rms_unconstrained <= rms_prismatic.
+    The unconstrained model is the better-scoring of the free-gauge fit and
+    the constrained fit, which guarantees rms_unconstrained <= rms_prismatic.
     """
     fit_p = fit_twist_to_poses(poses, gauge="prismatic")
-    if fit_a is None:
-        fit_a = fit_twist_to_poses(poses, gauge="auto")
+    fit_a = fit_twist_to_poses(poses, gauge="auto")
     fit_u = fit_a if fit_a.rms <= fit_p.rms else fit_p
     return fit_u, fit_p
 
@@ -270,15 +259,17 @@ def extract_axis(twist: Twist, joint_type: str):
 def build_articulation_estimate(
     trajectory: TrajectoryEstimate, cfg: ClassifierConfig
 ) -> ArticulationEstimate:
-    """Classify and package the articulation model for one segment."""
-    fit_a = None if trajectory.base_twist is None else free_model_from_trajectory(trajectory)
-    if fit_a is not None and fit_a.gauge == "prismatic":
-        # a prismatic chart's poses lie on its model: it is the prismatic fit too
-        fit_u = fit_p = fit_a
+    """Classify and package the articulation model for one segment: by
+    the regularized chart and the rotation gate, else in pose space."""
+    if trajectory.base_twist is None:
+        fit_u, fit_p = fit_joint_models(trajectory.relative_poses)
+        joint_type = classify_joint(fit_u, fit_p, cfg)
+        chosen = fit_u if joint_type == "revolute" else fit_p
     else:
-        fit_u, fit_p = fit_joint_models(trajectory.relative_poses, fit_a)
-    joint_type = classify_joint(fit_u, fit_p, cfg)
-    chosen = fit_u if joint_type == "revolute" else fit_p
+        fit_u = chosen = free_model_from_trajectory(trajectory)
+        joint_type = "revolute" if total_rotation(fit_u) >= cfg.theta_rot_min else "prismatic"
+        if joint_type != fit_u.gauge:  # a revolute chart below the gate
+            chosen = fit_twist_to_poses(trajectory.relative_poses, gauge="prismatic")
     axis_dir, axis_point = extract_axis(chosen.twist, joint_type)
     flags = list(trajectory.flags)
     if not chosen.converged:

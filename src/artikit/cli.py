@@ -64,7 +64,7 @@ def _config_flags(p: argparse.ArgumentParser, *stages: str):
         g.add_argument("--trans-min", dest="classifier.trans_min", type=float,
                        help="min total translation (m) considered real motion")
         g.add_argument("--residual-margin", dest="classifier.residual_margin", type=float,
-                       help="relative residual improvement required for revolute")
+                       help="relative residual improvement for revolute (independent mode only)")
     return g
 
 

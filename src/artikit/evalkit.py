@@ -10,6 +10,7 @@ matched pairs, grouped by the reference joint's type.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import jsonio
 from .errors import TrackFileError
 from .segmenter import Segment, match_segments, segment_iou
-from .synth import GroundTruthJoint
+from .synth import GroundTruthJoint, parse_joints
 
 PARALLEL_EPS = 1e-4  # ‖cross product‖ below this counts as parallel lines
 
@@ -78,18 +79,7 @@ class JointRecord:
     d_l2: float | None  # meters; None when not applicable
 
     def to_dict(self) -> dict:
-        return {
-            "pred_index": self.pred_index,
-            "gt_index": self.gt_index,
-            "pred_segment": self.pred_segment.to_dict(),
-            "gt_segment": self.gt_segment.to_dict(),
-            "iou": self.iou,
-            "gt_type": self.gt_type,
-            "pred_type": self.pred_type,
-            "type_correct": self.type_correct,
-            "theta_err": self.theta_err,
-            "d_l2": self.d_l2,
-        }
+        return dataclasses.asdict(self)  # segments become {"start", "end"}
 
 
 @dataclass
@@ -100,12 +90,7 @@ class TypeAggregate:
     type_accuracy: float
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean_theta_err": self.mean_theta_err,
-            "mean_d_l2": self.mean_d_l2,
-            "type_accuracy": self.type_accuracy,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -134,20 +119,12 @@ class EvalReport:
 
 def _joint_fields(j, what: str):
     """Normalize a prediction/reference entry to (segment, type, dir, point)."""
-    if isinstance(j, GroundTruthJoint):
-        seg = Segment(j.segment[0], j.segment[1])
-        return seg, j.joint_type, j.axis_dir, j.axis_point
-    try:
-        seg = Segment(int(j["segment"]["start"]), int(j["segment"]["end"]))
-        jtype = j["type"]
-        axis_dir = np.asarray(j["axis_dir"], dtype=float)
-        ap = j.get("axis_point")
-        axis_point = None if ap is None else np.asarray(ap, dtype=float)
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"{what} entry missing field: {e}") from e
-    if jtype not in ("revolute", "prismatic"):
-        raise ValueError(f"{what} entry has unknown type {jtype!r}")
-    return seg, jtype, axis_dir, axis_point
+    if not isinstance(j, GroundTruthJoint):
+        try:
+            j = GroundTruthJoint.from_dict(j)
+        except ValueError as e:
+            raise ValueError(f"{what} entry: {e}") from e
+    return Segment(*j.segment), j.joint_type, j.axis_dir, j.axis_point
 
 
 def evaluate(predictions, ground_truth) -> EvalReport:
@@ -224,7 +201,7 @@ def load_predictions(path) -> list:
     """Read the results file written by the estimation pipeline.
 
     Accepts either the versioned wrapper {"version": 1, "results": [...]}
-    or a bare list of result entries.
+    or a bare list of result entries, each checked by ``parse_joints``.
     """
     doc = jsonio.load_json(path)
     if isinstance(doc, dict):
@@ -233,4 +210,5 @@ def load_predictions(path) -> list:
         doc = doc["results"]
     if not isinstance(doc, list):
         raise TrackFileError(f"{path}: predictions must be a list")
+    parse_joints(doc, path)
     return doc

@@ -29,6 +29,7 @@ import numpy as np
 from . import jsonio
 from .errors import TrackFileError
 from .lie import RigidTransform, Twist, apply, apply_each, exp_map, inverse, matrix_to_quat
+from .segmenter import Segment
 from .trackio import CameraIntrinsics, Track, TrackSet, stack_poses
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=525.0, fy=525.0, cx=320.0, cy=240.0)
@@ -136,13 +137,32 @@ class GroundTruthJoint:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GroundTruthJoint":
-        return cls(
-            segment=(int(d["segment"]["start"]), int(d["segment"]["end"])),
-            joint_type=d["type"],
-            axis_dir=np.asarray(d["axis_dir"], dtype=float),
-            axis_point=None if d.get("axis_point") is None else np.asarray(d["axis_point"], dtype=float),
-        )
+    def from_dict(cls, d) -> "GroundTruthJoint":
+        """One joint entry of a ground-truth or results file; a ValueError
+        names the bad field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"not an object, got {type(d).__name__}")
+        try:
+            seg = Segment.from_dict(d["segment"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ValueError(f"segment: needs integers 0 <= start <= end, got {d.get('segment')!r}") from None
+        if d.get("type") not in ("revolute", "prismatic"):
+            raise ValueError(f"type: unknown type {d.get('type')!r}")
+        axis_dir = _vec3(d.get("axis_dir"), "axis_dir")
+        if not np.any(axis_dir):
+            raise ValueError("axis_dir: must not be zero")
+        ap = d.get("axis_point")
+        return cls((seg.start, seg.end), d["type"], axis_dir, None if ap is None else _vec3(ap, "axis_point"))
+
+
+def _vec3(value, name: str) -> np.ndarray:
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.shape != (3,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{name}: must be 3 finite numbers, got {value!r}")
+    return v
 
 
 def _any_perpendicular(n: np.ndarray) -> np.ndarray:
@@ -297,17 +317,27 @@ def save_ground_truth(path, joints) -> None:
     jsonio.dump_json(path, [j.to_dict() for j in joints])
 
 
+def parse_joints(entries: list, path) -> list:
+    """``GroundTruthJoint.from_dict`` of every entry of a joint list file;
+    a bad entry raises TrackFileError naming the file, index and field."""
+    out = []
+    for i, d in enumerate(entries):
+        try:
+            out.append(GroundTruthJoint.from_dict(d))
+        except ValueError as e:
+            raise TrackFileError(f"{path}[{i}]: {e}") from e
+    return out
+
+
 def load_ground_truth(path) -> list:
     doc = jsonio.load_json(path)
     if not isinstance(doc, list):
         raise TrackFileError(f"{path}: ground truth must be a list")
-    out = []
-    for i, d in enumerate(doc):
-        try:
-            out.append(GroundTruthJoint.from_dict(d))
-        except (KeyError, TypeError) as e:
-            raise TrackFileError(f"{path}[{i}]: {e}") from e
-    return out
+    joints = parse_joints(doc, path)
+    for i, j in enumerate(joints):
+        if j.joint_type == "revolute" and j.axis_point is None:
+            raise TrackFileError(f"{path}[{i}]: axis_point: a revolute joint needs one")
+    return joints
 
 
 # ---------------------------------------------------------------------------

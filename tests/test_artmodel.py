@@ -18,7 +18,7 @@ from artikit.artmodel import (
     total_translation,
 )
 from artikit.errors import InsufficientMotionError
-from artikit.lie import RigidTransform, Twist, exp_map, normalize_twist, twist_gauge
+from artikit.lie import RigidTransform, Twist, exp_map, normalize_twist
 from artikit.trajest import TrajectoryEstimate, fit_independent
 
 
@@ -274,15 +274,19 @@ def test_build_estimate_carries_trajectory_flags():
 # the free model of a regularized trajectory, in closed form
 
 
-@pytest.fixture(scope="module", params=[12, 30], ids=["revolute", "prismatic"])
-def noisy_suite_fit(request):
-    """stage_estimate's output on one noisy suite scene (regularized mode)."""
-    cfg = suite_util.pipeline_config(noisy=True)
-    ts, _ = synth.generate(suite_util.scene_config(request.param, noisy=True))
+def suite_fit(i: int, noisy: bool) -> dict:
+    """stage_estimate's output on one suite scene (regularized mode)."""
+    cfg = suite_util.pipeline_config(noisy)
+    ts, _ = synth.generate(suite_util.scene_config(i, noisy))
     (seg,) = pipeline.extract_hand_segments(ts, cfg.segmenter)
     tracks, counts = pipeline.stage_filter(ts, seg, cfg)
     tracks = pipeline.stage_smooth(tracks, cfg, counts)
     return pipeline.stage_estimate(tracks, cfg, counts)
+
+
+@pytest.fixture(scope="module", params=[12, 30], ids=["revolute", "prismatic"])
+def noisy_suite_fit(request):
+    return suite_fit(request.param, noisy=True)
 
 
 def test_free_model_closed_form_matches_pose_fit(noisy_suite_fit):
@@ -302,20 +306,8 @@ def test_free_model_closed_form_matches_pose_fit(noisy_suite_fit):
         assert np.max(np.abs(closed.thetas - ref.thetas)) < 1e-9
 
 
-@pytest.mark.parametrize(
-    "mode, gauges",
-    [
-        # keyed by the chart of the scene's regularized trajectory: a
-        # prismatic chart's pose fits are both known in closed form
-        ("regularized", {"revolute": ["prismatic"], "prismatic": []}),
-        ("independent", {"revolute": ["prismatic", "auto"], "prismatic": ["prismatic", "auto"]}),
-    ],
-)
-def test_build_estimate_fits_only_unknown_models(noisy_suite_fit, monkeypatch, mode, gauges):
-    traj = noisy_suite_fit["traj"]
-    gauges = gauges[twist_gauge(traj.base_twist)]
-    if mode == "independent":
-        traj = fit_independent(noisy_suite_fit["corr"], traj.anchor.t[None, :])
+def count_pose_fits(monkeypatch) -> list:
+    """The gauges of every ``fit_twist_to_poses`` call made from now on."""
     seen = []
     real = artmodel.fit_twist_to_poses
 
@@ -324,8 +316,51 @@ def test_build_estimate_fits_only_unknown_models(noisy_suite_fit, monkeypatch, m
         return real(poses, gauge)
 
     monkeypatch.setattr(artmodel, "fit_twist_to_poses", counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "mode, gauges",
+    [
+        # a regularized chart above the rotation gate is its own model
+        ("regularized", []),
+        ("independent", ["prismatic", "auto"]),
+    ],
+)
+def test_build_estimate_fits_only_unknown_models(noisy_suite_fit, monkeypatch, mode, gauges):
+    traj = noisy_suite_fit["traj"]
+    if mode == "independent":
+        traj = fit_independent(noisy_suite_fit["corr"], traj.anchor.t[None, :])
+    seen = count_pose_fits(monkeypatch)
     build_articulation_estimate(traj, ClassifierConfig())
     assert seen == gauges
+
+
+def test_regularized_verdict_matches_pose_space_classifier(noisy_suite_fit):
+    """The chart rule gives the verdict the pose-space classifier gives on
+    the same poses."""
+    traj = noisy_suite_fit["traj"]
+    for cfg in (ClassifierConfig(), ClassifierConfig(theta_rot_min=0.05)):
+        est = build_articulation_estimate(traj, cfg)
+        assert est.joint_type == classify_joint(*fit_joint_models(traj.relative_poses), cfg)
+
+
+def test_revolute_chart_below_gate_gets_prismatic_pose_fit(monkeypatch):
+    traj = suite_fit(0, noisy=False)["traj"]  # clean scene 0, a 5 degree hinge
+    fit_u = free_model_from_trajectory(traj)
+    assert fit_u.gauge == "revolute"
+    assert 0.05 < total_rotation(fit_u) < ClassifierConfig().theta_rot_min
+
+    seen = count_pose_fits(monkeypatch)
+    est = build_articulation_estimate(traj, ClassifierConfig())
+    assert (est.joint_type, seen, est.flags) == ("prismatic", ["prismatic"], [])
+    fit_p = fit_twist_to_poses(traj.relative_poses, gauge="prismatic")
+    assert np.array_equal(est.twist.as_vector(), fit_p.twist.as_vector())
+    assert np.array_equal(est.thetas, fit_p.thetas) and est.pose_rms == fit_p.rms
+
+    seen.clear()
+    est = build_articulation_estimate(traj, ClassifierConfig(theta_rot_min=0.05))
+    assert (est.joint_type, seen, est.pose_rms) == ("revolute", [], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +377,9 @@ def test_noisy_pose_fits_without_decrease_are_not_flagged(scene, mode):
     cost near 1e-3 (noisy scenes 38 and 48 in independent mode, and 26 in
     regularized mode when that fitted the revolute chart, depending on the
     order of summation): that is convergence, so no ``non_converged`` flag.
-    Regularized scene 26 now takes the prismatic chart and no pose fit."""
+    Regularized scene 26 takes the prismatic chart, which is its own model:
+    regularized mode fits a pose model only for a revolute chart below the
+    rotation gate, so that case fits none."""
     cfg = suite_util.pipeline_config(noisy=True, mode=mode)
     ts, _ = synth.generate(suite_util.scene_config(scene, noisy=True))
     (record,) = pipeline.run_pipeline(ts, cfg)["results"]

@@ -191,6 +191,42 @@ def test_eval_prints_table_and_writes_report(workdir, capsys):
     assert report["records"][0]["theta_err"] < 0.01
 
 
+JOINT = {"segment": {"start": 10, "end": 40}, "type": "revolute",
+         "axis_dir": [0.0, 0.0, 1.0], "axis_point": [0.4, -0.2, 1.0]}
+BAD_JOINTS = {
+    "missing-type": ({k: v for k, v in JOINT.items() if k != "type"}, "type"),
+    "unknown-type": (dict(JOINT, type="hinge"), "type"),
+    "axis-dir-string": (dict(JOINT, axis_dir="a"), "axis_dir"),
+    "axis-dir-four": (dict(JOINT, axis_dir=[0.0, 0.0, 1.0, 0.0]), "axis_dir"),
+    "axis-dir-zero": (dict(JOINT, axis_dir=[0.0, 0.0, 0.0]), "axis_dir"),
+    "axis-dir-nan": (dict(JOINT, axis_dir=[0.0, math.nan, 1.0]), "axis_dir"),
+    "axis-point-two": (dict(JOINT, axis_point=[0.4, -0.2]), "axis_point"),
+    "segment-reversed": (dict(JOINT, segment={"start": 40, "end": 10}), "segment"),
+    "not-an-object": ([1, 2, 3], "not an object"),
+    # ground truth only: a revolute prediction need not carry an axis point
+    "revolute-without-point": (dict(JOINT, axis_point=None), "axis_point"),
+}
+
+
+@pytest.mark.parametrize("side, case", [
+    (side, case) for case in sorted(BAD_JOINTS) for side in ("pred", "gt")
+    if side == "gt" or case != "revolute-without-point"
+])
+def test_malformed_joint_entry_exits_2_naming_file_index_and_field(tmp_path, capsys, side, case):
+    entry, field = BAD_JOINTS[case]
+    files = {"pred": tmp_path / "pred.json", "gt": tmp_path / "gt.json"}
+    for name, path in files.items():
+        entries = [JOINT, entry] if name == side else [JOINT]
+        path.write_text(json.dumps({"version": 1, "results": entries} if name == "pred" else entries))
+    rc = main(["eval", "--pred", str(files["pred"]), "--gt", str(files["gt"])])
+    assert rc == 2
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("{")]
+    assert len(err_lines) == 1
+    msg = json.loads(err_lines[0])
+    assert msg["error"] == "TrackFileError"
+    assert msg["message"].startswith(f"{files[side]}[1]: {field}")
+
+
 def test_export_ply_writes_meshes(workdir):
     c = str(workdir / "pipeline.json")
     ply_dir = workdir / "meshes"
