@@ -11,7 +11,8 @@ xi and per-pose magnitudes Theta_m minimizing
 
     sum_m | log( exp(Theta_m hat(xi))^-1  T_m ) |^2
 
-with ``trajest.damped_gauss_newton``; Theta_0 is pinned to zero. It is
+with ``trajest.damped_gauss_newton``; Theta_0 is pinned to zero. The poses
+T_m are one ``(q, t)`` stack in the anchor's frame. A trajectory is
 revolute only when the free model shows enough total rotation and beats
 the prismatic-constrained (omega = 0) fit's residual by
 ``residual_margin``; everything else is prismatic, the drawer-like default.
@@ -30,6 +31,7 @@ import numpy as np
 from .bounds import bounded, check_bounds
 from .errors import InsufficientMotionError
 from .lie import (
+    RigidTransform,
     Twist,
     apply_each,
     exp_map,
@@ -85,12 +87,6 @@ class ArticulationEstimate:
     flags: list = field(default_factory=list)
 
 
-def _flatten_poses(poses) -> tuple[np.ndarray, np.ndarray]:
-    """Quaternions (M, 4) and translations (M, 3) of poses[1:]."""
-    rest = poses[1:]
-    return np.array([T.q for T in rest]), np.array([T.t for T in rest])
-
-
 def _inverse_adjoints(stack) -> np.ndarray:
     """Ad(T^-1) of every stacked pose, (M, 6, 6)."""
     q, t = stack
@@ -128,15 +124,16 @@ def _pose_blocks(ad_inv, r: np.ndarray, xi: Twist, thetas: np.ndarray, B: np.nda
 
 
 def _validate_poses(poses):
-    if len(poses) < 2:
-        raise ValueError(f"need at least 2 poses, got {len(poses)}")
-    first = poses[0]
-    if rotation_angle(first) > 1e-6 or np.linalg.norm(first.t) > 1e-6:
-        raise ValueError("relative_poses[0] must be the identity")
+    q, t = poses
+    if len(q) < 2:
+        raise ValueError(f"need at least 2 poses, got {len(q)}")
+    if rotation_angle(RigidTransform(q[0], t[0])) > 1e-6 or np.linalg.norm(t[0]) > 1e-6:
+        raise ValueError("poses[0] must be the identity")
 
 
 def fit_twist_to_poses(poses, gauge: str = "auto") -> PoseTwistFit:
-    """Fit a single normalized twist plus magnitudes to a pose sequence.
+    """Fit a single normalized twist plus magnitudes to a pose sequence,
+    stacked as ``(q (M+1, 4), t (M+1, 3))`` with pose 0 the identity.
 
     ``gauge`` is "auto" (chart chosen from the data) or "prismatic" (omega
     pinned to zero). Raises InsufficientMotionError when every pose is within
@@ -145,7 +142,7 @@ def fit_twist_to_poses(poses, gauge: str = "auto") -> PoseTwistFit:
     _validate_poses(poses)
     if gauge not in ("auto", "prismatic"):
         raise ValueError(f"gauge must be 'auto' or 'prismatic', got {gauge!r}")
-    stack = _flatten_poses(poses)
+    stack = (poses[0][1:], poses[1][1:])
     logs = np.vstack((np.zeros(6), log_map(stack)))  # pose 0 is the identity
     mags = np.linalg.norm(logs, axis=1)
     if float(mags.max()) <= MIN_POSE_MOTION:
@@ -261,15 +258,17 @@ def build_articulation_estimate(
 ) -> ArticulationEstimate:
     """Classify and package the articulation model for one segment: by
     the regularized chart and the rotation gate, else in pose space."""
+    q, t = trajectory.poses
+    relative = (q, t - trajectory.anchor.t)  # exact: the anchor carries no rotation
     if trajectory.base_twist is None:
-        fit_u, fit_p = fit_joint_models(trajectory.relative_poses)
+        fit_u, fit_p = fit_joint_models(relative)
         joint_type = classify_joint(fit_u, fit_p, cfg)
         chosen = fit_u if joint_type == "revolute" else fit_p
     else:
         fit_u = chosen = free_model_from_trajectory(trajectory)
         joint_type = "revolute" if total_rotation(fit_u) >= cfg.theta_rot_min else "prismatic"
         if joint_type != fit_u.gauge:  # a revolute chart below the gate
-            chosen = fit_twist_to_poses(trajectory.relative_poses, gauge="prismatic")
+            chosen = fit_twist_to_poses(relative, gauge="prismatic")
     axis_dir, axis_point = extract_axis(chosen.twist, joint_type)
     flags = list(trajectory.flags)
     if not chosen.converged:

@@ -175,6 +175,13 @@ def _quat_from_rotvec(w: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
+def renormalize(q: np.ndarray) -> np.ndarray:
+    """``q`` over its norm, unless that is within 1e-13 of 1: renormalizing a unit
+    quaternion wobbles the last ulp, so save/load/save would not be idempotent."""
+    n = np.linalg.norm(q)
+    return q if abs(n - 1.0) <= 1e-13 else q / n
+
+
 @dataclass
 class RigidTransform:
     """SE(3) element: unit quaternion ``q`` (w, x, y, z) plus translation ``t`` (m)."""
@@ -191,9 +198,7 @@ class RigidTransform:
         n = np.linalg.norm(q)
         if abs(n - 1.0) > 1e-3:
             raise ValueError(f"q must be near unit norm, got |q| = {n}")
-        # renormalizing an already-unit quaternion wobbles the last ulp, which
-        # would make save/load/save of a pose non-idempotent
-        self.q = q if abs(n - 1.0) <= 1e-13 else q / n
+        self.q = renormalize(q)
         self.t = _as_vec3(self.t, "t")
 
     @classmethod

@@ -266,7 +266,7 @@ def segment_record(seg: Segment, fitted: dict, counts: dict) -> dict:
             "converged": bool(traj.converged),
             "anchor": traj.anchor.to_dict(),
             "anchor_frame": int(fitted["anchor_frame"]),
-            "world_poses": [p.to_dict() for p in traj.world_poses],
+            "world_poses": [{"q": q, "t": t} for q, t in zip(traj.poses[0].tolist(), traj.poses[1].tolist())],
         },
     }
 
@@ -372,7 +372,16 @@ def load_segment_data(path) -> tuple[list, list]:
             entries.append((seg, tracks, dict(s.get("filter_counts", {}))))
     except (KeyError, TypeError, ValueError) as e:
         raise TrackFileError(f"{path}: bad segment data: {e}") from e
-    return entries, list(doc.get("skipped", []))
+    skipped = doc.get("skipped", [])
+    if not isinstance(skipped, list):
+        raise TrackFileError(f"{path}.skipped: must be a list")
+    for i, r in enumerate(skipped):  # results_doc sorts skip records by segment
+        seg = r.get("segment") if isinstance(r, dict) else None
+        if not (isinstance(seg, dict) and "error" in r
+                and all(type(seg.get(k)) is int for k in ("start", "end"))):
+            raise TrackFileError(f"{path}.skipped[{i}]: must be a skip record with an "
+                                 "integer segment start and end and an error")
+    return entries, list(skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,12 @@ def load_ground_truth(path) -> list:
 # config-from-dict (CLI scene files)
 
 
+def _object(val, name: str) -> dict:
+    if not isinstance(val, dict):
+        raise TypeError(f"{name} must be an object, got {val!r}")
+    return val
+
+
 def config_from_dict(doc: dict) -> SynthConfig:
     """Build a SynthConfig from a scene description dictionary.
 
@@ -359,9 +365,9 @@ def config_from_dict(doc: dict) -> SynthConfig:
     """
     try:
         T = int(doc["frames"])
-        jd = doc["joint"]
+        jd = _object(doc["joint"], "joint")
         hand_window = tuple(int(x) for x in doc.get("hand_window", (0, T - 1)))
-        motion = jd.get("motion", {})
+        motion = _object(jd.get("motion", {}), "joint.motion")
         if "profile" in motion:
             profile = np.asarray(motion["profile"], dtype=float)
         else:
@@ -374,7 +380,7 @@ def config_from_dict(doc: dict) -> SynthConfig:
             else np.asarray(jd["axis_point"], dtype=float),
             motion_profile=profile,
         )
-        cam = doc.get("camera", {"kind": "arc"})
+        cam = _object(doc.get("camera", {"kind": "arc"}), "camera")
         kind = cam.get("kind", "arc")
         if kind == "arc":
             target = cam.get("target")

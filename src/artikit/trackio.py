@@ -290,11 +290,12 @@ def load_trackset(path) -> TrackSet:
     _require(isinstance(doc, dict), where, "top level must be an object")
     _require(doc.get("version") == 1, where, f"version must be 1, got {doc.get('version')!r}")
     units = doc.get("units", {})
-    if units:
-        _require(units.get("length", "m") == "m", f"{where}.units", "length unit must be 'm'")
+    _require(isinstance(units, dict), f"{where}.units", "must be an object")
+    _require(units.get("length", "m") == "m", f"{where}.units", "length unit must be 'm'")
 
     _require("intrinsics" in doc, where, "missing intrinsics")
     K = doc["intrinsics"]
+    _require(isinstance(K, dict), f"{where}.intrinsics", "must be an object")
     for key in ("fx", "fy", "cx", "cy"):
         _require(key in K, f"{where}.intrinsics", f"missing {key}")
         _as_number(K[key], f"{where}.intrinsics.{key}")

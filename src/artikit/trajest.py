@@ -29,8 +29,9 @@ Two estimators share the correspondence structure:
   and stop rules).
 
 Step transforms are world-frame displacement fields and chain by left
-multiplication; poses are reported both in world coordinates and relative to
-an anchor placed at the centroid of the part's first observed positions.
+multiplication from an anchor placed at the centroid of the part's first
+observed positions. The chained world poses are one stacked pair of arrays,
+quaternions and translations, with the anchor in row 0.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ from .lie import (
     Twist,
     apply,
     apply_each,
-    compose,
     exp_map,
-    inverse,
     log_map,
     normalize_twist,
+    quat_mul,
+    quat_to_matrix,
+    renormalize,
     retract_twist,
     se3_left_jacobian,
     twist_tangent_basis,
@@ -91,21 +93,20 @@ class CorrespondenceSet:
 
 @dataclass
 class TrajectoryEstimate:
-    """Per-step transforms plus integrated poses and fit diagnostics.
+    """Integrated world poses plus fit diagnostics.
 
+    ``poses`` stacks the M+1 world poses, with the anchor in row 0.
     ``rms_residual`` is the pair residual rms of either estimator.
-    ``per_track_residuals`` is populated by the independent estimator only
-    (the outlier gate reads the baseline's); ``base_twist``/``thetas`` by the
-    regularized estimator only. ``relative_poses[0]`` is the identity;
-    ``world_poses[0]`` is the anchor.
+    ``step_transforms`` and ``per_track_residuals`` (the outlier gate reads
+    the baseline's) are populated by the independent estimator only;
+    ``base_twist``/``thetas`` by the regularized estimator only.
     """
 
     mode: str
-    step_transforms: list  # list[RigidTransform], length M
     anchor: RigidTransform
-    world_poses: list  # list[RigidTransform], length M+1
-    relative_poses: list  # list[RigidTransform], length M+1
+    poses: tuple  # (q (M+1, 4), t (M+1, 3))
     rms_residual: float
+    step_transforms: list = field(default_factory=list)  # list[RigidTransform], length M
     per_track_residuals: dict | None = None  # track id -> mean pair residual (m)
     base_twist: Twist | None = None
     thetas: np.ndarray | None = None
@@ -130,21 +131,19 @@ def build_correspondences(tracks, stride: int = DEFAULT_STRIDE) -> Correspondenc
         raise DegenerateStepError(
             f"segment of {T} frames yields no steps at stride {stride}"
         )
+    world = np.array([tr.world for tr in tracks], dtype=float)[:, keyframes]
+    valid = np.array([tr.valid for tr in tracks], dtype=bool)[:, keyframes]
+    both = valid[:, :-1] & valid[:, 1:]  # (tracks, steps): both endpoints observed
+    ids = np.array([tr.id for tr in tracks])
     steps = []
-    for m in range(len(keyframes) - 1):
-        t0, t1 = int(keyframes[m]), int(keyframes[m + 1])
-        src, dst, ids = [], [], []
-        for tr in tracks:
-            if tr.valid[t0] and tr.valid[t1]:
-                src.append(tr.world[t0])
-                dst.append(tr.world[t1])
-                ids.append(tr.id)
-        if len(src) < MIN_PAIRS_PER_STEP:
+    for m, sel in enumerate(both.T):
+        n = int(np.count_nonzero(sel))
+        if n < MIN_PAIRS_PER_STEP:
             raise DegenerateStepError(
-                f"step {m} (frames {t0}->{t1}) has {len(src)} pairs; "
+                f"step {m} (frames {keyframes[m]}->{keyframes[m + 1]}) has {n} pairs; "
                 f"need at least {MIN_PAIRS_PER_STEP}"
             )
-        steps.append(StepPairs(np.array(src), np.array(dst), np.array(ids)))
+        steps.append(StepPairs(world[sel, m], world[sel, m + 1], ids[sel]))
     return CorrespondenceSet(steps=steps, stride=stride, keyframes=keyframes)
 
 
@@ -184,26 +183,26 @@ def _residual_stats(corr: CorrespondenceSet, transforms) -> tuple[float, dict]:
     return float(np.sqrt(total / len(flat))), dict(zip(ids.tolist(), means.tolist()))
 
 
-def integrate_poses(step_transforms, anchor_points: np.ndarray):
-    """Chain step transforms into world poses from an anchor.
+def integrate_poses(steps, anchor_points: np.ndarray):
+    """Chain stacked step transforms ``(q (M, 4), t (M, 3))`` into world
+    poses from an anchor; returns ``(anchor, (q (M+1, 4), t (M+1, 3)))``.
 
     The anchor has identity rotation and sits at the centroid of
     ``anchor_points`` (the part's observed first-keyframe positions). World
-    poses chain by left multiplication, T_{m} = Delta_m @ T_{m-1}; relative
-    poses are T_anchor^-1 @ T_m with the first pinned to the identity.
+    poses chain by left multiplication, T_{m} = Delta_m @ T_{m-1}, with the
+    floating-point operations of ``compose``, so the rows equal a chain of
+    ``compose`` calls bit for bit.
     """
     pts = np.asarray(anchor_points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != 3:
         raise ValueError(f"anchor_points must be (n, 3) with n >= 1, got {pts.shape}")
     anchor = RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), pts.mean(axis=0))
-    world = [anchor]
-    for delta in step_transforms:
-        world.append(compose(delta, world[-1]))
-    inv_anchor = inverse(anchor)
-    relative = [RigidTransform.identity()]
-    for T in world[1:]:
-        relative.append(compose(inv_anchor, T))
-    return anchor, world, relative
+    q, t = [anchor.q], [anchor.t]
+    # one quat_to_matrix call per step: a stacked call rounds R @ t differently
+    for dq, dt in zip(*steps):
+        q.append(renormalize(quat_mul(dq, q[-1])))
+        t.append(quat_to_matrix(dq) @ t[-1] + dt)
+    return anchor, (np.array(q), np.array(t))
 
 
 def choose_anchor(tracks) -> tuple[np.ndarray, int, bool]:
@@ -226,14 +225,14 @@ def fit_independent(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
     rms, per_track = _residual_stats(corr, transforms)
     if anchor_points is None:
         anchor_points = corr.steps[0].src
-    anchor, world, relative = integrate_poses(transforms, anchor_points)
+    steps = (np.array([T.q for T in transforms]), np.array([T.t for T in transforms]))
+    anchor, poses = integrate_poses(steps, anchor_points)
     return TrajectoryEstimate(
         mode="independent",
-        step_transforms=transforms,
         anchor=anchor,
-        world_poses=world,
-        relative_poses=relative,
+        poses=poses,
         rms_residual=rms,
+        step_transforms=transforms,
         per_track_residuals=per_track,
     )
 
@@ -485,16 +484,14 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
     if not converged:
         flags.append("non_converged")
         log.warning("regularized fit %s; flagged non_converged", stop)
-    transforms = [exp_map(xi, float(t)) for t in thetas]
+    q, _, t = exp_map(xi, thetas)
     if anchor_points is None:
         anchor_points = corr.steps[0].src
-    anchor, world, relative = integrate_poses(transforms, anchor_points)
+    anchor, poses = integrate_poses((q, t), anchor_points)
     return TrajectoryEstimate(
         mode="regularized",
-        step_transforms=transforms,
         anchor=anchor,
-        world_poses=world,
-        relative_poses=relative,
+        poses=poses,
         rms_residual=float(np.sqrt(cost / len(pairs[0]))),
         base_twist=xi,
         thetas=thetas,

@@ -23,16 +23,22 @@ from artikit.trajest import TrajectoryEstimate, fit_independent
 
 
 def pose_chain(xi, thetas):
-    return [exp_map(xi, float(th)) for th in thetas]
+    """The poses exp(theta hat(xi)) stacked as (q, t), by one exp_map call."""
+    q, _, t = exp_map(xi, thetas)
+    return q, t
+
+
+def anchor_frame_poses(traj):
+    """A trajectory's poses in its anchor's frame, as the estimate forms them."""
+    q, t = traj.poses
+    return q, t - traj.anchor.t
 
 
 def make_trajectory(poses, flags=()):
     return TrajectoryEstimate(
         mode="independent",
-        step_transforms=[],
         anchor=RigidTransform.identity(),
-        world_poses=list(poses),
-        relative_poses=list(poses),
+        poses=poses,
         rms_residual=0.0,
         per_track_residuals={},
         flags=list(flags),
@@ -109,11 +115,11 @@ def test_fit_rejects_non_identity_first_pose():
 
 def test_fit_rejects_short_sequences():
     with pytest.raises(ValueError):
-        fit_twist_to_poses([RigidTransform.identity()])
+        fit_twist_to_poses(pose_chain(Twist(np.zeros(3), np.array([1.0, 0.0, 0.0])), [0.0]))
 
 
 def test_fit_static_poses_raise():
-    poses = [RigidTransform.identity() for _ in range(6)]
+    poses = pose_chain(Twist(np.zeros(3), np.array([1.0, 0.0, 0.0])), np.zeros(6))
     with pytest.raises(InsufficientMotionError):
         fit_twist_to_poses(poses)
 
@@ -293,14 +299,14 @@ def test_free_model_closed_form_matches_pose_fit(noisy_suite_fit):
     traj = noisy_suite_fit["traj"]
     assert traj.converged
     closed = free_model_from_trajectory(traj)
-    ref = fit_twist_to_poses(traj.relative_poses)
+    ref = fit_twist_to_poses(anchor_frame_poses(traj))
     assert ref.converged and closed.converged
     assert closed.gauge == ref.gauge
     assert np.max(np.abs(closed.twist.as_vector() - ref.twist.as_vector())) < 1e-9
     assert np.max(np.abs(closed.thetas - ref.thetas)) < 1e-9
     assert abs(closed.rms - ref.rms) < 1e-9
     if closed.gauge == "prismatic":  # the constrained fit build_articulation_estimate skips
-        ref = fit_twist_to_poses(traj.relative_poses, gauge="prismatic")
+        ref = fit_twist_to_poses(anchor_frame_poses(traj), gauge="prismatic")
         assert ref.converged
         assert np.max(np.abs(closed.twist.as_vector() - ref.twist.as_vector())) < 1e-9
         assert np.max(np.abs(closed.thetas - ref.thetas)) < 1e-9
@@ -342,7 +348,7 @@ def test_regularized_verdict_matches_pose_space_classifier(noisy_suite_fit):
     traj = noisy_suite_fit["traj"]
     for cfg in (ClassifierConfig(), ClassifierConfig(theta_rot_min=0.05)):
         est = build_articulation_estimate(traj, cfg)
-        assert est.joint_type == classify_joint(*fit_joint_models(traj.relative_poses), cfg)
+        assert est.joint_type == classify_joint(*fit_joint_models(anchor_frame_poses(traj)), cfg)
 
 
 def test_revolute_chart_below_gate_gets_prismatic_pose_fit(monkeypatch):
@@ -354,7 +360,7 @@ def test_revolute_chart_below_gate_gets_prismatic_pose_fit(monkeypatch):
     seen = count_pose_fits(monkeypatch)
     est = build_articulation_estimate(traj, ClassifierConfig())
     assert (est.joint_type, seen, est.flags) == ("prismatic", ["prismatic"], [])
-    fit_p = fit_twist_to_poses(traj.relative_poses, gauge="prismatic")
+    fit_p = fit_twist_to_poses(anchor_frame_poses(traj), gauge="prismatic")
     assert np.array_equal(est.twist.as_vector(), fit_p.twist.as_vector())
     assert np.array_equal(est.thetas, fit_p.thetas) and est.pose_rms == fit_p.rms
 

@@ -390,3 +390,55 @@ def test_malformed_segment_data_exits_2_with_json_error(tmp_path, capsys, comman
     msg = json.loads(err_lines[0])
     assert msg["error"] == "TrackFileError"
     assert msg["message"].startswith(f"{segdata}.segments[0].tracks[0].{field}: ")
+
+
+def one_frame_tracks(**overrides) -> dict:
+    doc = {"version": 1, "units": {"length": "m"},
+           "intrinsics": {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0},
+           "frames": [{"t": 0, "cam_pose": {"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0, 0.0]},
+                       "hand": False}],
+           "tracks": []}
+    doc.update(overrides)
+    return doc
+
+
+def scene_with_joint(**joint) -> dict:
+    return scene_doc(joint=dict(scene_doc()["joint"], **joint))
+
+
+# (command, input option, input document, the error message's start with
+# {path} the input file): input files whose sections have the wrong JSON type
+WRONG_TYPE_INPUTS = {
+    "units-string": ("segment", "--tracks", one_frame_tracks(units="m"), "{path}.units: "),
+    "units-list": ("segment", "--tracks", one_frame_tracks(units=["m"]), "{path}.units: "),
+    "intrinsics-string": ("segment", "--tracks", one_frame_tracks(intrinsics="fx fy cx cy"),
+                          "{path}.intrinsics: "),
+    "joint-list": ("synth", "--config", scene_doc(joint=[1, 2]), "scene config: joint "),
+    "motion-string": ("synth", "--config", scene_with_joint(motion="ramp"),
+                      "scene config: joint.motion "),
+    "camera-string": ("synth", "--config", scene_doc(camera="arc"), "scene config: camera "),
+    **{
+        f"skipped-{what}-{command}": (command, "--segdata",
+                                      dict(three_frame_segdata(lambda tr: None), skipped=bad),
+                                      f"{{path}}.{where}: ")
+        for command in ("smooth", "estimate")
+        for what, bad, where in (("number", 5, "skipped"), ("object", {}, "skipped"),
+                                 ("entry-number", [5], "skipped[0]"))
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPE_INPUTS))
+def test_wrongly_typed_input_section_exits_2_naming_it(tmp_path, capsys, case):
+    command, option, doc, start = WRONG_TYPE_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, option, str(path)]
+    argv += ["--out-tracks", str(tmp_path / "t.json")] if command == "synth" else [
+        "--out", str(tmp_path / "o.json")]
+    assert main(argv) == 2
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("{")]
+    assert len(err_lines) == 1
+    msg = json.loads(err_lines[0])
+    assert msg["error"] == "TrackFileError"
+    assert msg["message"].startswith(start.format(path=path))

@@ -14,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 import suite_util
 from artikit import pipeline, synth
 from artikit.artmodel import (
-    _flatten_poses,
     _inverse_adjoints,
     _pose_model,
     _pose_residual,
@@ -31,6 +30,7 @@ from artikit.lie import (
     exp_map,
     inverse,
     normalize_twist,
+    quat_mul,
     retract_twist,
     rotation_angle,
     twist_gauge,
@@ -197,19 +197,29 @@ def test_fit_independent_recovers_scripted_steps():
     assert set(est.per_track_residuals) == set(range(n))
 
 
-def test_integrate_poses_chains_left():
+def test_integrate_poses_equals_a_compose_chain_bit_for_bit():
+    """Row for row, the stacked chain equals a chain of ``compose`` calls,
+    also with step quaternions just inside the 1e-13 band in which
+    ``RigidTransform`` keeps a quaternion unrenormalized: their products
+    leave the band at some steps and stay inside it at others."""
     rng = np.random.default_rng(8)
-    steps = [rand_transform(rng, 0.3, 0.1) for _ in range(4)]
+    steps = [
+        RigidTransform(T.q * (1.0 + s * 0.99e-13), T.t)
+        for T, s in zip([rand_transform(rng, 0.3, 0.1) for _ in range(40)], rng.choice([-1, 1], 40))
+    ]
     pts = rng.uniform(-1, 1, (6, 3))
-    anchor, world, relative = integrate_poses(steps, pts)
+    anchor, (q, t) = integrate_poses(
+        (np.array([S.q for S in steps]), np.array([S.t for S in steps])), pts
+    )
     assert np.allclose(anchor.t, pts.mean(axis=0))
     assert rotation_angle(anchor) == 0.0
-    assert transform_err(relative[0], RigidTransform.identity()) == 0.0
-    cur = anchor
+    assert np.array_equal(q[0], anchor.q) and np.array_equal(t[0], anchor.t)
+    cur, band = anchor, []
     for m, S in enumerate(steps):
+        band.append(abs(np.linalg.norm(quat_mul(S.q, cur.q)) - 1.0) <= 1e-13)
         cur = compose(S, cur)
-        assert transform_err(world[m + 1], cur) < 1e-12
-        assert transform_err(relative[m + 1], compose(inverse(anchor), world[m + 1])) < 1e-12
+        assert np.array_equal(q[m + 1], cur.q) and np.array_equal(t[m + 1], cur.t), m
+    assert 0 < sum(band) < len(band)  # both sides of the renormalization rule
 
 
 def test_choose_anchor_falls_back():
@@ -299,8 +309,8 @@ def test_regularized_matches_independent_on_noiseless_screw():
     ind = fit_independent(corr)
     reg = fit_regularized(corr)
     assert reg.rms_residual <= ind.rms_residual + 1e-9
-    for a, b in zip(reg.world_poses, ind.world_poses):
-        assert transform_err(a, b) < 1e-6
+    for a, b in zip(zip(*reg.poses), zip(*ind.poses)):
+        assert transform_err(RigidTransform(*a), RigidTransform(*b)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +370,11 @@ def test_pose_linearization_matches_central_differences(gauge):
         xi = Twist(np.zeros(3), np.array([0.48, -0.6, 0.64]))
     thetas = np.array([0.1, 2e-8, 0.3, -0.2, 0.5])
     # poses off the model, so that residuals are non-zero
-    poses = [RigidTransform.identity()] + [
+    poses = [
         compose(exp_map(Twist(rng.normal(0, 0.02, 3), rng.normal(0, 0.01, 3)), 1.0), exp_map(xi, th))
         for th in thetas
     ]
-    stack = _flatten_poses(poses)
+    stack = (np.array([T.q for T in poses]), np.array([T.t for T in poses]))
     start = retract_twist(xi, 0.05 * np.ones(twist_tangent_basis(xi).shape[1]))
     central_difference_check(
         lambda x, th: _pose_residual(stack, x, th).ravel(),
