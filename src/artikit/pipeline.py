@@ -2,13 +2,14 @@
 
 The pipeline runs four stages per interaction segment:
 
-1. filter: slice the recording, lift tracks to world coordinates, drop
-   static background and unreliable tracks;
-2. smooth: denoise each surviving track's world trajectory (observation
-   masks survive untouched);
-3. estimate: build keyframe correspondences, reject registration outliers
-   against an independent per-step fit, then fit the configured trajectory
-   model and classify the joint;
+1. filter: lift the segment's frames of all tracks to world coordinates as
+   one stack, drop static background and unreliable tracks;
+2. smooth: denoise the surviving tracks' world trajectories in one
+   block-banded solve (observation masks survive untouched);
+3. estimate: build keyframe correspondences, register every step once,
+   reject the tracks whose residuals under that registration are outliers,
+   then fit the configured trajectory model (reusing the registration when
+   no track was rejected) and classify the joint;
 4. package: report the axis, twist and pose trail in world coordinates.
 
 Segments fail independently: any pipeline error (degenerate geometry, too
@@ -36,6 +37,7 @@ from .trackfilter import FilterConfig, filter_outliers, filter_static, filter_un
 from .trackio import (
     DEFAULT_MAX_DEPTH,
     SegmentTrack,
+    Track,
     Track3D,
     TrackSet,
     lift_track,
@@ -49,6 +51,8 @@ from .trajest import (
     choose_anchor,
     fit_independent,
     fit_regularized,
+    register_steps,
+    residual_stats,
 )
 
 log = logging.getLogger(__name__)
@@ -132,16 +136,17 @@ def extract_hand_segments(ts: TrackSet, cfg: SegmenterConfig) -> list:
 
 
 def stage_filter(ts: TrackSet, seg: Segment, cfg: PipelineConfig) -> tuple[list, dict]:
-    """Lift one segment to world tracks and drop static or unreliable ones."""
-    sub = ts.slice(seg.start, seg.end)
-    poses = stack_poses(sub.cam_poses)
-    stracks = []
-    for tr in sub.tracks:
-        lifted = lift_track(tr, sub.intrinsics, cfg.max_depth)
-        world = to_world(lifted, poses)
-        stracks.append(SegmentTrack(tr.id, tr.uv, world.positions, world.valid))
-    if not stracks:
+    """Lift one segment to world tracks and drop static or unreliable ones.
+
+    The segment's frames of all tracks are lifted and mapped to world
+    coordinates as one (N, T) stack.
+    """
+    if not ts.tracks:
         raise InsufficientTracksError("segment has no tracks")
+    frames = slice(seg.start, seg.end + 1)
+    stack = Track(None, *(np.array([getattr(tr, f)[frames] for tr in ts.tracks]) for f in ("uv", "depth", "vis")))
+    world = to_world(lift_track(stack, ts.intrinsics, cfg.max_depth), stack_poses(ts.cam_poses[frames]))
+    stracks = [SegmentTrack(tr.id, *rows) for tr, *rows in zip(ts.tracks, stack.uv, world.positions, world.valid)]
     kept, removed_static = filter_static(stracks, cfg.filter)
     kept, removed_unrel = filter_unreliable(kept, cfg.filter)
     counts = {"static": len(removed_static), "unreliable": len(removed_unrel)}
@@ -157,22 +162,24 @@ def stage_filter(ts: TrackSet, seg: Segment, cfg: PipelineConfig) -> tuple[list,
 
 
 def stage_smooth(tracks: list, cfg: PipelineConfig, counts: dict) -> list:
-    """Smooth world positions per track; observation masks pass through.
+    """Smooth the world positions of all tracks in one block-banded solve;
+    observation masks pass through.
 
     A track whose trajectory cannot be smoothed (no observations, singular
     system) is dropped and counted, not fatal; the segment fails only when
     nothing survives.
     """
     out = []
-    dropped = 0
-    for tr in tracks:
+    if tracks:
         try:
-            sm = smooth_track(Track3D(tr.world, tr.valid), cfg.smoother)
-        except IllPosedError:
-            dropped += 1
-            continue
-        out.append(SegmentTrack(tr.id, tr.uv, sm.positions, tr.valid))
-    counts["unsmoothable"] = dropped
+            sm = smooth_track(Track3D(np.array([tr.world for tr in tracks]),
+                                      np.array([tr.valid for tr in tracks])), cfg.smoother)
+        except IllPosedError:  # no track can be smoothed
+            pass
+        else:
+            out = [SegmentTrack(tr.id, tr.uv, pos, tr.valid)
+                   for tr, pos, ok in zip(tracks, sm.positions, sm.valid[:, 0]) if ok]
+    counts["unsmoothable"] = len(tracks) - len(out)
     if not out:
         raise IllPosedError("no track in the segment could be smoothed")
     return out
@@ -181,18 +188,20 @@ def stage_smooth(tracks: list, cfg: PipelineConfig, counts: dict) -> list:
 def stage_estimate(tracks: list, cfg: PipelineConfig, counts: dict) -> dict:
     """Fit the trajectory and joint model for one segment's tracks.
 
-    Always scores tracks against the independent per-step fit first and
-    drops residual outliers before the configured estimator runs.
+    Registers every step once (``register_steps``) and drops the tracks
+    whose residuals under that registration are outliers before the
+    configured estimator runs. When no track is dropped, the estimator
+    reuses that registration; otherwise it registers the kept tracks again.
     """
     corr = build_correspondences(tracks, cfg.stride)
-    baseline = fit_independent(corr)
-    kept, removed = filter_outliers(tracks, baseline.per_track_residuals, cfg.filter)
+    steps = register_steps(corr)
+    kept, removed = filter_outliers(tracks, residual_stats(corr, steps)[1], cfg.filter)
     counts["outliers"] = len(removed)
     if removed:
-        corr = build_correspondences(kept, cfg.stride)
+        corr, steps = build_correspondences(kept, cfg.stride), None
     anchor_points, anchor_frame, fell_back = choose_anchor(kept)
     fit = fit_regularized if cfg.mode == "regularized" else fit_independent
-    traj = fit(corr, anchor_points)
+    traj = fit(corr, anchor_points, steps)
     estimate = build_articulation_estimate(traj, cfg.classifier)
     return {
         "corr": corr,
@@ -323,11 +332,10 @@ def _rows(values, width: int, T: int, where: str) -> np.ndarray:
     return a
 
 
-def _track_from_dict(d: dict, where: str) -> SegmentTrack:
+def _track_from_dict(d: dict, where: str, T: int) -> SegmentTrack:
     valid = np.asarray(d["valid"], dtype=bool)
-    if valid.ndim != 1:
-        raise TrackFileError(f"{where}.valid: must be a list of booleans")
-    T = len(valid)
+    if valid.shape != (T,):
+        raise TrackFileError(f"{where}.valid: must be a list of {T} booleans, one per segment frame")
     uv = _rows(d["uv"], 2, T, f"{where}.uv")
     world = _rows([[np.nan] * 3 if row is None else row for row in d["world"]], 3, T,
                   f"{where}.world")
@@ -367,7 +375,7 @@ def load_segment_data(path) -> tuple[list, list]:
     try:
         for i, s in enumerate(doc["segments"]):
             seg = Segment.from_dict(s["segment"])
-            tracks = [_track_from_dict(t, f"{path}.segments[{i}].tracks[{k}]")
+            tracks = [_track_from_dict(t, f"{path}.segments[{i}].tracks[{k}]", seg.end - seg.start + 1)
                       for k, t in enumerate(s["tracks"])]
             entries.append((seg, tracks, dict(s.get("filter_counts", {}))))
     except (KeyError, TypeError, ValueError) as e:

@@ -12,6 +12,9 @@ start at t = 1 and the third-difference terms at t = 3; no phantom samples
 are invented, and the jerk penalty is skipped entirely for sequences shorter
 than four frames. The normal equations form a symmetric positive definite
 system of bandwidth three, solved exactly with scipy's banded Cholesky.
+The tracks of a segment are solved together: their bands are uncoupled
+blocks of one band, one ``solveh_banded`` call whose solution equals the
+per-track solves bit for bit.
 """
 
 from __future__ import annotations
@@ -58,52 +61,63 @@ def smoothing_energy(positions, targets, weights, cfg: SmootherConfig) -> float:
 
 
 def _banded_system(weights: np.ndarray, cfg: SmootherConfig) -> tuple[np.ndarray, int]:
-    """Upper-form band storage of the normal-equation matrix."""
-    T = len(weights)
+    """Upper-form band storage of the normal-equation matrices of N tracks'
+    (N, T) weights, (bw + 1, N, T): one uncoupled band per track."""
+    T = weights.shape[-1]
     bw = 0
     if cfg.lambda_vel > 0 and T >= 2:
         bw = 1
     if cfg.lambda_jerk > 0 and T >= 4:
         bw = 3
-    ab = np.zeros((bw + 1, T))
-    ab[bw, :] = weights
+    ab = np.zeros((bw + 1,) + weights.shape)
+    ab[bw] = weights
     if cfg.lambda_vel > 0 and T >= 2:
         # first-difference rows (t-1, t) with coefficients (-1, 1)
-        ab[bw, :-1] += cfg.lambda_vel
-        ab[bw, 1:] += cfg.lambda_vel
-        ab[bw - 1, 1:] += -cfg.lambda_vel
+        ab[bw, :, :-1] += cfg.lambda_vel
+        ab[bw, :, 1:] += cfg.lambda_vel
+        ab[bw - 1, :, 1:] += -cfg.lambda_vel
     if cfg.lambda_jerk > 0 and T >= 4:
         c = JERK_STENCIL
         for a in range(4):
             for b in range(a, 4):
                 off = b - a
                 # row r contributes c[a]*c[b] at (r-3+a, r-3+b) for r in 3..T-1
-                ab[bw - off, b : T - 3 + b] += cfg.lambda_jerk * c[a] * c[b]
+                ab[bw - off, :, b : T - 3 + b] += cfg.lambda_jerk * c[a] * c[b]
     return ab, bw
 
 
 def smooth_track(track: Track3D, cfg: SmootherConfig) -> Track3D:
-    """Solve for the minimizer of E; returns fully valid positions.
+    """Solve for the minimizer of E of a track, or of each track of a stack
+    ((N, T, 3) positions, (N, T) masks) in one block-banded solve that
+    equals solving each alone bit for bit.
 
     The track's ``valid`` mask supplies the fidelity weights: unobserved
-    frames get weight zero and come out interpolated. Raises IllPosedError
-    when no frame is observed (the minimizer is not unique).
+    frames get weight zero and come out interpolated. A track that cannot
+    be smoothed (no observed frame, gaps without difference penalties, a
+    singular system) comes back NaN and invalid, the others fully valid.
+    Raises IllPosedError when no track can be smoothed.
     """
-    T = len(track.positions)
-    weights = track.valid.astype(float)
-    if not np.any(track.valid):
-        raise IllPosedError("cannot smooth a track with zero observed frames")
-    targets = np.where(track.valid[:, None], track.positions, 0.0)
-    b = weights[:, None] * targets
+    T = track.valid.shape[-1]
+    valid = track.valid.reshape(-1, T)
+    weights = valid.astype(float)
     ab, bw = _banded_system(weights, cfg)
-    if bw == 0:
-        if np.any(weights == 0):
-            raise IllPosedError(
-                "zero smoothing weights with unobserved frames leave those frames unconstrained"
-            )
-        return Track3D(track.positions.copy(), np.ones(T, dtype=bool))
+    ok = valid.any(axis=1) if bw else valid.all(axis=1)
+    if not ok.any():
+        raise IllPosedError(
+            "zero smoothing weights with unobserved frames leave those frames unconstrained"
+            if valid.any() else "cannot smooth a track with zero observed frames"
+        )
+    rhs = weights[:, :, None] * np.where(valid[:, :, None], track.positions.reshape(-1, T, 3), 0.0)
+    out = np.full(rhs.shape, np.nan)
     try:
-        smoothed = solveh_banded(ab, b)
+        out[ok] = solveh_banded(ab[:, ok].reshape(bw + 1, -1), rhs[ok].reshape(-1, 3)).reshape(-1, T, 3)
     except np.linalg.LinAlgError as e:
-        raise IllPosedError(f"smoothing system is not positive definite: {e}") from e
-    return Track3D(smoothed, np.ones(T, dtype=bool))
+        # the joint factorization does not say whose block failed: solve each alone
+        for i in np.flatnonzero(ok):
+            try:
+                out[i] = solveh_banded(ab[:, i], rhs[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        if not ok.any():
+            raise IllPosedError(f"smoothing system is not positive definite: {e}") from e
+    return Track3D(out.reshape(track.positions.shape), np.repeat(ok, T).reshape(track.valid.shape))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .bounds import bounded, check_bounds
 from .errors import InsufficientTracksError
+from .trackio import SegmentTrack
 
 MAD_FLOOR = 1e-9  # keeps the outlier bound meaningful when residuals are near-identical
 STATIC_MODES = ("image2d", "world3d")  # motion scored on pixel tracks or world positions
@@ -33,17 +34,18 @@ class FilterConfig:
             raise ValueError(f"static_mode must be one of {STATIC_MODES}, got {self.static_mode!r}")
 
 
-def motion_score(track, mode: str) -> float:
-    """Total positional variance over observed frames (sum of per-axis variances).
+def motion_score(track, mode: str):
+    """Total positional variance over observed frames (sum of per-axis
+    variances, ``np.var``'s to the bit); per track for a stacked track.
 
     Tracks with fewer than two observations score zero: they carry no motion
     evidence and fall with the static background.
     """
     coords = track.uv if mode == "image2d" else track.world
-    pts = coords[track.valid]
-    if len(pts) < 2:
-        return 0.0
-    return float(np.sum(np.var(pts, axis=0)))
+    seen, n = track.valid[..., None], np.count_nonzero(track.valid, axis=-1)[..., None]
+    mean = np.where(seen, coords, 0.0).sum(axis=-2, keepdims=True) / np.maximum(n, 1)[..., None]
+    dev = np.where(seen, coords - mean, 0.0)
+    return np.where(n[..., 0] < 2, 0.0, ((dev * dev).sum(axis=-2) / np.maximum(n, 1)).sum(axis=-1))[()]
 
 
 def filter_static(tracks, cfg: FilterConfig) -> tuple[list, list]:
@@ -51,7 +53,8 @@ def filter_static(tracks, cfg: FilterConfig) -> tuple[list, list]:
     n = len(tracks)
     if n == 0:
         raise ValueError("filter_static requires at least one track")
-    scores = np.array([motion_score(tr, cfg.static_mode) for tr in tracks])
+    stack = SegmentTrack(None, *(np.array([getattr(tr, f) for tr in tracks]) for f in ("uv", "world", "valid")))
+    scores = motion_score(stack, cfg.static_mode)
     if cfg.sigma_static >= 100.0:
         k = n - int(np.sum(scores == scores.max()))
     else:

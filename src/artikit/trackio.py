@@ -17,10 +17,12 @@ Validation errors name the offending field and index. A frame where
 ``vis`` is true must carry finite positive depth; depth beyond ``max_depth``
 is legal in the file and is marked invalid at lift time.
 
-Loading checks each track in bulk first: the element types of its lists,
-then one array conversion with finiteness checks. A track that fails any of
-these goes through the element-by-element walk, which finds and names the
-first bad element, so the bulk path never decides an error message.
+Loading checks the frames, then each track, in bulk first: the element
+types of their lists, then one array conversion with finiteness checks.
+Frames or a track that fail any of these go through the element-by-element
+walk, which finds and names the first bad element, so the bulk path never
+decides an error message. Lifting and world mapping take one track or a
+stack of tracks with a leading track axis.
 Files are written as compact one-line JSON.
 """
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import TrackFileError
-from .lie import RigidTransform, apply_each
+from .lie import RigidTransform, apply_each, quat_to_matrix
 
 DEFAULT_MAX_DEPTH = 10.0  # meters; depth beyond this is treated as sensor junk
 
@@ -112,21 +114,6 @@ class TrackSet:
     def frame_count(self) -> int:
         return len(self.cam_poses)
 
-    def slice(self, start: int, end: int) -> "TrackSet":
-        """Copy of frames start..end inclusive; track ids are preserved."""
-        if not (0 <= start <= end < self.frame_count):
-            raise ValueError(f"slice [{start}, {end}] out of range for {self.frame_count} frames")
-        sl = slice(start, end + 1)
-        return TrackSet(
-            intrinsics=self.intrinsics,
-            cam_poses=self.cam_poses[sl],
-            hand=self.hand[sl].copy(),
-            tracks=[
-                Track(tr.id, tr.uv[sl].copy(), tr.depth[sl].copy(), tr.vis[sl].copy())
-                for tr in self.tracks
-            ],
-        )
-
 
 # ---------------------------------------------------------------------------
 # lifting and world transforms
@@ -157,15 +144,15 @@ def project_to_2d(point, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, floa
 
 
 def lift_track(track: Track, intrinsics: CameraIntrinsics, max_depth: float = DEFAULT_MAX_DEPTH) -> Track3D:
-    """Backproject a whole track to camera coordinates.
+    """Backproject a whole track, or a stack of tracks whose arrays carry a
+    leading track axis, to camera coordinates.
 
     A frame is valid when it is visible and its depth is finite, positive and
     at most ``max_depth``; invalid frames get NaN positions, not an exception.
     """
     depth = track.depth
     ok = track.vis & np.isfinite(depth) & (depth > 0) & (depth <= max_depth)
-    T = len(depth)
-    pos = np.full((T, 3), np.nan)
+    pos = np.full(depth.shape + (3,), np.nan)
     if np.any(ok):
         d = depth[ok]
         pos[ok, 0] = (track.uv[ok, 0] - intrinsics.cx) * d / intrinsics.fx
@@ -183,9 +170,10 @@ class PoseStack(NamedTuple):
 
 
 def stack_poses(cam_poses) -> PoseStack:
-    """Stack a list of RigidTransform into rotation and translation arrays."""
+    """Stack a list of RigidTransform into rotation and translation arrays;
+    C-contiguous, as ``apply_each`` rounds alike only on alike layouts."""
     return PoseStack(
-        np.array([p.rotation_matrix() for p in cam_poses]).reshape(-1, 3, 3),
+        np.ascontiguousarray(quat_to_matrix(np.array([p.q for p in cam_poses]).reshape(-1, 4))),
         np.array([p.t for p in cam_poses]).reshape(-1, 3),
     )
 
@@ -193,17 +181,17 @@ def stack_poses(cam_poses) -> PoseStack:
 def to_world(track3d: Track3D, cam_poses) -> Track3D:
     """Map camera-frame positions to world coordinates with per-frame poses.
 
+    ``track3d`` is one track or a stack with a leading track axis.
     ``cam_poses`` is a list of RigidTransform or, to stack them once for
     many tracks, its ``stack_poses``.
     """
     poses = cam_poses if isinstance(cam_poses, PoseStack) else stack_poses(cam_poses)
-    if len(poses.rotations) != len(track3d.positions):
-        raise ValueError(
-            f"pose count {len(poses.rotations)} != frame count {len(track3d.positions)}"
-        )
     ok = track3d.valid
+    if len(poses.rotations) != ok.shape[-1]:
+        raise ValueError(f"pose count {len(poses.rotations)} != frame count {ok.shape[-1]}")
+    frame = np.nonzero(ok)[-1]
     out = np.full_like(track3d.positions, np.nan)
-    out[ok] = apply_each(poses.rotations[ok], poses.translations[ok], track3d.positions[ok])
+    out[ok] = apply_each(poses.rotations[frame], poses.translations[frame], track3d.positions[ok])
     return Track3D(out, ok.copy())
 
 
@@ -283,6 +271,53 @@ def _walk_track(uv: list, depth: list, vis: list, w: str):
     return uv_arr, depth_arr, vis_arr
 
 
+def _frame_arrays(frames: list):
+    """(poses, hand) of well-formed frames, or None.
+
+    Type checks over all frames, then one (T, 7) array of quaternions and
+    translations. None hands the frames to ``_walk_frames``, which finds the
+    first bad element.
+    """
+    try:
+        t, hand, qs, ts = zip(*((fr["t"], fr["hand"], fr["cam_pose"]["q"], fr["cam_pose"]["t"]) for fr in frames))
+    except (KeyError, TypeError):  # a frame or cam_pose that is no object, a missing key
+        return None
+    if (list(t) != list(range(len(frames))) or set(map(type, hand)) != {bool}
+            or set(map(type, qs + ts)) != {list} or set(map(len, qs)) != {4} or set(map(len, ts)) != {3}
+            or not set(map(type, chain.from_iterable(qs + ts))) <= _NUMBER):
+        return None
+    try:
+        poses = [RigidTransform(row[:4], row[4:]) for row in np.array([q + t for q, t in zip(qs, ts)], dtype=float)]
+    except (OverflowError, ValueError):  # a huge integer, a non-finite or non-unit pose
+        return None
+    return poses, np.array(hand)
+
+
+def _walk_frames(frames: list, where: str):
+    """The frame-by-frame check: raises naming the first bad element."""
+    poses = []
+    hand = np.zeros(len(frames), dtype=bool)
+    for i, fr in enumerate(frames):
+        w = f"{where}.frames[{i}]"
+        _require(isinstance(fr, dict), w, "must be an object")
+        _require(fr.get("t") == i, w, f"t must equal the frame index {i}, got {fr.get('t')!r}")
+        cp = fr.get("cam_pose")
+        _require(isinstance(cp, dict) and "q" in cp and "t" in cp, w, "cam_pose must carry q and t")
+        q = cp["q"]
+        tt = cp["t"]
+        _require(isinstance(q, list) and len(q) == 4, f"{w}.cam_pose.q", "must be a 4-list [w,x,y,z]")
+        _require(isinstance(tt, list) and len(tt) == 3, f"{w}.cam_pose.t", "must be a 3-list")
+        qv = [_as_number(x, f"{w}.cam_pose.q[{j}]") for j, x in enumerate(q)]
+        tv = [_as_number(x, f"{w}.cam_pose.t[{j}]") for j, x in enumerate(tt)]
+        try:
+            poses.append(RigidTransform(np.array(qv), np.array(tv)))
+        except ValueError as e:
+            raise TrackFileError(f"{w}.cam_pose: {e}") from e
+        _require(isinstance(fr.get("hand"), bool), f"{w}.hand", "must be a boolean")
+        hand[i] = fr["hand"]
+    return poses, hand
+
+
 def load_trackset(path) -> TrackSet:
     """Load and validate a track file; errors name field and index."""
     doc = jsonio.load_json(path)
@@ -306,26 +341,7 @@ def load_trackset(path) -> TrackSet:
 
     frames = doc.get("frames")
     _require(isinstance(frames, list) and frames, where, "frames must be a non-empty list")
-    poses = []
-    hand = np.zeros(len(frames), dtype=bool)
-    for i, fr in enumerate(frames):
-        w = f"{where}.frames[{i}]"
-        _require(isinstance(fr, dict), w, "must be an object")
-        _require(fr.get("t") == i, w, f"t must equal the frame index {i}, got {fr.get('t')!r}")
-        cp = fr.get("cam_pose")
-        _require(isinstance(cp, dict) and "q" in cp and "t" in cp, w, "cam_pose must carry q and t")
-        q = cp["q"]
-        tt = cp["t"]
-        _require(isinstance(q, list) and len(q) == 4, f"{w}.cam_pose.q", "must be a 4-list [w,x,y,z]")
-        _require(isinstance(tt, list) and len(tt) == 3, f"{w}.cam_pose.t", "must be a 3-list")
-        qv = [_as_number(x, f"{w}.cam_pose.q[{j}]") for j, x in enumerate(q)]
-        tv = [_as_number(x, f"{w}.cam_pose.t[{j}]") for j, x in enumerate(tt)]
-        try:
-            poses.append(RigidTransform(np.array(qv), np.array(tv)))
-        except ValueError as e:
-            raise TrackFileError(f"{w}.cam_pose: {e}") from e
-        _require(isinstance(fr.get("hand"), bool), f"{w}.hand", "must be a boolean")
-        hand[i] = fr["hand"]
+    poses, hand = _frame_arrays(frames) or _walk_frames(frames, where)
 
     T = len(frames)
     raw_tracks = doc.get("tracks")

@@ -6,8 +6,10 @@ gaps for the fidelity term, it does not manufacture observations).
 
 Two estimators share the correspondence structure:
 
-* ``fit_independent``: one closed-form rigid transform per step (SVD
-  registration with a reflection guard),
+* ``fit_independent``: one closed-form rigid transform per step, all steps
+  registered at once by ``register_steps`` (stacked SVD registration with a
+  reflection guard); the pipeline's outlier gate reads that registration's
+  residuals, and the fits reuse it when the gate drops no track,
 * ``fit_regularized``: all steps constrained to powers of a single unit
   twist, ``Delta_m = exp(theta_m * hat(xi))``, in one of two charts chosen
   by BIC. The prismatic chart (omega = 0) is fitted in closed form, its
@@ -46,10 +48,10 @@ from .errors import DegenerateGeometryError, DegenerateStepError, InsufficientMo
 from .lie import (
     RigidTransform,
     Twist,
-    apply,
     apply_each,
     exp_map,
     log_map,
+    matrix_to_quat,
     normalize_twist,
     quat_mul,
     quat_to_matrix,
@@ -97,8 +99,7 @@ class TrajectoryEstimate:
 
     ``poses`` stacks the M+1 world poses, with the anchor in row 0.
     ``rms_residual`` is the pair residual rms of either estimator.
-    ``step_transforms`` and ``per_track_residuals`` (the outlier gate reads
-    the baseline's) are populated by the independent estimator only;
+    ``step_transforms`` is populated by the independent estimator only;
     ``base_twist``/``thetas`` by the regularized estimator only.
     """
 
@@ -107,7 +108,6 @@ class TrajectoryEstimate:
     poses: tuple  # (q (M+1, 4), t (M+1, 3))
     rms_residual: float
     step_transforms: list = field(default_factory=list)  # list[RigidTransform], length M
-    per_track_residuals: dict | None = None  # track id -> mean pair residual (m)
     base_twist: Twist | None = None
     thetas: np.ndarray | None = None
     converged: bool = True
@@ -151,36 +151,60 @@ def build_correspondences(tracks, stride: int = DEFAULT_STRIDE) -> Correspondenc
 # closed-form per-step registration
 
 
-def register_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
-    """Least-squares rigid transform with dst ~= R @ src + t.
+def register_steps(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares rigid transform of every step, dst ~= R @ src + t, as
+    stacked ``(q (M, 4), t (M, 3))``.
 
-    Cross-covariance SVD with a determinant guard against reflections.
-    Raises DegenerateGeometryError for (near-)collinear configurations,
-    where the rotation about the point line is unobservable.
+    Centroids by ``np.bincount``, cross-covariances by one batched matmul,
+    one stacked SVD with a determinant guard against reflections: each step
+    equals registering it alone, bit for bit. Raises DegenerateStepError for
+    a step with too few pairs and DegenerateGeometryError for the first
+    (near-)collinear one, where the rotation about the line is unobservable.
     """
-    if len(src) < MIN_PAIRS_PER_STEP:
-        raise DegenerateStepError(f"need >= {MIN_PAIRS_PER_STEP} pairs, got {len(src)}")
-    cs = src.mean(axis=0)
-    cd = dst.mean(axis=0)
-    H = (src - cs).T @ (dst - cd)
+    src, dst, step = _flatten_pairs(corr)
+    M = corr.step_count
+    n, row = _step_rows(step, M)
+    if n.min() < MIN_PAIRS_PER_STEP:
+        raise DegenerateStepError(f"need >= {MIN_PAIRS_PER_STEP} pairs, got {n.min()}")
+    cs = np.stack([np.bincount(step, src[:, c], M) for c in range(3)], axis=1) / n[:, None]
+    cd = np.stack([np.bincount(step, dst[:, c], M) for c in range(3)], axis=1) / n[:, None]
+    a, b = np.zeros((2, M, n.max(), 3))
+    a[row], b[row] = src - cs[step], dst - cd[step]
+    H = np.swapaxes(a, 1, 2) @ b
     U, S, Vt = np.linalg.svd(H)
-    if S[1] <= COLLINEARITY_RTOL * S[0]:
+    flat = np.flatnonzero(S[:, 1] <= COLLINEARITY_RTOL * S[:, 0])
+    if len(flat):
         raise DegenerateGeometryError(
-            f"point pairs are near-collinear (singular values {S.tolist()})"
+            f"point pairs are near-collinear (singular values {S[flat[0]].tolist()})"
         )
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    return RigidTransform.from_matrix(R, cd - R @ cs)
+    V, Ut = np.swapaxes(Vt, 1, 2), np.swapaxes(U, 1, 2)
+    V[:, :, 2] *= np.sign(np.linalg.det(V @ Ut))[:, None]
+    R = V @ Ut
+    return np.array([matrix_to_quat(r) for r in R]), cd - (R @ cs[:, :, None])[:, :, 0]
 
 
-def _residual_stats(corr: CorrespondenceSet, transforms) -> tuple[float, dict]:
-    """Residual RMS over all pairs plus per-track mean residual."""
-    norms = [np.linalg.norm(s.dst - apply(T, s.src), axis=1) for s, T in zip(corr.steps, transforms)]
-    total = sum(float(np.sum(n * n)) for n in norms)
+def register_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
+    """Least-squares rigid transform with dst ~= R @ src + t: the one-step
+    case of ``register_steps``, with its errors."""
+    if np.shape(src) != np.shape(dst):
+        raise ValueError(f"src {np.shape(src)} and dst {np.shape(dst)} differ in shape")
+    q, t = register_steps(CorrespondenceSet([StepPairs(src, dst, np.zeros(len(src)))], 1, np.arange(2)))
+    return RigidTransform(q[0], t[0])
+
+
+def residual_stats(corr: CorrespondenceSet, steps) -> tuple[float, dict]:
+    """Residual RMS over all pairs of the stacked step transforms
+    ``(q (M, 4), t (M, 3))``, plus each track's mean pair residual."""
+    src, dst, step = _flatten_pairs(corr)
+    n, row = _step_rows(step, corr.step_count)
+    a = np.zeros((corr.step_count, n.max(), 3))
+    a[row] = src
+    Rt = np.swapaxes(np.ascontiguousarray(quat_to_matrix(steps[0])), 1, 2)  # laid out as R.T of one step
+    norms = np.linalg.norm(dst - ((a @ Rt)[row] + steps[1][step]), axis=1)
+    total = sum(float(np.sum(x * x)) for x in np.split(norms, np.cumsum(n)[:-1]))
     ids, track = np.unique(np.concatenate([s.track_ids for s in corr.steps]), return_inverse=True)
-    flat = np.concatenate(norms)
-    means = np.bincount(track, flat) / np.bincount(track)
-    return float(np.sqrt(total / len(flat))), dict(zip(ids.tolist(), means.tolist()))
+    means = np.bincount(track, norms) / np.bincount(track)
+    return float(np.sqrt(total / len(norms))), dict(zip(ids.tolist(), means.tolist()))
 
 
 def integrate_poses(steps, anchor_points: np.ndarray):
@@ -219,21 +243,20 @@ def choose_anchor(tracks) -> tuple[np.ndarray, int, bool]:
     raise ValueError("no observed positions in any frame")
 
 
-def fit_independent(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEstimate:
-    """One unconstrained rigid transform per step."""
-    transforms = [register_rigid(s.src, s.dst) for s in corr.steps]
-    rms, per_track = _residual_stats(corr, transforms)
+def fit_independent(corr: CorrespondenceSet, anchor_points=None, steps=None) -> TrajectoryEstimate:
+    """One unconstrained rigid transform per step; ``steps`` reuses a
+    ``register_steps`` of ``corr`` already made."""
+    if steps is None:
+        steps = register_steps(corr)
     if anchor_points is None:
         anchor_points = corr.steps[0].src
-    steps = (np.array([T.q for T in transforms]), np.array([T.t for T in transforms]))
     anchor, poses = integrate_poses(steps, anchor_points)
     return TrajectoryEstimate(
         mode="independent",
         anchor=anchor,
         poses=poses,
-        rms_residual=rms,
-        step_transforms=transforms,
-        per_track_residuals=per_track,
+        rms_residual=residual_stats(corr, steps)[0],
+        step_transforms=[RigidTransform(q, t) for q, t in zip(*steps)],
     )
 
 
@@ -356,6 +379,14 @@ def _flatten_pairs(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray, np.
     return src, dst, step
 
 
+def _step_rows(step: np.ndarray, M: int) -> tuple[np.ndarray, tuple]:
+    """Pair counts per step, and each flattened pair's (step, row) index in
+    a zero-padded (M, max count, 3) stack. A batched matmul over that stack
+    rounds each step as a matmul of the step alone does."""
+    n = np.bincount(step, minlength=M)
+    return n, (step, np.arange(len(step)) - np.repeat(np.cumsum(n) - n, n))
+
+
 def _pair_residual(pairs, xi: Twist, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Moved sources exp(theta_m hat(xi)) src and residuals dst - moved, (N, 3) each."""
     src, dst, step = pairs
@@ -395,15 +426,15 @@ def _pair_blocks(step: np.ndarray, y: np.ndarray, xi: Twist, thetas: np.ndarray,
     return J[:, :k], J[:, k], np.repeat(step, 3)
 
 
-def _init_from_steps(corr: CorrespondenceSet) -> tuple[Twist, np.ndarray]:
-    """Seed the shared twist from per-step registration logs.
+def _init_from_steps(corr: CorrespondenceSet, steps=None) -> tuple[Twist, np.ndarray]:
+    """Seed the shared twist from the logs of the per-step registration
+    ``steps`` (made here when not given).
 
     Logs are sign-aligned against the largest step, averaged with pair-count
     weights, normalized; magnitudes come from least-squares projection onto
     the seed.
     """
-    regs = [register_rigid(step.src, step.dst) for step in corr.steps]
-    etas = log_map((np.array([G.q for G in regs]), np.array([G.t for G in regs])))
+    etas = log_map(register_steps(corr) if steps is None else steps)
     weights = [float(len(step.src)) for step in corr.steps]
     norms = np.linalg.norm(etas, axis=1)
     ref = etas[int(np.argmax(norms))]
@@ -447,7 +478,7 @@ def _score_drop(pairs, xi: Twist, thetas: np.ndarray, r: np.ndarray) -> float:
     return 2.0 * _predicted_decrease(JtJ, Jtr, 0.0)  # that model drop is of half the cost
 
 
-def fit_regularized(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEstimate:
+def fit_regularized(corr: CorrespondenceSet, anchor_points=None, steps=None) -> TrajectoryEstimate:
     """Joint fit of a single unit twist and per-step magnitudes.
 
     Minimizes sum_m sum_j |dst_mj - exp(theta_m hat(xi)) src_mj|^2 with xi
@@ -460,8 +491,8 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
     fitted drop is above it too. Both tests count a drop below the rounding
     floor (machine eps * max |src|)^2 * N as none. A kept revolute fit that
     stalls or reaches MAX_ITER returns the best iterate flagged
-    ``non_converged``. ``rms_residual`` comes from the chosen fit's cost;
-    ``per_track_residuals`` is left unset.
+    ``non_converged``. ``rms_residual`` comes from the chosen fit's cost.
+    ``steps`` reuses a ``register_steps`` of ``corr`` for the seed.
     """
     pairs = _flatten_pairs(corr)
     peak = float(np.max(np.linalg.norm(pairs[1] - pairs[0], axis=1)))
@@ -476,7 +507,7 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None) -> TrajectoryEs
     need = max(-cost * np.expm1(-3.0 * np.log(N) / N), floor)
     stop = "converged"
     if _score_drop(pairs, xi, thetas, r) > need:
-        fit = damped_gauss_newton(*_init_from_steps(corr), partial(_pair_model, pairs))
+        fit = damped_gauss_newton(*_init_from_steps(corr, steps), partial(_pair_model, pairs))
         if cost - fit[2] > need:
             xi, thetas, cost, stop = fit
     converged = stop == "converged"

@@ -40,7 +40,6 @@ def make_trajectory(poses, flags=()):
         anchor=RigidTransform.identity(),
         poses=poses,
         rms_residual=0.0,
-        per_track_residuals={},
         flags=list(flags),
     )
 

@@ -379,7 +379,9 @@ def three_frame_segdata(mutate) -> dict:
     (lambda tr: tr["world"].pop(), "world"),
     (lambda tr: tr["uv"].pop(), "uv"),
     (lambda tr: tr["world"].__setitem__(1, None), "world[1]"),
-], ids=["world-two-columns", "world-short", "uv-short", "world-null-on-valid-frame"])
+    (lambda tr: [tr[k].pop() for k in ("uv", "world", "valid")], "valid"),
+], ids=["world-two-columns", "world-short", "uv-short", "world-null-on-valid-frame",
+        "shorter-than-segment"])
 def test_malformed_segment_data_exits_2_with_json_error(tmp_path, capsys, command, mutate, field):
     segdata = tmp_path / "segdata.json"
     segdata.write_text(json.dumps(three_frame_segdata(mutate)))

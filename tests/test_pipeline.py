@@ -7,7 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from artikit import pipeline
+import suite_util
+from artikit import pipeline, trajest
 from artikit.artmodel import ClassifierConfig
 from artikit.errors import TrackFileError
 from artikit.evalkit import axis_distance
@@ -28,6 +29,7 @@ from artikit.smoother import SmootherConfig
 from artikit.synth import JointSpec, SynthConfig, generate
 from artikit.trackfilter import FilterConfig
 from artikit.trackio import SegmentTrack
+from artikit.trajest import register_steps
 
 
 AXIS_DIR = np.array([0.0, 0.0, 1.0])
@@ -197,6 +199,71 @@ def test_failed_segment_does_not_poison_the_run():
     assert skip["stage"] == "estimate"
     assert skip["error"]["type"] == "InsufficientMotionError"
     assert skip["error"]["message"]
+
+
+def edge_recording(case: str):
+    """two_block_recording with all its tracks, or its depths, made degenerate."""
+    ts = two_block_recording()
+    if case == "no tracks":
+        ts.tracks = []
+    elif case == "one track":
+        ts.tracks = ts.tracks[:1]
+    elif case == "all static":
+        ts.tracks = ts.tracks[15:]  # the background points
+    elif case == "gaps":
+        for tr in ts.tracks:
+            tr.vis[20] = False  # unobserved in the first window: zero smoothing weights cannot fill it
+    else:
+        for tr in ts.tracks:
+            tr.depth[:] = np.nan if case == "NaN depth" else 0.0
+    return ts
+
+
+NO_MOTION = {
+    "regularized": "peak point displacement 0.000e+00 m is below 1e-06 m",
+    "independent": "all poses within 1e-06 of identity; no articulation to fit",
+}
+FILTERED_OUT = ("filter", "InsufficientTracksError", "all 23 tracks removed by static/reliability filtering")
+
+
+@pytest.mark.parametrize("mode", ["regularized", "independent"])
+@pytest.mark.parametrize("case", ["no tracks", "one track", "all static", "NaN depth", "zero depth", "gaps"])
+def test_degenerate_segments_end_in_skip_records(case, mode):
+    expected = {
+        "no tracks": [("filter", "InsufficientTracksError", "segment has no tracks")] * 2,
+        "one track": [("estimate", "DegenerateStepError",
+                       "step 0 (frames 0->2) has 1 pairs; need at least 3")] * 2,
+        "all static": [("estimate", "InsufficientMotionError", NO_MOTION[mode])] * 2,
+        "NaN depth": [FILTERED_OUT] * 2,
+        "zero depth": [FILTERED_OUT] * 2,
+        "gaps": [("smooth", "IllPosedError", "no track in the segment could be smoothed"),
+                 ("estimate", "InsufficientMotionError", NO_MOTION[mode])],
+    }[case]
+    doc = run_pipeline(edge_recording(case), quiet_pipeline_config(mode=mode))
+    assert doc["results"] == []
+    got = [(r["stage"], r["error"]["type"], r["error"]["message"]) for r in doc["skipped"]]
+    assert got == expected
+
+
+@pytest.mark.parametrize("mode", ["regularized", "independent"])
+@pytest.mark.parametrize("scene, dropped", [(4, 0), (0, 2)])
+def test_each_step_is_registered_once_unless_the_gate_drops_tracks(monkeypatch, mode, scene, dropped):
+    """The outlier gate's registration serves the fit (in regularized mode
+    the revolute fit's seed) when no track is dropped; the kept tracks are
+    registered again only when some are."""
+    calls = []
+
+    def spy(corr):
+        calls.append(corr.step_count)
+        return register_steps(corr)
+
+    monkeypatch.setattr(trajest, "register_steps", spy)
+    monkeypatch.setattr(pipeline, "register_steps", spy)
+    ts, _ = generate(suite_util.scene_config(scene, noisy=True))
+    (rec,) = run_pipeline(ts, suite_util.pipeline_config(True, mode))["results"]
+    assert rec["type"] == "revolute"  # in regularized mode, the revolute fit ran
+    assert rec["filter_counts"]["outliers"] == dropped
+    assert calls == [len(rec["trajectory"]["keyframes"]) - 1] * (2 if dropped else 1)
 
 
 def test_results_doc_keeps_segment_order():

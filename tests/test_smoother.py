@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from artikit.errors import IllPosedError
 from artikit.smoother import SmootherConfig, smooth_track, smoothing_energy
@@ -128,6 +131,57 @@ def test_rigid_equivariance():
     moved[tr.valid] = apply(T, moved[tr.valid])
     out2 = smooth_track(Track3D(moved, tr.valid.copy()), cfg)
     assert np.max(np.abs(out2.positions - apply(T, out.positions))) < 1e-9
+
+
+def per_track(positions, valid, cfg):
+    """``smooth_track`` of each track alone; None where it raises."""
+    out = []
+    for pos, v in zip(positions, valid):
+        try:
+            out.append(smooth_track(Track3D(pos, v), cfg).positions)
+        except IllPosedError:
+            out.append(None)
+    return out
+
+
+def assert_stack_matches(positions, valid, cfg):
+    """The stacked solve equals per-track calls bit for bit and drops the
+    same tracks; it raises only when every track is dropped."""
+    alone = per_track(positions, valid, cfg)
+    try:
+        out = smooth_track(Track3D(positions, valid), cfg)
+    except IllPosedError:
+        assert all(p is None for p in alone)
+        return
+    for i, p in enumerate(alone):
+        if p is None:
+            assert not out.valid[i].any() and np.isnan(out.positions[i]).all()
+        else:
+            assert out.valid[i].all() and np.array_equal(out.positions[i], p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_stack_equals_per_track_calls(data):
+    N = data.draw(st.integers(1, 6))
+    T = data.draw(st.integers(1, 12))
+    positions = data.draw(hnp.arrays(float, (N, T, 3), elements=st.floats(-5.0, 5.0, allow_subnormal=False)))
+    valid = data.draw(hnp.arrays(bool, (N, T)))
+    cfg = SmootherConfig(data.draw(st.sampled_from([0.0, 0.5])), data.draw(st.sampled_from([0.0, 5.0])))
+    assert_stack_matches(positions, valid, cfg)
+
+
+def test_stack_drops_only_the_singular_track():
+    # jerk alone leaves a quadratic free: one observed frame of six is singular,
+    # which fails the joint factorization and is found by solving each track alone
+    rng = np.random.default_rng(5)
+    valid = np.ones((3, 6), dtype=bool)
+    valid[1, 1:] = False
+    cfg = SmootherConfig(0.0, 5.0)
+    assert per_track(rng.normal(size=(3, 6, 3)), valid, cfg)[1] is None
+    assert_stack_matches(rng.normal(size=(3, 6, 3)), valid, cfg)
+    out = smooth_track(Track3D(rng.normal(size=(3, 6, 3)), valid), cfg)
+    assert out.valid.all(axis=1).tolist() == [True, False, True]
 
 
 def test_config_validation():

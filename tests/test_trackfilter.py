@@ -48,6 +48,24 @@ def test_motion_score_needs_two_observations():
     assert motion_score(tr, "world3d") == 0.0
 
 
+def test_motion_score_of_a_stack_equals_np_var_per_track():
+    rng = np.random.default_rng(6)
+    N, T = 12, 40
+    world = rng.normal(size=(N, T, 3)) * rng.uniform(0.01, 10.0, (N, 1, 1))
+    uv = rng.normal(size=(N, T, 2)) * 100.0
+    valid = rng.random((N, T)) < rng.uniform(0.0, 1.0, (N, 1))
+    valid[0], valid[1] = False, np.arange(T) == 3  # no observation, one observation
+    world[~valid] = np.nan
+    stack = SegmentTrack(None, uv, world, valid)
+    for mode, coords in (("world3d", world), ("image2d", uv)):
+        scores = motion_score(stack, mode)
+        for i in range(N):
+            pts = coords[i][valid[i]]
+            want = float(np.sum(np.var(pts, axis=0))) if len(pts) >= 2 else 0.0
+            assert scores[i] == want
+            assert motion_score(SegmentTrack(i, uv[i], world[i], valid[i]), mode) == want
+
+
 def test_static_filter_removes_exact_count():
     tracks = [line_track(i, 5, step=0.1 * (i + 1)) for i in range(10)]
     kept, removed = filter_static(tracks, FilterConfig(sigma_static=50.0, static_mode="world3d"))

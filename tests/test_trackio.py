@@ -91,6 +91,23 @@ def test_to_world_applies_camera_poses():
         assert np.array_equal(w.valid, valid)
 
 
+def test_lift_and_to_world_on_a_stack_equal_per_track_calls():
+    rng = np.random.default_rng(4)
+    intr = trackio.CameraIntrinsics(525.0, 500.0, 320.0, 240.0)
+    N, T = 9, 12
+    poses = trackio.stack_poses([
+        exp_map(Twist(rng.normal(size=3), rng.normal(size=3)), rng.uniform(0, 1)) for _ in range(T)
+    ])
+    uv = rng.uniform(0.0, 640.0, (N, T, 2))
+    depth = rng.choice([np.nan, -1.0, 0.0, 0.5, 3.0, 12.0], (N, T)) * rng.uniform(0.9, 1.1, (N, T))
+    vis = rng.random((N, T)) < 0.8
+    stack = trackio.to_world(trackio.lift_track(trackio.Track(None, uv, depth, vis), intr), poses)
+    for i in range(N):
+        one = trackio.to_world(trackio.lift_track(trackio.Track(i, uv[i], depth[i], vis[i]), intr), poses)
+        assert np.array_equal(stack.positions[i], one.positions, equal_nan=True)
+        assert np.array_equal(stack.valid[i], one.valid)
+
+
 def test_world_rigidity_of_static_scene():
     """Points fixed in the world stay put no matter how the camera moves."""
     rng = np.random.default_rng(3)
@@ -179,6 +196,22 @@ def _doc(tmp_path, mutate):
         (lambda d: d["frames"][0]["cam_pose"].pop("q"), "cam_pose"),
         # each of these fails a check of the array path and must get the
         # element walk's message
+        pytest.param(lambda d: d["frames"].__setitem__(1, []),
+                     "frames[1]: must be an object", id="frame-list"),
+        pytest.param(lambda d: d["frames"][2].update(t=True),
+                     "frames[2]: t must equal the frame index 2, got True", id="frame-t-true"),
+        pytest.param(lambda d: d["frames"][1]["cam_pose"]["q"].__setitem__(0, True),
+                     "frames[1].cam_pose.q[0]: expected a number, got True", id="q-true"),
+        pytest.param(lambda d: d["frames"][1]["cam_pose"]["q"].pop(),
+                     "frames[1].cam_pose.q: must be a 4-list", id="q-short"),
+        pytest.param(lambda d: d["frames"][2]["cam_pose"].update(t="up"),
+                     "frames[2].cam_pose.t: must be a 3-list", id="t-string"),
+        pytest.param(lambda d: d["frames"][1]["cam_pose"]["t"].__setitem__(2, math.nan),
+                     "frames[1].cam_pose.t[2]: expected a finite number, got nan", id="t-nan"),
+        pytest.param(lambda d: d["frames"][3]["cam_pose"].update(q=[2.0, 0.0, 0.0, 0.0]),
+                     "frames[3].cam_pose: q must be near unit norm", id="q-not-unit"),
+        pytest.param(lambda d: d["frames"][2].update(hand=1),
+                     "frames[2].hand: must be a boolean", id="hand-int"),
         pytest.param(lambda d: d["tracks"][0]["uv"][1].__setitem__(0, True),
                      "tracks[0].uv[1][0]: expected a number, got True", id="uv-true"),
         pytest.param(lambda d: d["tracks"][0]["uv"][2].append(1.0),
@@ -317,16 +350,6 @@ def test_loader_malformed_json_has_position(tmp_path):
     with pytest.raises(TrackFileError) as ei:
         trackio.load_trackset(p)
     assert "line 2" in str(ei.value)
-
-
-def test_slice_inclusive():
-    ts = make_trackset(T=6)
-    sub = ts.slice(1, 3)
-    assert sub.frame_count == 3
-    assert np.array_equal(sub.tracks[0].uv, ts.tracks[0].uv[1:4])
-    assert np.all(sub.hand == ts.hand[1:4])
-    with pytest.raises(ValueError):
-        ts.slice(3, 6)
 
 
 def test_intrinsics_validation():

@@ -36,6 +36,7 @@ from artikit.lie import (
     twist_gauge,
     twist_tangent_basis,
     _quat_from_rotvec,
+    quat_to_matrix,
     RigidTransform,
 )
 from artikit import trajest
@@ -46,6 +47,8 @@ from artikit.trajest import (
     _flatten_pairs,
     _pair_model,
     _pair_residual,
+    CorrespondenceSet,
+    StepPairs,
     build_correspondences,
     choose_anchor,
     damped_gauss_newton,
@@ -53,6 +56,8 @@ from artikit.trajest import (
     fit_regularized,
     integrate_poses,
     register_rigid,
+    register_steps,
+    residual_stats,
 )
 
 
@@ -118,6 +123,45 @@ def test_register_collinear_raises():
 def test_register_shape_mismatch():
     with pytest.raises(ValueError):
         register_rigid(np.zeros((4, 3)), np.zeros((5, 3)))
+
+
+def reference_register(src, dst):
+    """One step's registration as a per-step loop computes it: rotation, translation."""
+    cs, cd = src.mean(axis=0), dst.mean(axis=0)
+    U, S, Vt = np.linalg.svd((src - cs).T @ (dst - cd))
+    R = Vt.T @ np.diag([1.0, 1.0, np.sign(np.linalg.det(Vt.T @ U.T))]) @ U.T
+    return R, cd - R @ cs
+
+
+def noisy_steps(rng, M):
+    steps = []
+    for _ in range(M):
+        n = int(rng.integers(3, 40))
+        src = rng.uniform(-0.5, 0.5, (n, 3))
+        dst = apply(rand_transform(rng), src) + rng.normal(0.0, 0.01, (n, 3))
+        steps.append(StepPairs(src, dst, np.arange(n)))
+    return steps
+
+
+def test_register_steps_matches_per_step_registration():
+    rng = np.random.default_rng(12)
+    for M in (1, 2, 9):
+        steps = noisy_steps(rng, M)
+        q, t = register_steps(CorrespondenceSet(steps, 1, np.arange(M + 1)))
+        for m, s in enumerate(steps):
+            one = register_rigid(s.src, s.dst)
+            R, tt = reference_register(s.src, s.dst)
+            assert np.max(np.abs(q[m] - one.q)) <= 1e-12 and np.max(np.abs(t[m] - one.t)) <= 1e-12
+            assert np.max(np.abs(quat_to_matrix(q[m]) - R)) <= 1e-12
+            assert np.max(np.abs(t[m] - tt)) <= 1e-12
+
+
+def test_register_steps_raises_on_a_near_collinear_step():
+    steps = noisy_steps(np.random.default_rng(13), 4)
+    line = np.linspace(0.0, 1.0, 8)[:, None] * [1.0, 2.0, -1.0]
+    steps[2] = StepPairs(line, line + [0.1, 0.0, 0.0], np.arange(8))
+    with pytest.raises(DegenerateGeometryError):
+        register_steps(CorrespondenceSet(steps, 1, np.arange(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +232,14 @@ def test_fit_independent_recovers_scripted_steps():
         steps.append(S)
         world[:, m + 1] = apply(S, world[:, m])
     tracks = [SegmentTrack(i, None, world[i], np.ones(T, bool)) for i in range(n)]
-    est = fit_independent(build_correspondences(tracks, stride=1))
+    corr = build_correspondences(tracks, stride=1)
+    est = fit_independent(corr)
     assert est.mode == "independent"
     assert len(est.step_transforms) == T - 1
     for got, want in zip(est.step_transforms, steps):
         assert transform_err(got, want) < 1e-11
     assert est.rms_residual < 1e-12
-    assert set(est.per_track_residuals) == set(range(n))
+    assert set(residual_stats(corr, register_steps(corr))[1]) == set(range(n))
 
 
 def test_integrate_poses_equals_a_compose_chain_bit_for_bit():
