@@ -17,12 +17,13 @@ Validation errors name the offending field and index. A frame where
 ``vis`` is true must carry finite positive depth; depth beyond ``max_depth``
 is legal in the file and is marked invalid at lift time.
 
-Loading checks the frames, then each track, in bulk first: the element
-types of their lists, then one array conversion with finiteness checks.
-Frames or a track that fail any of these go through the element-by-element
-walk, which finds and names the first bad element, so the bulk path never
-decides an error message. Lifting and world mapping take one track or a
-stack of tracks with a leading track axis.
+Loading checks the frames, then all tracks at once, in bulk first: the
+element types of the tracks' flat lists, then one (tracks, frames) array per
+field with finiteness checks; each track holds rows of those arrays. Frames
+or tracks that fail go through the element-by-element walk, which finds and
+names the first bad element, so the bulk path never decides an error
+message. Lifting and world mapping take one track or a stack of tracks with
+a leading track axis.
 Files are written as compact one-line JSON.
 """
 
@@ -224,27 +225,35 @@ _NUMBER = {int, float}
 _NUMBER_OR_NULL = {int, float, type(None)}
 
 
-def _track_arrays(uv: list, depth: list, vis: list):
-    """(uv, depth, vis) arrays of a well-formed track, or None.
+def _track_stacks(raw_tracks: list, T: int):
+    """(uv, depth, vis) stacks, shaped (N, T, 2), (N, T) and (N, T), of
+    structurally checked tracks, or None if an element is bad.
 
-    Type checks over whole lists, then one conversion per array. None hands
-    the track to ``_walk_track``, which finds the first bad element.
+    Type checks over all tracks' flat lists, then one conversion per array.
+    None hands the tracks to ``_walk_track``, which finds the first bad element.
     """
-    if set(map(type, uv)) != {list} or set(map(len, uv)) != {2}:
+    pts = list(chain.from_iterable(tr["uv"] for tr in raw_tracks))
+    if not (set(map(type, pts)) <= {list} and set(map(len, pts)) <= {2}):
         return None
-    if not (set(map(type, chain.from_iterable(uv))) <= _NUMBER
-            and set(map(type, depth)) <= _NUMBER_OR_NULL
-            and set(map(type, vis)) == {bool}):
+    flat = list(chain.from_iterable(pts))
+    del pts
+    if not set(map(type, flat)) <= _NUMBER:
         return None
     try:
-        uv_arr = np.array(uv, dtype=float)
-        depth_arr = np.array(depth, dtype=float)  # null becomes NaN
+        uv = np.array(flat, dtype=float).reshape(-1, T, 2)
+        flat = list(chain.from_iterable(tr["depth"] for tr in raw_tracks))
+        if not set(map(type, flat)) <= _NUMBER_OR_NULL:
+            return None
+        depth = np.array(flat, dtype=float).reshape(-1, T)  # null becomes NaN
     except OverflowError:  # an integer too large for a float
         return None
     # every NaN depth must come from a null: a NaN or infinite literal is bad
-    if not np.isfinite(uv_arr).all() or np.count_nonzero(~np.isfinite(depth_arr)) != depth.count(None):
+    if not np.isfinite(uv).all() or np.count_nonzero(~np.isfinite(depth)) != flat.count(None):
         return None
-    return uv_arr, depth_arr, np.array(vis, dtype=bool)
+    flat = list(chain.from_iterable(tr["vis"] for tr in raw_tracks))
+    if not set(map(type, flat)) <= {bool}:
+        return None
+    return uv, depth, np.array(flat, dtype=bool).reshape(-1, T)
 
 
 def _walk_track(uv: list, depth: list, vis: list, w: str):
@@ -319,7 +328,14 @@ def _walk_frames(frames: list, where: str):
 
 
 def load_trackset(path) -> TrackSet:
-    """Load and validate a track file; errors name field and index."""
+    """Load and validate a track file; errors name field and index.
+
+    A file with several faults reports the first one met in this order: the
+    top level, intrinsics and frames; each track's structure (an object, an
+    integer id not seen before, uv/depth/vis lists of the frame count),
+    track by track; the element types and finiteness of every track, track
+    by track; the visible-depth rule, by track and then by frame.
+    """
     doc = jsonio.load_json(path)
     where = str(path)
     _require(isinstance(doc, dict), where, "top level must be an object")
@@ -346,7 +362,6 @@ def load_trackset(path) -> TrackSet:
     T = len(frames)
     raw_tracks = doc.get("tracks")
     _require(isinstance(raw_tracks, list), where, "tracks must be a list")
-    tracks = []
     seen_ids = set()
     for k, tr in enumerate(raw_tracks):
         w = f"{where}.tracks[{k}]"
@@ -355,21 +370,24 @@ def load_trackset(path) -> TrackSet:
         _require(isinstance(tid, int) and not isinstance(tid, bool), f"{w}.id", "must be an integer")
         _require(tid not in seen_ids, f"{w}.id", f"duplicate track id {tid}")
         seen_ids.add(tid)
-        uv = tr.get("uv")
-        depth = tr.get("depth")
-        vis = tr.get("vis")
-        for name, arr in (("uv", uv), ("depth", depth), ("vis", vis)):
+        for name in ("uv", "depth", "vis"):
+            arr = tr.get(name)
             _require(isinstance(arr, list), f"{w}.{name}", "must be a list")
             _require(len(arr) == T, f"{w}.{name}", f"length {len(arr)} != frame count {T}")
-        uv_arr, depth_arr, vis_arr = _track_arrays(uv, depth, vis) or _walk_track(uv, depth, vis, w)
-        bad = vis_arr & ~(np.isfinite(depth_arr) & (depth_arr > 0))
-        if np.any(bad):
-            t = int(np.flatnonzero(bad)[0])
-            raise TrackFileError(
-                f"{w}.depth[{t}]: frame is visible but depth is {depth[t]!r}; "
-                "visible frames require finite positive depth"
-            )
-        tracks.append(Track(tid, uv_arr, depth_arr, vis_arr))
+    stacks = _track_stacks(raw_tracks, T)
+    if stacks is None:
+        walked = [_walk_track(tr["uv"], tr["depth"], tr["vis"], f"{where}.tracks[{k}]")
+                  for k, tr in enumerate(raw_tracks)]
+        stacks = tuple(map(np.stack, zip(*walked)))
+    uv, depth, vis = stacks
+    bad = vis & ~(np.isfinite(depth) & (depth > 0))
+    if np.any(bad):
+        k, t = map(int, np.argwhere(bad)[0])
+        raise TrackFileError(
+            f"{where}.tracks[{k}].depth[{t}]: frame is visible but depth is "
+            f"{raw_tracks[k]['depth'][t]!r}; visible frames require finite positive depth"
+        )
+    tracks = [Track(tr["id"], *rows) for tr, *rows in zip(raw_tracks, uv, depth, vis)]
 
     return TrackSet(intrinsics=intr, cam_poses=poses, hand=hand, tracks=tracks)
 

@@ -1,9 +1,14 @@
-"""Command-line driver, exercised in process through main()."""
+"""Command-line driver, exercised in process through main() and, for the
+locale, in a fresh interpreter."""
 
 import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,8 @@ from artikit.lie import RigidTransform
 from artikit.pipeline import PipelineConfig, effective_config
 from artikit.synth import JointSpec, SynthConfig, generate
 from artikit.trackio import save_trackset
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def scene_doc(**overrides):
@@ -247,6 +254,38 @@ def test_malformed_input_exits_2_with_json_error(workdir, capsys):
     msg = json.loads(err_lines[-1])
     assert set(msg) == {"error", "message"}
     assert "line 2" in msg["message"]
+
+
+def test_track_file_not_utf8_exits_2_with_json_error(workdir, capsys):
+    bad = workdir / "bad.json"
+    bad.write_bytes(b'{"version": 1, "x": "\xff"}')
+    rc = main(["run", "--tracks", str(bad), "--out", str(workdir / "o.json")])
+    assert rc == 2
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("{")]
+    assert len(err_lines) == 1
+    msg = json.loads(err_lines[0])
+    assert msg["error"] == "TrackFileError"
+    assert msg["message"].startswith(f"{bad}: malformed JSON: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_utf8_track_file_loads_under_an_ascii_locale(workdir):
+    """Files are UTF-8 whatever the locale: a fresh interpreter with the C
+    locale and UTF-8 mode off decodes text as ASCII by default."""
+    doc = json.loads((workdir / "tracks.json").read_text())
+    doc["note"] = "caf\u00e9"
+    tracks = workdir / "utf8.json"
+    tracks.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    python = [sys.executable, "-X", "utf8=0"]
+    encoding = subprocess.run(python + ["-c", "import locale; print(locale.getpreferredencoding(False))"],
+                              env=env, capture_output=True, text=True, timeout=60).stdout.strip()
+    assert encoding.lower().replace("-", "") not in ("utf8", "")  # the locale really is not UTF-8
+    done = subprocess.run(python + ["-m", "artikit", "run", "--tracks", str(tracks),
+                                    "--out", str(workdir / "o.json"), "--config", str(workdir / "pipeline.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((workdir / "o.json").read_text())["results"]
 
 
 @pytest.mark.parametrize("segments, field", [

@@ -1,5 +1,6 @@
 """Track file IO, backprojection, and world-frame lifting."""
 
+import gc
 import json
 import math
 import re
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from artikit import trackio
+from artikit import jsonio, trackio
 from artikit.errors import TrackFileError
 from artikit.lie import RigidTransform, apply, exp_map, inverse, Twist
 
@@ -256,6 +257,34 @@ def test_loader_reports_field_paths(tmp_path, mutate, fragment):
     assert fragment in str(ei.value)
 
 
+def two_faults(first, second):
+    def mutate(d):
+        first(d)
+        second(d)
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(two_faults(lambda d: d["tracks"][0]["depth"].__setitem__(0, None),
+                                lambda d: d["tracks"][2].update(id=d["tracks"][1]["id"])),
+                     "tracks[2].id: duplicate track id 1", id="structure-before-visible-depth"),
+        pytest.param(two_faults(lambda d: d["tracks"][0]["depth"].__setitem__(0, None),
+                                lambda d: d["tracks"][1]["uv"][2].__setitem__(1, "v")),
+                     "tracks[1].uv[2][1]: expected a number, got 'v'", id="elements-before-visible-depth"),
+        pytest.param(two_faults(lambda d: d["tracks"][2]["vis"].__setitem__(1, 0),
+                                lambda d: d["tracks"][1]["depth"].__setitem__(4, False)),
+                     "tracks[1].depth[4]: expected a number or null, got False", id="elements-by-track"),
+    ],
+)
+def test_loader_reports_the_first_fault_in_its_documented_order(tmp_path, mutate, message):
+    p = _doc(tmp_path, mutate)
+    with pytest.raises(TrackFileError) as ei:
+        trackio.load_trackset(p)
+    assert str(ei.value).startswith(f"{p}.{message}")
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -342,6 +371,73 @@ def test_load_inverts_save(ts):
         assert np.array_equal(a.uv, b.uv)
         assert np.array_equal(a.depth, b.depth, equal_nan=True)
         assert np.array_equal(a.vis, b.vis)
+
+
+# pixels and depths as a track file may spell them: floats of any size,
+# including -0.0 and subnormals, and integers, some too wide for a float's
+# 53-bit mantissa
+file_number = (st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -2.5e-310])
+               | st.integers(-2**80, 2**80))
+file_depth = (st.floats(1e-300, 1e300) | st.sampled_from([5e-324, 2.5e-310]) | st.integers(1, 2**80))
+
+
+@st.composite
+def track_lists(draw) -> tuple:
+    """(T, tracks) of a valid track file: hidden frames carry null or any
+    finite number, visible frames a finite positive one."""
+    T = draw(st.integers(1, 6))
+    tracks = []
+    for tid in range(draw(st.integers(0, 4))):
+        vis = draw(st.lists(st.booleans(), min_size=T, max_size=T))
+        depth = [draw(file_depth) if v else draw(st.none() | file_number) for v in vis]
+        uv = [[draw(file_number), draw(file_number)] for _ in range(T)]
+        tracks.append({"id": tid, "uv": uv, "depth": depth, "vis": vis})
+    return T, tracks
+
+
+@PROPERTY
+@given(case=track_lists())
+def test_bulk_load_equals_the_element_walk_bit_for_bit(case):
+    T, tracks = case
+    doc = {"version": 1, "intrinsics": {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0},
+           "frames": [{"t": t, "cam_pose": {"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0, 0.0]},
+                       "hand": False} for t in range(T)],
+           "tracks": tracks}
+    text = json.dumps(doc)
+    raw = json.loads(text)["tracks"]
+    assert trackio._track_stacks(raw, T) is not None  # the bulk path loads it
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "tracks.json"
+        path.write_text(text)
+        loaded = trackio.load_trackset(path).tracks
+    assert len(loaded) == len(raw)
+    for k, (tr, got) in enumerate(zip(raw, loaded)):
+        walked = trackio._walk_track(tr["uv"], tr["depth"], tr["vis"], f"tracks[{k}]")
+        for a, b in zip((got.uv, got.depth, got.vis), walked, strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("text", ['{"a": [[1, 2.5], [3, null]]}', '{"a": [[1, 2.5], [3'],
+                         ids=["good", "malformed"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_load_json_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, text, enabled):
+    p = tmp_path / "x.json"
+    p.write_text(text)
+    during = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s: during.append(gc.isenabled()) or loads(s))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if text.endswith("null]]}"):
+            assert jsonio.load_json(p) == {"a": [[1, 2.5], [3, None]]}
+        else:
+            with pytest.raises(TrackFileError, match="malformed JSON"):
+                jsonio.load_json(p)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
 
 
 def test_loader_malformed_json_has_position(tmp_path):
