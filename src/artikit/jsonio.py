@@ -1,39 +1,61 @@
 """Small JSON helpers shared by the file formats.
 
-Floats are written with Python's shortest round-trip repr, so a value survives
-save -> load bit-exactly; callers map NaN to null (JSON has no NaN) before
-writing. Files are compact one-line JSON, decoded as UTF-8 whatever the locale.
+Files are parsed by orjson. Input it refuses is parsed again by the standard
+``json``, which accepts some of it (NaN and Infinity literals, numbers beyond
+a float's range, a byte-order mark, UTF-16, lone surrogates) and words every
+error. Both give the same floats, bit for bit; orjson reads an integer
+literal outside [-2**63, 2**64 - 1] as a float. Writing stays on ``json``:
+floats are written with Python's shortest round-trip repr, so a value
+survives save -> load bit-exactly, and ``allow_nan=False`` makes callers map
+NaN to null. Files are compact one-line JSON, read as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+from contextlib import contextmanager
 from pathlib import Path
+
+import orjson
 
 from .errors import TrackFileError
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector and restore the state it found, also
+    on an exception. Parsing and checking a document makes no cycles, so a
+    collection in the meantime would only traverse it and free nothing. As a
+    decorator it restores the collector after the call has freed its locals."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def load_json(path) -> object:
     """Parse a JSON file; an unreadable or malformed file raises TrackFileError.
-    The cyclic collector is paused: a parse makes no cycles, so its
-    collections would free nothing."""
+    The cyclic collector is paused during the parse."""
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as e:
         raise TrackFileError(f"{path}: cannot read: {e}") from e
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return json.loads(data)
-    except json.JSONDecodeError as e:
-        raise TrackFileError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    except ValueError as e:  # not UTF-8, or an integer literal too long for Python to convert
-        raise TrackFileError(f"{path}: malformed JSON: {e}") from e
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    with collector_paused():
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass  # the standard parser accepts it or names the fault
+        try:
+            return json.loads(data)
+        except json.JSONDecodeError as e:
+            raise TrackFileError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+        except ValueError as e:  # not UTF-8, or an integer literal too long for Python to convert
+            raise TrackFileError(f"{path}: malformed JSON: {e}") from e
 
 
 def dump_json(path, obj) -> None:

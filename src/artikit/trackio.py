@@ -13,6 +13,7 @@ Schema (version 1)::
      "frames": [{"t": 0, "cam_pose": {"q": [w,x,y,z], "t": [x,y,z]}, "hand": false}, ...],
      "tracks": [{"id": 0, "uv": [[u,v], ...], "depth": [..|null, ...], "vis": [true, ...]}, ...]}
 
+A track ``id`` is an integer in the signed 64-bit range [-2**63, 2**63 - 1].
 Validation errors name the offending field and index. A frame where
 ``vis`` is true must carry finite positive depth; depth beyond ``max_depth``
 is legal in the file and is marked invalid at lift time.
@@ -200,6 +201,9 @@ def to_world(track3d: Track3D, cam_poses) -> Track3D:
 # file IO
 
 
+_ID_RULE = "must be an integer in the signed 64-bit range"
+
+
 def _require(cond: bool, where: str, msg: str):
     if not cond:
         raise TrackFileError(f"{where}: {msg}")
@@ -327,6 +331,7 @@ def _walk_frames(frames: list, where: str):
     return poses, hand
 
 
+@jsonio.collector_paused()
 def load_trackset(path) -> TrackSet:
     """Load and validate a track file; errors name field and index.
 
@@ -335,6 +340,7 @@ def load_trackset(path) -> TrackSet:
     integer id not seen before, uv/depth/vis lists of the frame count),
     track by track; the element types and finiteness of every track, track
     by track; the visible-depth rule, by track and then by frame.
+    The cyclic collector stays paused until the parsed document is freed.
     """
     doc = jsonio.load_json(path)
     where = str(path)
@@ -367,7 +373,7 @@ def load_trackset(path) -> TrackSet:
         w = f"{where}.tracks[{k}]"
         _require(isinstance(tr, dict), w, "must be an object")
         tid = tr.get("id")
-        _require(isinstance(tid, int) and not isinstance(tid, bool), f"{w}.id", "must be an integer")
+        _require(isinstance(tid, int) and not isinstance(tid, bool) and -2**63 <= tid < 2**63, f"{w}.id", _ID_RULE)
         _require(tid not in seen_ids, f"{w}.id", f"duplicate track id {tid}")
         seen_ids.add(tid)
         for name in ("uv", "depth", "vis"):
@@ -395,11 +401,12 @@ def load_trackset(path) -> TrackSet:
 def save_trackset(path, ts: TrackSet) -> None:
     """Write a track file; load(save(x)) reproduces x exactly.
 
-    A non-finite pixel coordinate or an infinite depth, which load would
-    reject, raises TrackFileError naming its field; a NaN depth is written
-    as null.
+    A track id outside the signed 64-bit range, a non-finite pixel
+    coordinate or an infinite depth, which load would reject, raises
+    TrackFileError naming its field; a NaN depth is written as null.
     """
     for k, tr in enumerate(ts.tracks):
+        _require(-2**63 <= tr.id < 2**63, f"{path}.tracks[{k}].id", _ID_RULE)
         bad = np.flatnonzero(~np.all(np.isfinite(tr.uv), axis=1))
         if len(bad):
             t = int(bad[0])

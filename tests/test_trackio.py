@@ -257,6 +257,49 @@ def test_loader_reports_field_paths(tmp_path, mutate, fragment):
     assert fragment in str(ei.value)
 
 
+# a NaN under a key the loader never reads makes orjson refuse the file, so
+# the standard parser reads it
+PARSERS = pytest.mark.parametrize("fallback", [False, True], ids=["orjson", "stdlib-fallback"])
+
+
+def _id_doc(tmp_path, tid, fallback):
+    p = _doc(tmp_path, lambda d: d["tracks"][0].update(id=tid) or (fallback and d.update(note=math.nan)))
+    refused = False
+    try:
+        jsonio.orjson.loads(p.read_bytes())
+    except jsonio.orjson.JSONDecodeError:
+        refused = True
+    assert refused is fallback
+    return p
+
+
+@PARSERS
+@pytest.mark.parametrize("tid", [2**63, -2**63 - 1, 2**70], ids=["2**63", "-2**63-1", "2**70"])
+def test_loader_rejects_track_id_outside_int64_whichever_parser_runs(tmp_path, tid, fallback):
+    p = _id_doc(tmp_path, tid, fallback)
+    with pytest.raises(TrackFileError) as ei:
+        trackio.load_trackset(p)
+    assert str(ei.value) == f"{p}.tracks[0].id: must be an integer in the signed 64-bit range"
+
+
+@pytest.mark.parametrize("tid", [2**63, -2**63 - 1], ids=["2**63", "-2**63-1"])
+def test_save_rejects_track_id_outside_int64(tmp_path, tid):
+    ts = make_trackset()
+    ts.tracks[1].id = tid
+    p = tmp_path / "x.json"
+    with pytest.raises(TrackFileError) as ei:
+        trackio.save_trackset(p, ts)
+    assert str(ei.value) == f"{p}.tracks[1].id: must be an integer in the signed 64-bit range"
+    assert not p.exists()
+
+
+@PARSERS
+@pytest.mark.parametrize("tid", [2**63 - 1, -2**63], ids=["2**63-1", "-2**63"])
+def test_loader_accepts_track_id_at_the_int64_bounds(tmp_path, tid, fallback):
+    p = _id_doc(tmp_path, tid, fallback)
+    assert trackio.load_trackset(p).tracks[0].id == tid
+
+
 def two_faults(first, second):
     def mutate(d):
         first(d)
@@ -417,24 +460,62 @@ def test_bulk_load_equals_the_element_walk_bit_for_bit(case):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
-@pytest.mark.parametrize("text", ['{"a": [[1, 2.5], [3, null]]}', '{"a": [[1, 2.5], [3'],
-                         ids=["good", "malformed"])
+@pytest.mark.parametrize(
+    "text, parsers",
+    [
+        pytest.param(b'{"a": [[1, 2.5], [3, null]]}', ["orjson"], id="good"),
+        pytest.param(b'{"a": [[1, 2.5], [3, NaN]]}', ["orjson", "json"], id="nan-literal"),
+        pytest.param(b'\xef\xbb\xbf{"a": [[1, 2.5], [3, null]]}', ["orjson", "json"], id="bom"),
+        pytest.param(b'{"a": [[1, 2.5], [3', ["orjson", "json"], id="malformed"),
+    ],
+)
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
-def test_load_json_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, text, enabled):
+def test_load_json_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, text, parsers, enabled):
+    """Whichever parser runs, orjson or the standard parser after it, runs
+    with the collector paused; the state found is restored on return and on
+    an error."""
     p = tmp_path / "x.json"
-    p.write_text(text)
+    p.write_bytes(text)
     during = []
-    loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda s: during.append(gc.isenabled()) or loads(s))
+
+    def spy(module):
+        loads = module.loads
+        monkeypatch.setattr(module, "loads", lambda s: during.append((module.__name__, gc.isenabled())) or loads(s))
+
+    spy(jsonio.orjson)
+    spy(json)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        if text.endswith("null]]}"):
-            assert jsonio.load_json(p) == {"a": [[1, 2.5], [3, None]]}
+        if text.endswith(b"]]}"):
+            assert repr(jsonio.load_json(p)) == repr({"a": [[1, 2.5], [3, math.nan if b"NaN" in text else None]]})
         else:
             with pytest.raises(TrackFileError, match="malformed JSON"):
                 jsonio.load_json(p)
         assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [(name, False) for name in parsers]
+
+
+@pytest.mark.parametrize("fault", [None, lambda d: d["tracks"][0]["depth"].__setitem__(0, None)],
+                         ids=["good", "visible-null-depth"])
+def test_load_trackset_keeps_the_collector_paused_until_it_returns(tmp_path, monkeypatch, fault):
+    """The collector stays paused past the parse, through the track checks,
+    and the state found is restored on return and on an error."""
+    p = _doc(tmp_path, fault or (lambda d: None))
+    during = []
+    stacks = trackio._track_stacks
+    monkeypatch.setattr(trackio, "_track_stacks", lambda *a: during.append(gc.isenabled()) or stacks(*a))
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        if fault:
+            with pytest.raises(TrackFileError, match=r"tracks\[0\]\.depth\[0\]: frame is visible"):
+                trackio.load_trackset(p)
+        else:
+            trackio.load_trackset(p)
+        assert gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
     assert during == [False]
