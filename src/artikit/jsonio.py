@@ -1,13 +1,14 @@
 """Small JSON helpers shared by the file formats.
 
-Files are parsed by orjson. Input it refuses is parsed again by the standard
-``json``, which accepts some of it (NaN and Infinity literals, numbers beyond
-a float's range, a byte-order mark, UTF-16, lone surrogates) and words every
-error. Both give the same floats, bit for bit; orjson reads an integer
-literal outside [-2**63, 2**64 - 1] as a float. Writing stays on ``json``:
-floats are written with Python's shortest round-trip repr, so a value
-survives save -> load bit-exactly, and ``allow_nan=False`` makes callers map
-NaN to null. Files are compact one-line JSON, read as UTF-8 whatever the locale.
+``load_json`` gives what the standard ``json`` gives, errors included. It
+parses with orjson, which agrees with ``json`` on all it accepts except an
+integer literal outside [-2**63, 2**64 - 1], read as a float; so a file with
+an integer literal of 19 or more digits, and all that orjson refuses (NaN,
+Infinity, 1e400, a byte-order mark, UTF-16, lone surrogates, malformed
+files), is parsed by ``json``. Writing stays on ``json``: floats are written
+with Python's shortest round-trip repr, so a value survives save -> load
+bit-exactly, and ``allow_nan=False`` makes callers map NaN to null. Files
+are compact one-line JSON, read as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -21,13 +22,22 @@ import orjson
 
 from .errors import TrackFileError
 
+# digits -> "0", "." -> ".", any other byte -> "x": an integer literal of 19
+# or more digits shows as "x" and 19 zeros (a false alarm, such as digits in a
+# string, costs only speed)
+_DIGIT_SHAPE = bytes(ord("0" if chr(b) in "0123456789" else "." if chr(b) == "." else "x") for b in range(256))
+_LONG_INTEGER = b"x" + b"0" * 19
+
+
+def _has_long_integer(data: bytes) -> bool:
+    shape = data.translate(_DIGIT_SHAPE)
+    return shape.startswith(_LONG_INTEGER[1:]) or _LONG_INTEGER in shape
+
 
 @contextmanager
 def collector_paused():
-    """Pause the cyclic garbage collector and restore the state it found, also
-    on an exception. Parsing and checking a document makes no cycles, so a
-    collection in the meantime would only traverse it and free nothing. As a
-    decorator it restores the collector after the call has freed its locals."""
+    """Pause the cyclic garbage collector (parsing and checking a document
+    makes no cycles) and restore the state it found, also on an exception."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -46,10 +56,11 @@ def load_json(path) -> object:
     except OSError as e:
         raise TrackFileError(f"{path}: cannot read: {e}") from e
     with collector_paused():
-        try:
-            return orjson.loads(data)
-        except orjson.JSONDecodeError:
-            pass  # the standard parser accepts it or names the fault
+        if not _has_long_integer(data):
+            try:
+                return orjson.loads(data)
+            except orjson.JSONDecodeError:
+                pass  # the standard parser accepts it or names the fault
         try:
             return json.loads(data)
         except json.JSONDecodeError as e:

@@ -182,6 +182,29 @@ def test_synth_seed_override(workdir):
     assert a.read_bytes() != c.read_bytes()  # scene file says seed 5
 
 
+@pytest.mark.parametrize("extra", [{}, {"note": math.nan}], ids=["orjson-accepts", "orjson-refuses"])
+def test_scene_seed_beyond_64_bits_is_read_exactly(tmp_path, extra):
+    """A 128-bit seed, as SeedSequence().entropy gives, is not rounded to a float."""
+    out = {}
+    for name, seed in (("file", 2**64 + 1), ("rounded", 2**64)):
+        scene = tmp_path / f"{name}.json"
+        scene.write_text(json.dumps(scene_doc(seed=seed, **extra)))
+        out[name] = tmp_path / f"{name}-tracks.json"
+        assert main(["synth", "--config", str(scene), "--out-tracks", str(out[name])]) == 0
+    out["flag"] = tmp_path / "flag-tracks.json"
+    assert main(["synth", "--config", str(tmp_path / "rounded.json"), "--out-tracks", str(out["flag"]),
+                 "--seed", str(2**64 + 1)]) == 0
+    assert out["file"].read_bytes() == out["flag"].read_bytes()
+    assert out["file"].read_bytes() != out["rounded"].read_bytes()
+
+
+def test_integer_config_value_beyond_64_bits_is_read_exactly(tmp_path):
+    p = tmp_path / "pipeline.json"
+    p.write_text(json.dumps({"stride": 2**64, "segmenter": {"t_max": 2**70}}))
+    cfg = effective_config(load_json(p), {})
+    assert (cfg.stride, cfg.segmenter.t_max) == (2**64, 2**70)
+
+
 def test_eval_prints_table_and_writes_report(workdir, capsys):
     c = str(workdir / "pipeline.json")
     assert main(["run", "--tracks", str(workdir / "tracks.json"),

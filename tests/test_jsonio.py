@@ -1,6 +1,6 @@
 """load_json parses with orjson and falls back to the standard parser: the
-result equals the standard parser's, floats bit for bit, and the standard
-parser decides every error."""
+result equals the standard parser's on every input, floats bit for bit and
+integers of any size, and the standard parser decides every error."""
 
 import json
 import struct
@@ -40,7 +40,8 @@ def load_bytes(data: bytes):
 
 floats = (st.floats(allow_nan=False, allow_infinity=False)
           | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]))
-leaves = (floats | st.integers(-2**63, 2**64 - 1) | st.text() | st.none() | st.booleans())
+integers = st.integers() | st.sampled_from([10**18, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, -2**63, -2**63 - 1])
+leaves = (floats | integers | st.text() | st.none() | st.booleans())
 documents = st.recursive(leaves, lambda kids: st.lists(kids, max_size=4)
                          | st.dictionaries(st.text(max_size=6), kids, max_size=4), max_leaves=30)
 
@@ -60,9 +61,7 @@ SPELLINGS = ["%r", "%.17g", "%.20g", "%.25e", "%.3f", "%.0f"]
 @given(xs=st.lists(floats, min_size=1, max_size=20), fmt=st.sampled_from(SPELLINGS))
 def test_load_json_reads_every_float_spelling_bit_for_bit(xs, fmt):
     data = ("[" + ",".join(fmt % x for x in xs) + "]").encode()
-    # some spellings are integer literals ("%.0f", "%.20g" of 2.0**64), which
-    # orjson may read as a float: compare the values as floats
-    assert same(list(map(float, load_bytes(data))), list(map(float, json.loads(data))))
+    assert same(load_bytes(data), json.loads(data))
 
 
 @pytest.mark.parametrize(
@@ -117,7 +116,35 @@ def test_load_json_errors_are_the_standard_parsers(tmp_path, data, message):
     assert not isinstance(ei.value.__cause__, orjson.JSONDecodeError)
 
 
-def test_load_json_reads_an_integer_beyond_64_bits_as_its_float():
-    # orjson's reading of an integer literal outside [-2**63, 2**64 - 1]
-    for n in (2**64, -2**63 - 1, 3**70, -(10**300), 10**308):
-        assert same(load_bytes(str(n).encode()), float(n))
+@pytest.mark.parametrize("n", [2**63, 2**64, 2**64 + 1, -2**63 - 1, 3**70, -(10**300)],
+                         ids=["2**63", "2**64", "2**64+1", "-2**63-1", "3**70", "-10**300"])
+@pytest.mark.parametrize("rest", [b"", b", NaN"], ids=["orjson-accepts-the-rest", "orjson-refuses-the-rest"])
+def test_load_json_reads_an_integer_beyond_64_bits_exactly(n, rest):
+    # orjson would read a literal outside [-2**63, 2**64 - 1] as a float
+    assert same(load_bytes(b"[%d%s]" % (n, rest))[0], n)
+    assert same(load_bytes(b"%d" % n), n)
+
+
+@pytest.mark.parametrize(
+    "data, parsers",
+    [
+        pytest.param(b"[123456789012345678, -123456789012345678]", ["orjson"], id="18-digit-integers"),
+        pytest.param(b"[0.00012345678901234567, 1.2345678901234567e-05]", ["orjson"], id="long-fractions"),
+        pytest.param(b"[1234567890123456789]", ["json"], id="19-digit-integer"),
+        pytest.param(b"-1234567890123456789", ["json"], id="19-digit-integer-alone"),
+        pytest.param(b"[12345678901234567890.5]", ["json"], id="false-alarm-float"),
+        pytest.param(b'{"a": "x1234567890123456789"}', ["json"], id="false-alarm-string"),
+    ],
+)
+def test_load_json_sends_integer_literals_of_19_digits_to_the_standard_parser(tmp_path, monkeypatch, data, parsers):
+    """Integer literals of at most 18 digits and fractions of any length go to
+    orjson; 19 or more digits that follow no "." go to json."""
+    ran = []
+    for module in (orjson, json):
+        monkeypatch.setattr(module, "loads", lambda s, loads=module.loads, name=module.__name__: ran.append(name) or loads(s))
+    p = tmp_path / "x.json"
+    p.write_bytes(data)
+    got = jsonio.load_json(p)
+    assert ran == parsers
+    monkeypatch.undo()
+    assert same(got, json.loads(data))

@@ -257,26 +257,26 @@ def test_loader_reports_field_paths(tmp_path, mutate, fragment):
     assert fragment in str(ei.value)
 
 
-# a NaN under a key the loader never reads makes orjson refuse the file, so
-# the standard parser reads it
-PARSERS = pytest.mark.parametrize("fallback", [False, True], ids=["orjson", "stdlib-fallback"])
+# a file orjson accepts but for its ids, and one it refuses (a NaN under a
+# key the loader never reads): the id rule gives one answer for both
+PARSERS = pytest.mark.parametrize("nan", [False, True], ids=["orjson-accepts", "orjson-refuses"])
 
 
-def _id_doc(tmp_path, tid, fallback):
-    p = _doc(tmp_path, lambda d: d["tracks"][0].update(id=tid) or (fallback and d.update(note=math.nan)))
+def _id_doc(tmp_path, tid, nan):
+    p = _doc(tmp_path, lambda d: d["tracks"][0].update(id=tid) or (nan and d.update(note=math.nan)))
     refused = False
     try:
         jsonio.orjson.loads(p.read_bytes())
     except jsonio.orjson.JSONDecodeError:
         refused = True
-    assert refused is fallback
+    assert refused is nan
     return p
 
 
 @PARSERS
 @pytest.mark.parametrize("tid", [2**63, -2**63 - 1, 2**70], ids=["2**63", "-2**63-1", "2**70"])
-def test_loader_rejects_track_id_outside_int64_whichever_parser_runs(tmp_path, tid, fallback):
-    p = _id_doc(tmp_path, tid, fallback)
+def test_loader_rejects_track_id_outside_int64_whichever_parser_runs(tmp_path, tid, nan):
+    p = _id_doc(tmp_path, tid, nan)
     with pytest.raises(TrackFileError) as ei:
         trackio.load_trackset(p)
     assert str(ei.value) == f"{p}.tracks[0].id: must be an integer in the signed 64-bit range"
@@ -295,8 +295,8 @@ def test_save_rejects_track_id_outside_int64(tmp_path, tid):
 
 @PARSERS
 @pytest.mark.parametrize("tid", [2**63 - 1, -2**63], ids=["2**63-1", "-2**63"])
-def test_loader_accepts_track_id_at_the_int64_bounds(tmp_path, tid, fallback):
-    p = _id_doc(tmp_path, tid, fallback)
+def test_loader_accepts_track_id_at_the_int64_bounds(tmp_path, tid, nan):
+    p = _id_doc(tmp_path, tid, nan)
     assert trackio.load_trackset(p).tracks[0].id == tid
 
 
