@@ -3,7 +3,8 @@
 The pipeline runs four stages per interaction segment:
 
 1. filter: lift the segment's frames of all tracks to world coordinates as
-   one stack, drop static background and unreliable tracks;
+   one stacked ``SegmentTrack``, drop static background and unreliable
+   tracks;
 2. smooth: denoise the surviving tracks' world trajectories in one
    block-banded solve (observation masks survive untouched);
 3. estimate: build keyframe correspondences, register every step once,
@@ -11,6 +12,9 @@ The pipeline runs four stages per interaction segment:
    then fit the configured trajectory model (reusing the registration when
    no track was rejected) and classify the joint;
 4. package: report the axis, twist and pose trail in world coordinates.
+
+The stages pass that one stack along and select its rows with the filters'
+keep masks; only the segment-data files hold one entry per track.
 
 Segments fail independently: any pipeline error (degenerate geometry, too
 little motion, too few tracks) is recorded under "skipped" with its stage
@@ -21,7 +25,7 @@ another on the calling thread, in recording order.
 from __future__ import annotations
 
 import logging
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -135,33 +139,34 @@ def extract_hand_segments(ts: TrackSet, cfg: SegmenterConfig) -> list:
     return extract_segments(smoothed, cfg)
 
 
-def stage_filter(ts: TrackSet, seg: Segment, cfg: PipelineConfig) -> tuple[list, dict]:
+def stage_filter(ts: TrackSet, seg: Segment, cfg: PipelineConfig) -> tuple[SegmentTrack, dict]:
     """Lift one segment to world tracks and drop static or unreliable ones.
 
     The segment's frames of all tracks are lifted and mapped to world
-    coordinates as one (N, T) stack.
+    coordinates as one (N, T) stack; the kept rows come back as one stack.
     """
     if not ts.tracks:
         raise InsufficientTracksError("segment has no tracks")
     frames = slice(seg.start, seg.end + 1)
-    stack = Track(None, *(np.array([getattr(tr, f)[frames] for tr in ts.tracks]) for f in ("uv", "depth", "vis")))
+    stack = Track(np.array([tr.id for tr in ts.tracks]),
+                  *(np.array([getattr(tr, f)[frames] for tr in ts.tracks]) for f in ("uv", "depth", "vis")))
     world = to_world(lift_track(stack, ts.intrinsics, cfg.max_depth), stack_poses(ts.cam_poses[frames]))
-    stracks = [SegmentTrack(tr.id, *rows) for tr, *rows in zip(ts.tracks, stack.uv, world.positions, world.valid)]
-    kept, removed_static = filter_static(stracks, cfg.filter)
-    kept, removed_unrel = filter_unreliable(kept, cfg.filter)
-    counts = {"static": len(removed_static), "unreliable": len(removed_unrel)}
-    if not kept:
+    tracks = SegmentTrack(stack.id, stack.uv, world.positions, world.valid)
+    static = filter_static(tracks, cfg.filter)
+    keep = static & filter_unreliable(tracks, cfg.filter)
+    counts = {"static": int(np.count_nonzero(~static)), "unreliable": int(np.count_nonzero(static & ~keep))}
+    if not keep.any():
         raise InsufficientTracksError(
-            f"all {len(stracks)} tracks removed by static/reliability filtering"
+            f"all {len(tracks)} tracks removed by static/reliability filtering"
         )
     log.info(
         "segment [%d, %d]: %d tracks, removed %d static, %d unreliable",
-        seg.start, seg.end, len(stracks), counts["static"], counts["unreliable"],
+        seg.start, seg.end, len(tracks), counts["static"], counts["unreliable"],
     )
-    return kept, counts
+    return tracks.take(keep), counts
 
 
-def stage_smooth(tracks: list, cfg: PipelineConfig, counts: dict) -> list:
+def stage_smooth(tracks: SegmentTrack, cfg: PipelineConfig, counts: dict) -> SegmentTrack:
     """Smooth the world positions of all tracks in one block-banded solve;
     observation masks pass through.
 
@@ -169,23 +174,21 @@ def stage_smooth(tracks: list, cfg: PipelineConfig, counts: dict) -> list:
     system) is dropped and counted, not fatal; the segment fails only when
     nothing survives.
     """
-    out = []
-    if tracks:
-        try:
-            sm = smooth_track(Track3D(np.array([tr.world for tr in tracks]),
-                                      np.array([tr.valid for tr in tracks])), cfg.smoother)
-        except IllPosedError:  # no track can be smoothed
-            pass
-        else:
-            out = [SegmentTrack(tr.id, tr.uv, pos, tr.valid)
-                   for tr, pos, ok in zip(tracks, sm.positions, sm.valid[:, 0]) if ok]
-    counts["unsmoothable"] = len(tracks) - len(out)
-    if not out:
+    keep = np.zeros(len(tracks), dtype=bool)
+    try:
+        sm = smooth_track(Track3D(tracks.world, tracks.valid), cfg.smoother)
+    except IllPosedError:  # no track can be smoothed
+        pass
+    else:
+        keep = sm.valid[:, 0]
+        tracks = replace(tracks, world=sm.positions)
+    counts["unsmoothable"] = int(np.count_nonzero(~keep))
+    if not keep.any():
         raise IllPosedError("no track in the segment could be smoothed")
-    return out
+    return tracks.take(keep)
 
 
-def stage_estimate(tracks: list, cfg: PipelineConfig, counts: dict) -> dict:
+def stage_estimate(tracks: SegmentTrack, cfg: PipelineConfig, counts: dict) -> dict:
     """Fit the trajectory and joint model for one segment's tracks.
 
     Registers every step once (``register_steps``) and drops the tracks
@@ -195,11 +198,12 @@ def stage_estimate(tracks: list, cfg: PipelineConfig, counts: dict) -> dict:
     """
     corr = build_correspondences(tracks, cfg.stride)
     steps = register_steps(corr)
-    kept, removed = filter_outliers(tracks, residual_stats(corr, steps)[1], cfg.filter)
-    counts["outliers"] = len(removed)
-    if removed:
-        corr, steps = build_correspondences(kept, cfg.stride), None
-    anchor_points, anchor_frame, fell_back = choose_anchor(kept)
+    keep = filter_outliers(residual_stats(corr, steps)[1], cfg.filter)
+    counts["outliers"] = int(np.count_nonzero(~keep))
+    if counts["outliers"]:
+        tracks = tracks.take(keep)
+        corr, steps = build_correspondences(tracks, cfg.stride), None
+    anchor_points, anchor_frame, fell_back = choose_anchor(tracks)
     fit = fit_regularized if cfg.mode == "regularized" else fit_independent
     traj = fit(corr, anchor_points, steps)
     estimate = build_articulation_estimate(traj, cfg.classifier)
@@ -307,13 +311,14 @@ def save_results(path, doc: dict) -> None:
 # segment-stage intermediate files (the stage-by-stage CLI path)
 
 
-def _track_to_dict(tr: SegmentTrack) -> dict:
-    finite = np.isfinite(tr.world).all(axis=1).tolist()
+def _track_to_dict(tid, uv: np.ndarray, world: np.ndarray, valid: np.ndarray) -> dict:
+    """One row of a stacked SegmentTrack as a segment-data track entry."""
+    finite = np.isfinite(world).all(axis=1).tolist()
     return {
-        "id": int(tr.id),
-        "uv": np.asarray(tr.uv, dtype=float).tolist(),
-        "world": [row if ok else None for row, ok in zip(tr.world.tolist(), finite)],
-        "valid": np.asarray(tr.valid, dtype=bool).tolist(),
+        "id": int(tid),
+        "uv": uv.tolist(),
+        "world": [row if ok else None for row, ok in zip(world.tolist(), finite)],
+        "valid": valid.tolist(),
     }
 
 
@@ -332,7 +337,8 @@ def _rows(values, width: int, T: int, where: str) -> np.ndarray:
     return a
 
 
-def _track_from_dict(d: dict, where: str, T: int) -> SegmentTrack:
+def _track_from_dict(d: dict, where: str, T: int) -> tuple:
+    """A segment-data track entry as one row (id, uv, world, valid)."""
     valid = np.asarray(d["valid"], dtype=bool)
     if valid.shape != (T,):
         raise TrackFileError(f"{where}.valid: must be a list of {T} booleans, one per segment frame")
@@ -342,13 +348,14 @@ def _track_from_dict(d: dict, where: str, T: int) -> SegmentTrack:
     unset = np.flatnonzero(valid & ~np.isfinite(world).all(axis=1))
     if len(unset):
         raise TrackFileError(f"{where}.world[{unset[0]}]: valid frame has no finite position")
-    return SegmentTrack(int(d["id"]), uv, world, valid)
+    return int(d["id"]), uv, world, valid
 
 
 def save_segment_data(path, stage: str, entries: list, skipped: list) -> None:
     """Write the per-segment working set produced by filter or smooth.
 
-    ``entries`` holds (segment, tracks, counts) triples.
+    ``entries`` holds (segment, tracks, counts) triples, ``tracks`` a
+    stacked SegmentTrack; the file holds one entry per track.
     """
     doc = {
         "version": 1,
@@ -357,7 +364,7 @@ def save_segment_data(path, stage: str, entries: list, skipped: list) -> None:
             {
                 "segment": seg.to_dict(),
                 "filter_counts": counts,
-                "tracks": [_track_to_dict(tr) for tr in tracks],
+                "tracks": [_track_to_dict(*row) for row in zip(tracks.id, tracks.uv, tracks.world, tracks.valid)],
             }
             for seg, tracks, counts in entries
         ],
@@ -367,7 +374,8 @@ def save_segment_data(path, stage: str, entries: list, skipped: list) -> None:
 
 
 def load_segment_data(path) -> tuple[list, list]:
-    """Read back (segment, tracks, counts) triples plus skip records."""
+    """Read back (segment, tracks, counts) triples, ``tracks`` stacked, plus
+    skip records."""
     doc = jsonio.load_json(path)
     if not isinstance(doc, dict) or doc.get("version") != 1 or "segments" not in doc:
         raise TrackFileError(f"{path}: not a segment-data file")
@@ -375,8 +383,11 @@ def load_segment_data(path) -> tuple[list, list]:
     try:
         for i, s in enumerate(doc["segments"]):
             seg = Segment.from_dict(s["segment"])
-            tracks = [_track_from_dict(t, f"{path}.segments[{i}].tracks[{k}]", seg.end - seg.start + 1)
-                      for k, t in enumerate(s["tracks"])]
+            T = seg.end - seg.start + 1
+            rows = [_track_from_dict(t, f"{path}.segments[{i}].tracks[{k}]", T) for k, t in enumerate(s["tracks"])]
+            ids, uv, world, valid = zip(*rows) if rows else ((),) * 4
+            tracks = SegmentTrack(np.array(ids), np.array(uv).reshape(-1, T, 2),
+                                  np.array(world).reshape(-1, T, 3), np.array(valid, dtype=bool).reshape(-1, T))
             entries.append((seg, tracks, dict(s.get("filter_counts", {}))))
     except (KeyError, TypeError, ValueError) as e:
         raise TrackFileError(f"{path}: bad segment data: {e}") from e

@@ -1,9 +1,10 @@
 """Track filters: static background, unreliable tracks, registration outliers.
 
-All filters return (kept, removed) lists that preserve input order and
-partition the input. The static filter is a rank split: scores are sorted
-stably (ties keep input order) and the lowest floor(p/100 * N) are removed;
-at percentile 100 everything except the tracks tied at the maximum goes.
+Each filter reads a segment's tracks stacked on a leading axis (a
+``SegmentTrack``), or one value per track, and returns an (N,) bool keep
+mask. The static filter is a rank split: scores are sorted stably (ties keep
+input order) and the lowest floor(p/100 * N) are removed; at percentile 100
+everything except the tracks tied at the maximum goes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .bounds import bounded, check_bounds
 from .errors import InsufficientTracksError
-from .trackio import SegmentTrack
 
 MAD_FLOOR = 1e-9  # keeps the outlier bound meaningful when residuals are near-identical
 STATIC_MODES = ("image2d", "world3d")  # motion scored on pixel tracks or world positions
@@ -34,68 +34,59 @@ class FilterConfig:
             raise ValueError(f"static_mode must be one of {STATIC_MODES}, got {self.static_mode!r}")
 
 
-def motion_score(track, mode: str):
-    """Total positional variance over observed frames (sum of per-axis
-    variances, ``np.var``'s to the bit); per track for a stacked track.
+def motion_score(tracks, mode: str) -> np.ndarray:
+    """Each track's total positional variance over observed frames (sum of
+    per-axis variances, ``np.var``'s to the bit), shaped (N,).
 
     Tracks with fewer than two observations score zero: they carry no motion
     evidence and fall with the static background.
     """
-    coords = track.uv if mode == "image2d" else track.world
-    seen, n = track.valid[..., None], np.count_nonzero(track.valid, axis=-1)[..., None]
+    coords = tracks.uv if mode == "image2d" else tracks.world
+    seen, n = tracks.valid[..., None], np.count_nonzero(tracks.valid, axis=-1)[..., None]
     mean = np.where(seen, coords, 0.0).sum(axis=-2, keepdims=True) / np.maximum(n, 1)[..., None]
     dev = np.where(seen, coords - mean, 0.0)
-    return np.where(n[..., 0] < 2, 0.0, ((dev * dev).sum(axis=-2) / np.maximum(n, 1)).sum(axis=-1))[()]
+    return np.where(n[..., 0] < 2, 0.0, ((dev * dev).sum(axis=-2) / np.maximum(n, 1)).sum(axis=-1))
 
 
-def filter_static(tracks, cfg: FilterConfig) -> tuple[list, list]:
-    """Drop the least-moving fraction of tracks (background suppression)."""
+def filter_static(tracks, cfg: FilterConfig) -> np.ndarray:
+    """Keep mask without the least-moving fraction of tracks (background
+    suppression)."""
     n = len(tracks)
     if n == 0:
         raise ValueError("filter_static requires at least one track")
-    stack = SegmentTrack(None, *(np.array([getattr(tr, f) for tr in tracks]) for f in ("uv", "world", "valid")))
-    scores = motion_score(stack, cfg.static_mode)
+    scores = motion_score(tracks, cfg.static_mode)
     if cfg.sigma_static >= 100.0:
         k = n - int(np.sum(scores == scores.max()))
     else:
         k = math.floor(cfg.sigma_static / 100.0 * n)
-    order = np.argsort(scores, kind="stable")
-    removed_idx = set(int(i) for i in order[:k])
-    kept = [tr for i, tr in enumerate(tracks) if i not in removed_idx]
-    removed = [tr for i, tr in enumerate(tracks) if i in removed_idx]
-    return kept, removed
+    keep = np.ones(n, dtype=bool)
+    keep[np.argsort(scores, kind="stable")[:k]] = False
+    return keep
 
 
-def filter_unreliable(tracks, cfg: FilterConfig) -> tuple[list, list]:
-    """Drop tracks unobserved for more than sigma_reliable of the segment."""
-    kept, removed = [], []
-    for tr in tracks:
-        frac = 1.0 - float(np.mean(tr.valid))
-        (removed if frac > cfg.sigma_reliable else kept).append(tr)
-    return kept, removed
+def filter_unreliable(tracks, cfg: FilterConfig) -> np.ndarray:
+    """Keep mask without the tracks unobserved for more than sigma_reliable
+    of the segment."""
+    return 1.0 - np.mean(tracks.valid, axis=1) <= cfg.sigma_reliable
 
 
-def filter_outliers(tracks, residuals: dict, cfg: FilterConfig) -> tuple[list, list]:
-    """Drop tracks whose mean registration residual is median + k * MAD above
-    the rest.
+def filter_outliers(residuals: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    """Keep mask without the tracks whose mean registration residual is
+    median + k * MAD above the rest.
 
-    ``residuals`` maps track id to the mean residual of an independent
-    per-step rigid fit. A track that produced no correspondence pairs has no
-    residual and is removed (it cannot support estimation either). Raises
+    ``residuals`` holds each track's mean residual of an independent per-step
+    rigid fit, NaN for a track that produced no correspondence pairs; such a
+    track is removed (it cannot support estimation either). Raises
     InsufficientTracksError when fewer than four tracks survive.
     """
-    vals = np.array([residuals[tr.id] for tr in tracks if tr.id in residuals])
+    vals = residuals[~np.isnan(residuals)]
     if len(vals) == 0:
         raise InsufficientTracksError("no tracks carry registration residuals")
     med = float(np.median(vals))
     mad = float(np.median(np.abs(vals - med)))
-    bound = med + cfg.outlier_k * max(mad, MAD_FLOOR)
-    kept, removed = [], []
-    for tr in tracks:
-        r = residuals.get(tr.id)
-        (kept if r is not None and r <= bound else removed).append(tr)
-    if len(kept) < 4:
+    keep = residuals <= med + cfg.outlier_k * max(mad, MAD_FLOOR)
+    if np.count_nonzero(keep) < 4:
         raise InsufficientTracksError(
-            f"only {len(kept)} tracks survive outlier filtering; need at least 4"
+            f"only {np.count_nonzero(keep)} tracks survive outlier filtering; need at least 4"
         )
-    return kept, removed
+    return keep

@@ -24,7 +24,8 @@ field with finiteness checks; each track holds rows of those arrays. Frames
 or tracks that fail go through the element-by-element walk, which finds and
 names the first bad element, so the bulk path never decides an error
 message. Lifting and world mapping take one track or a stack of tracks with
-a leading track axis.
+a leading track axis; the pipeline carries a segment's tracks as one such
+stack, a ``SegmentTrack``.
 Files are written as compact one-line JSON.
 """
 
@@ -90,17 +91,24 @@ class Track3D:
 
 @dataclass
 class SegmentTrack:
-    """Per-segment working record for one track.
+    """One segment's tracks, stacked on a leading track axis.
 
     ``valid`` is the observation mask (visible and lifted successfully); it is
     preserved through smoothing so estimation never treats interpolated
     positions as observations.
     """
 
-    id: int
-    uv: np.ndarray  # (T, 2)
-    world: np.ndarray  # (T, 3)
-    valid: np.ndarray  # (T,) bool
+    id: np.ndarray  # (N,)
+    uv: np.ndarray  # (N, T, 2)
+    world: np.ndarray  # (N, T, 3)
+    valid: np.ndarray  # (N, T) bool
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def take(self, rows) -> "SegmentTrack":
+        """The tracks selected by ``rows``, a keep mask or row indices."""
+        return SegmentTrack(self.id[rows], self.uv[rows], self.world[rows], self.valid[rows])
 
 
 @dataclass
@@ -119,30 +127,6 @@ class TrackSet:
 
 # ---------------------------------------------------------------------------
 # lifting and world transforms
-
-
-def lift_to_3d(uv, depth: float, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Backproject one pixel with depth to camera coordinates.
-
-    Requires finite positive depth; per-frame invalid handling lives in
-    lift_track, which marks points invalid instead of raising.
-    """
-    if not np.isfinite(depth) or depth <= 0:
-        raise ValueError(f"depth must be finite and positive, got {depth}")
-    u, v = float(uv[0]), float(uv[1])
-    x = (u - intrinsics.cx) * depth / intrinsics.fx
-    y = (v - intrinsics.cy) * depth / intrinsics.fy
-    return np.array([x, y, depth])
-
-
-def project_to_2d(point, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, float]:
-    """Pinhole projection of a camera-frame point; returns (uv, depth)."""
-    p = np.asarray(point, dtype=float)
-    if p[2] <= 0:
-        raise ValueError(f"point must be in front of the camera, got z={p[2]}")
-    u = intrinsics.fx * p[0] / p[2] + intrinsics.cx
-    v = intrinsics.fy * p[1] / p[2] + intrinsics.cy
-    return np.array([u, v]), float(p[2])
 
 
 def lift_track(track: Track, intrinsics: CameraIntrinsics, max_depth: float = DEFAULT_MAX_DEPTH) -> Track3D:
@@ -180,14 +164,12 @@ def stack_poses(cam_poses) -> PoseStack:
     )
 
 
-def to_world(track3d: Track3D, cam_poses) -> Track3D:
-    """Map camera-frame positions to world coordinates with per-frame poses.
+def to_world(track3d: Track3D, poses: PoseStack) -> Track3D:
+    """Map camera-frame positions to world coordinates with the per-frame
+    poses of ``stack_poses``.
 
     ``track3d`` is one track or a stack with a leading track axis.
-    ``cam_poses`` is a list of RigidTransform or, to stack them once for
-    many tracks, its ``stack_poses``.
     """
-    poses = cam_poses if isinstance(cam_poses, PoseStack) else stack_poses(cam_poses)
     ok = track3d.valid
     if len(poses.rotations) != ok.shape[-1]:
         raise ValueError(f"pose count {len(poses.rotations)} != frame count {ok.shape[-1]}")

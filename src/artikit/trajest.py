@@ -2,7 +2,10 @@
 
 Correspondences pair keyframes a fixed stride apart; a track contributes a
 pair only where it was actually observed at both endpoints (smoothing fills
-gaps for the fidelity term, it does not manufacture observations).
+gaps for the fidelity term, it does not manufacture observations). They are
+built from a segment's tracks stacked as one ``SegmentTrack``; each pair
+records its track's row, and ``residual_stats`` gives one mean residual per
+row, from which the pipeline's outlier gate makes a keep mask.
 
 Two estimators share the correspondence structure:
 
@@ -79,7 +82,7 @@ class StepPairs:
 
     src: np.ndarray  # (n, 3)
     dst: np.ndarray  # (n, 3)
-    track_ids: np.ndarray  # (n,)
+    track_ids: np.ndarray  # (n,) row of each pair's track in the segment's stack
 
 
 @dataclass
@@ -87,6 +90,7 @@ class CorrespondenceSet:
     steps: list  # list[StepPairs]
     stride: int
     keyframes: np.ndarray  # (M+1,) frame indices
+    track_count: int  # rows of the stack that ``track_ids`` index
 
     @property
     def step_count(self) -> int:
@@ -117,24 +121,24 @@ class TrajectoryEstimate:
 def build_correspondences(tracks, stride: int = DEFAULT_STRIDE) -> CorrespondenceSet:
     """Collect observed point pairs at keyframes 0, stride, 2*stride, ...
 
-    ``tracks`` is a list of SegmentTrack-like records with ``world``,
-    ``valid`` and ``id``. Raises DegenerateStepError naming the first step
-    with fewer than MIN_PAIRS_PER_STEP pairs.
+    ``tracks`` is a stacked ``SegmentTrack`` (``world`` (N, T, 3) and
+    ``valid`` (N, T) are read). Raises DegenerateStepError naming the first
+    step with fewer than MIN_PAIRS_PER_STEP pairs.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if not tracks:
+    if not len(tracks):
         raise ValueError("no tracks to build correspondences from")
-    T = len(tracks[0].world)
+    T = tracks.world.shape[1]
     keyframes = np.arange(0, T, stride)
     if len(keyframes) < 2:
         raise DegenerateStepError(
             f"segment of {T} frames yields no steps at stride {stride}"
         )
-    world = np.array([tr.world for tr in tracks], dtype=float)[:, keyframes]
-    valid = np.array([tr.valid for tr in tracks], dtype=bool)[:, keyframes]
+    world = tracks.world[:, keyframes]
+    valid = tracks.valid[:, keyframes]
     both = valid[:, :-1] & valid[:, 1:]  # (tracks, steps): both endpoints observed
-    ids = np.array([tr.id for tr in tracks])
+    rows = np.arange(len(both))
     steps = []
     for m, sel in enumerate(both.T):
         n = int(np.count_nonzero(sel))
@@ -143,8 +147,8 @@ def build_correspondences(tracks, stride: int = DEFAULT_STRIDE) -> Correspondenc
                 f"step {m} (frames {keyframes[m]}->{keyframes[m + 1]}) has {n} pairs; "
                 f"need at least {MIN_PAIRS_PER_STEP}"
             )
-        steps.append(StepPairs(world[sel, m], world[sel, m + 1], ids[sel]))
-    return CorrespondenceSet(steps=steps, stride=stride, keyframes=keyframes)
+        steps.append(StepPairs(world[sel, m], world[sel, m + 1], rows[sel]))
+    return CorrespondenceSet(steps, stride, keyframes, len(both))
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +192,14 @@ def register_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     case of ``register_steps``, with its errors."""
     if np.shape(src) != np.shape(dst):
         raise ValueError(f"src {np.shape(src)} and dst {np.shape(dst)} differ in shape")
-    q, t = register_steps(CorrespondenceSet([StepPairs(src, dst, np.zeros(len(src)))], 1, np.arange(2)))
+    q, t = register_steps(CorrespondenceSet([StepPairs(src, dst, np.arange(len(src)))], 1, np.arange(2), len(src)))
     return RigidTransform(q[0], t[0])
 
 
-def residual_stats(corr: CorrespondenceSet, steps) -> tuple[float, dict]:
+def residual_stats(corr: CorrespondenceSet, steps) -> tuple[float, np.ndarray]:
     """Residual RMS over all pairs of the stacked step transforms
-    ``(q (M, 4), t (M, 3))``, plus each track's mean pair residual."""
+    ``(q (M, 4), t (M, 3))``, plus each track row's mean pair residual
+    (``corr.track_count``,), NaN for a row without pairs."""
     src, dst, step = _flatten_pairs(corr)
     n, row = _step_rows(step, corr.step_count)
     a = np.zeros((corr.step_count, n.max(), 3))
@@ -202,9 +207,10 @@ def residual_stats(corr: CorrespondenceSet, steps) -> tuple[float, dict]:
     Rt = np.swapaxes(np.ascontiguousarray(quat_to_matrix(steps[0])), 1, 2)  # laid out as R.T of one step
     norms = np.linalg.norm(dst - ((a @ Rt)[row] + steps[1][step]), axis=1)
     total = sum(float(np.sum(x * x)) for x in np.split(norms, np.cumsum(n)[:-1]))
-    ids, track = np.unique(np.concatenate([s.track_ids for s in corr.steps]), return_inverse=True)
-    means = np.bincount(track, norms) / np.bincount(track)
-    return float(np.sqrt(total / len(norms))), dict(zip(ids.tolist(), means.tolist()))
+    rows = np.concatenate([s.track_ids for s in corr.steps])
+    with np.errstate(invalid="ignore"):  # 0 / 0 for a row without pairs
+        means = np.bincount(rows, norms, corr.track_count) / np.bincount(rows, minlength=corr.track_count)
+    return float(np.sqrt(total / len(norms))), means
 
 
 def integrate_poses(steps, anchor_points: np.ndarray):
@@ -230,17 +236,17 @@ def integrate_poses(steps, anchor_points: np.ndarray):
 
 
 def choose_anchor(tracks) -> tuple[np.ndarray, int, bool]:
-    """Observed positions at the earliest observed frame.
+    """Observed positions of a stacked ``SegmentTrack`` at its earliest
+    observed frame.
 
     Returns (points, frame index, fell_back); fell_back is True when frame 0
     had no observations and a later frame anchors the trajectory.
     """
-    T = len(tracks[0].world)
-    for t in range(T):
-        pts = [tr.world[t] for tr in tracks if tr.valid[t]]
-        if pts:
-            return np.array(pts), t, t != 0
-    raise ValueError("no observed positions in any frame")
+    seen = np.flatnonzero(tracks.valid.any(axis=0))
+    if not len(seen):
+        raise ValueError("no observed positions in any frame")
+    t = int(seen[0])
+    return tracks.world[tracks.valid[:, t], t], t, t != 0
 
 
 def fit_independent(corr: CorrespondenceSet, anchor_points=None, steps=None) -> TrajectoryEstimate:

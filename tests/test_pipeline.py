@@ -10,7 +10,7 @@ import pytest
 import suite_util
 from artikit import pipeline, trajest
 from artikit.artmodel import ClassifierConfig
-from artikit.errors import TrackFileError
+from artikit.errors import IllPosedError, TrackFileError
 from artikit.evalkit import axis_distance
 from artikit.lie import RigidTransform
 from artikit.pipeline import (
@@ -23,12 +23,12 @@ from artikit.pipeline import (
     run_pipeline,
     save_segment_data,
     stage_filter,
+    stage_smooth,
 )
 from artikit.segmenter import Segment, SegmenterConfig
 from artikit.smoother import SmootherConfig
 from artikit.synth import JointSpec, SynthConfig, generate
 from artikit.trackfilter import FilterConfig
-from artikit.trackio import SegmentTrack
 from artikit.trajest import register_steps
 
 
@@ -335,8 +335,8 @@ def test_segment_data_round_trip(tmp_path):
     seg = Segment(12, 43)
     tracks, counts = stage_filter(ts, seg, cfg)
     # punch a hole so the null encoding for unobserved rows is exercised
-    tracks[0].world[5] = np.nan
-    tracks[0].valid[5] = False
+    tracks.world[0, 5] = np.nan
+    tracks.valid[0, 5] = False
     path = tmp_path / "seg.json"
     save_segment_data(path, "filter", [(seg, tracks, counts)], skipped=[])
     entries, skipped = load_segment_data(path)
@@ -345,13 +345,22 @@ def test_segment_data_round_trip(tmp_path):
     assert (seg2.start, seg2.end) == (12, 43)
     assert counts2 == counts
     assert len(tracks2) == len(tracks)
-    for a, b in zip(tracks, tracks2):
-        assert a.id == b.id
-        assert np.array_equal(a.valid, b.valid)
-        assert np.array_equal(a.uv, b.uv)
-        assert np.array_equal(np.isnan(a.world), np.isnan(b.world))
-        mask = ~np.isnan(a.world)
-        assert np.array_equal(a.world[mask], b.world[mask])
+    assert np.array_equal(tracks2.id, tracks.id)
+    assert np.array_equal(tracks2.valid, tracks.valid)
+    assert np.array_equal(tracks2.uv, tracks.uv)
+    assert np.array_equal(tracks2.world, tracks.world, equal_nan=True)
+
+
+def test_segment_data_without_tracks_loads_an_empty_stack(tmp_path):
+    path = tmp_path / "seg.json"
+    path.write_text(json.dumps({"version": 1, "stage": "filter", "skipped": [], "segments": [
+        {"segment": {"start": 0, "end": 2}, "filter_counts": {}, "tracks": []}]}))
+    (seg, tracks, counts), = load_segment_data(path)[0]
+    assert len(tracks) == 0
+    assert (tracks.uv.shape, tracks.world.shape, tracks.valid.shape) == ((0, 3, 2), (0, 3, 3), (0, 3))
+    with pytest.raises(IllPosedError):
+        stage_smooth(tracks, PipelineConfig(), counts)
+    assert counts == {"unsmoothable": 0}
 
 
 def test_segment_data_rejects_wrong_files(tmp_path):

@@ -22,12 +22,12 @@ from artikit.synth import (
     ramp_profile,
     save_ground_truth,
 )
-from artikit.trackio import lift_track, save_trackset, to_world
+from artikit.trackio import lift_track, save_trackset, stack_poses, to_world
 from suite_util import scene_config
 
 
 def world_points(ts, track):
-    t3 = to_world(lift_track(track, ts.intrinsics), ts.cam_poses)
+    t3 = to_world(lift_track(track, ts.intrinsics), stack_poses(ts.cam_poses))
     return t3.positions, t3.valid
 
 

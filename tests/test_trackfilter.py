@@ -1,5 +1,7 @@
 """Static, reliability and residual-outlier track filters."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,45 +9,50 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from artikit.errors import InsufficientTracksError
+from artikit.lie import RigidTransform
+from artikit.pipeline import PipelineConfig, stage_filter
+from artikit.segmenter import Segment
 from artikit.trackfilter import (
+    MAD_FLOOR,
     FilterConfig,
     filter_outliers,
     filter_static,
     filter_unreliable,
     motion_score,
 )
-from artikit.trackio import SegmentTrack
+from artikit.trackio import CameraIntrinsics, SegmentTrack, Track, TrackSet
 
 
-def make_track(tid, world, valid=None, uv=None):
+def make_tracks(world, valid=None, uv=None):
+    """Tracks stacked on the leading axis of ``world`` (N, T, 3), ids 0..N-1;
+    pixels default to the world x and y."""
     world = np.asarray(world, dtype=float)
-    T = len(world)
     if valid is None:
-        valid = np.ones(T, dtype=bool)
+        valid = np.ones(world.shape[:2], dtype=bool)
     if uv is None:
-        uv = world[:, :2].copy()
-    return SegmentTrack(tid, np.asarray(uv, dtype=float), world, np.asarray(valid, dtype=bool))
+        uv = world[..., :2].copy()
+    return SegmentTrack(np.arange(len(world)), np.asarray(uv, dtype=float), world, np.asarray(valid, dtype=bool))
 
 
-def line_track(tid, length, step):
-    pts = np.zeros((5, 3))
-    pts[:, 0] = np.arange(5) * step
-    return make_track(tid, pts)
+def line_tracks(steps):
+    """One five-frame track along x per step length."""
+    world = np.zeros((len(steps), 5, 3))
+    world[:, :, 0] = np.arange(5) * np.asarray(steps, dtype=float)[:, None]
+    return make_tracks(world)
 
 
 def test_motion_score_hand_example():
     # x coordinates 0, 2 with mean 1: var over both axes summed
-    world = np.array([[0.0, 0, 0], [2.0, 0, 0]])
-    tr = make_track(0, world)
-    assert motion_score(tr, "world3d") == pytest.approx(1.0)
+    world = np.array([[[0.0, 0, 0], [2.0, 0, 0]]])
+    assert motion_score(make_tracks(world), "world3d") == pytest.approx([1.0])
     # image mode reads pixel coordinates instead
-    tr2 = make_track(0, world, uv=np.array([[0.0, 0.0], [0.0, 4.0]]))
-    assert motion_score(tr2, "image2d") == pytest.approx(4.0)
+    tr = make_tracks(world, uv=np.array([[[0.0, 0.0], [0.0, 4.0]]]))
+    assert motion_score(tr, "image2d") == pytest.approx([4.0])
 
 
 def test_motion_score_needs_two_observations():
-    tr = make_track(0, np.random.default_rng(0).normal(size=(4, 3)), valid=[True, False, False, False])
-    assert motion_score(tr, "world3d") == 0.0
+    tr = make_tracks(np.random.default_rng(0).normal(size=(1, 4, 3)), valid=[[True, False, False, False]])
+    assert motion_score(tr, "world3d")[0] == 0.0
 
 
 def test_motion_score_of_a_stack_equals_np_var_per_track():
@@ -56,95 +63,76 @@ def test_motion_score_of_a_stack_equals_np_var_per_track():
     valid = rng.random((N, T)) < rng.uniform(0.0, 1.0, (N, 1))
     valid[0], valid[1] = False, np.arange(T) == 3  # no observation, one observation
     world[~valid] = np.nan
-    stack = SegmentTrack(None, uv, world, valid)
+    stack = SegmentTrack(np.arange(N), uv, world, valid)
     for mode, coords in (("world3d", world), ("image2d", uv)):
         scores = motion_score(stack, mode)
         for i in range(N):
             pts = coords[i][valid[i]]
             want = float(np.sum(np.var(pts, axis=0))) if len(pts) >= 2 else 0.0
             assert scores[i] == want
-            assert motion_score(SegmentTrack(i, uv[i], world[i], valid[i]), mode) == want
+            assert motion_score(stack.take([i]), mode)[0] == want
 
 
 def test_static_filter_removes_exact_count():
-    tracks = [line_track(i, 5, step=0.1 * (i + 1)) for i in range(10)]
-    kept, removed = filter_static(tracks, FilterConfig(sigma_static=50.0, static_mode="world3d"))
-    assert len(removed) == 5
-    assert [t.id for t in removed] == [0, 1, 2, 3, 4]
-    assert [t.id for t in kept] == [5, 6, 7, 8, 9]
+    keep = filter_static(line_tracks(0.1 * np.arange(1, 11)), FilterConfig(sigma_static=50.0, static_mode="world3d"))
+    assert keep.dtype == bool and keep.shape == (10,)
+    assert list(np.flatnonzero(~keep)) == [0, 1, 2, 3, 4]
 
 
 def test_static_filter_rounds_down():
-    tracks = [line_track(i, 5, step=0.1 * (i + 1)) for i in range(7)]
-    kept, removed = filter_static(tracks, FilterConfig(sigma_static=50.0, static_mode="world3d"))
-    assert len(removed) == 3  # floor(0.5 * 7)
+    keep = filter_static(line_tracks(0.1 * np.arange(1, 8)), FilterConfig(sigma_static=50.0, static_mode="world3d"))
+    assert np.count_nonzero(~keep) == 3  # floor(0.5 * 7)
 
 
 def test_static_filter_zero_percentile_keeps_all():
-    tracks = [line_track(i, 5, step=0.1) for i in range(4)]
-    kept, removed = filter_static(tracks, FilterConfig(sigma_static=0.0, static_mode="world3d"))
-    assert removed == [] and len(kept) == 4
+    keep = filter_static(line_tracks([0.1] * 4), FilterConfig(sigma_static=0.0, static_mode="world3d"))
+    assert keep.all() and keep.shape == (4,)
 
 
 def test_static_filter_full_percentile_keeps_max_ties():
-    slow = [line_track(i, 5, step=0.01) for i in range(3)]
-    fast = [line_track(10 + i, 5, step=1.0) for i in range(2)]
-    kept, removed = filter_static(slow + fast, FilterConfig(sigma_static=100.0, static_mode="world3d"))
-    assert [t.id for t in kept] == [10, 11]
-    assert len(removed) == 3
+    keep = filter_static(line_tracks([0.01] * 3 + [1.0] * 2), FilterConfig(sigma_static=100.0, static_mode="world3d"))
+    assert list(keep) == [False, False, False, True, True]
 
 
 def test_static_filter_tie_break_is_input_order():
-    tracks = [line_track(i, 5, step=0.5) for i in range(4)]  # identical scores
-    kept, removed = filter_static(tracks, FilterConfig(sigma_static=50.0, static_mode="world3d"))
-    assert [t.id for t in removed] == [0, 1]
-    assert [t.id for t in kept] == [2, 3]
+    keep = filter_static(line_tracks([0.5] * 4), FilterConfig(sigma_static=50.0, static_mode="world3d"))  # identical scores
+    assert list(keep) == [False, False, True, True]
 
 
 def test_static_filter_partitions_and_preserves_order():
-    rng = np.random.default_rng(1)
-    tracks = [make_track(i, rng.normal(size=(6, 3))) for i in range(9)]
-    kept, removed = filter_static(tracks, FilterConfig(sigma_static=33.0, static_mode="world3d"))
-    assert len(kept) + len(removed) == 9
-    assert [t.id for t in kept] == sorted(t.id for t in kept)
-    assert [t.id for t in removed] == sorted(t.id for t in removed)
+    tracks = make_tracks(np.random.default_rng(1).normal(size=(9, 6, 3)))
+    keep = filter_static(tracks, FilterConfig(sigma_static=33.0, static_mode="world3d"))
+    scores = motion_score(tracks, "world3d")
+    assert np.count_nonzero(~keep) == 2  # floor(0.33 * 9)
+    assert scores[keep].min() >= scores[~keep].max()
+    assert list(tracks.take(keep).id) == list(np.flatnonzero(keep))
 
 
 def test_unreliable_boundary_is_strict():
     # exactly half unobserved survives at sigma_reliable = 0.5; more does not
-    half = make_track(0, np.zeros((4, 3)), valid=[True, True, False, False])
-    worse = make_track(1, np.zeros((4, 3)), valid=[True, False, False, False])
-    kept, removed = filter_unreliable([half, worse], FilterConfig(sigma_reliable=0.5))
-    assert [t.id for t in kept] == [0]
-    assert [t.id for t in removed] == [1]
+    tracks = make_tracks(np.zeros((2, 4, 3)), valid=[[True, True, False, False], [True, False, False, False]])
+    assert list(filter_unreliable(tracks, FilterConfig(sigma_reliable=0.5))) == [True, False]
 
 
 def test_outlier_gate_hand_fixture():
-    tracks = [make_track(i, np.zeros((3, 3))) for i in range(5)]
-    residuals = {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 100.0}
-    kept, removed = filter_outliers(tracks, residuals, FilterConfig(outlier_k=3.0))
-    assert [t.id for t in removed] == [4]
-    assert len(kept) == 4
+    keep = filter_outliers(np.array([1.0, 1.0, 1.0, 1.0, 100.0]), FilterConfig(outlier_k=3.0))
+    assert list(keep) == [True, True, True, True, False]
 
 
 def test_outlier_missing_residual_removed():
-    tracks = [make_track(i, np.zeros((3, 3))) for i in range(5)]
-    residuals = {0: 1.0, 1: 1.1, 2: 0.9, 3: 1.0}  # track 4 has no pairs
-    kept, removed = filter_outliers(tracks, residuals, FilterConfig(outlier_k=3.0))
-    assert [t.id for t in removed] == [4]
+    residuals = np.array([1.0, 1.1, 0.9, 1.0, np.nan])  # track 4 has no pairs
+    keep = filter_outliers(residuals, FilterConfig(outlier_k=3.0))
+    assert list(keep) == [True, True, True, True, False]
 
 
 def test_outlier_insufficient_survivors_raises():
-    tracks = [make_track(i, np.zeros((3, 3))) for i in range(4)]
-    residuals = {0: 1.0, 1: 1.0, 2: 1.0, 3: 50.0}
     with pytest.raises(InsufficientTracksError):
-        filter_outliers(tracks, residuals, FilterConfig(outlier_k=3.0))
+        filter_outliers(np.array([1.0, 1.0, 1.0, 50.0]), FilterConfig(outlier_k=3.0))
 
 
 def test_outlier_no_residuals_raises():
-    tracks = [make_track(i, np.zeros((3, 3))) for i in range(4)]
     with pytest.raises(InsufficientTracksError):
-        filter_outliers(tracks, {}, FilterConfig())
+        filter_outliers(np.full(4, np.nan), FilterConfig())
 
 
 def test_config_validation():
@@ -159,7 +147,7 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# partition invariant over generated inputs
+# keep masks over generated inputs
 
 
 @st.composite
@@ -167,13 +155,9 @@ def filter_inputs(draw):
     n = draw(st.integers(1, 10))
     T = draw(st.integers(1, 6))
     coords = st.floats(-5.0, 5.0, allow_subnormal=False)
-    tracks = [
-        make_track(i, draw(hnp.arrays(float, (T, 3), elements=coords)),
-                   valid=draw(hnp.arrays(bool, T)))
-        for i in range(n)
-    ]
-    residuals = {i: r for i in range(n)
-                 if (r := draw(st.none() | st.floats(0.0, 1.0))) is not None}
+    tracks = make_tracks(draw(hnp.arrays(float, (n, T, 3), elements=coords)),
+                         valid=draw(hnp.arrays(bool, (n, T))))
+    residuals = draw(hnp.arrays(float, n, elements=st.just(np.nan) | st.floats(0.0, 1.0)))
     cfg = FilterConfig(sigma_static=draw(st.floats(0.0, 100.0)),
                        static_mode=draw(st.sampled_from(["image2d", "world3d"])),
                        sigma_reliable=draw(st.floats(0.0, 1.0)),
@@ -185,15 +169,42 @@ def filter_inputs(draw):
 @given(inputs=filter_inputs())
 def test_filters_partition_their_input(inputs):
     tracks, residuals, cfg = inputs
-    results = [filter_static(tracks, cfg), filter_unreliable(tracks, cfg)]
+    n = len(tracks)
+    static = filter_static(tracks, cfg)
+    for keep in (static, filter_unreliable(tracks, cfg)):
+        assert keep.dtype == bool and keep.shape == (n,)
+
+    # the static filter removes the floor(p/100 N) lowest scores; at p = 100
+    # all but the tracks tied at the maximum
+    scores = motion_score(tracks, cfg.static_mode)
+    if cfg.sigma_static >= 100.0:
+        want = n - np.count_nonzero(scores == scores.max())
+    else:
+        want = math.floor(cfg.sigma_static / 100.0 * n)
+    assert np.count_nonzero(~static) == want
+    if 0 < want < n:
+        assert scores[static].min() >= scores[~static].max()
+
     try:
-        results.append(filter_outliers(tracks, residuals, cfg))
+        keep = filter_outliers(residuals, cfg)
     except InsufficientTracksError:
         pass  # fewer than four survivors: nothing is returned
-    for kept, removed in results:
-        # every input track lands on exactly one side, in input order
-        assert sorted([id(t) for t in kept + removed]) == sorted(id(t) for t in tracks)
-        for side in (kept, removed):
-            ids = [t.id for t in side]
-            assert ids == sorted(ids)
-            assert all(t is tracks[t.id] for t in side)
+    else:
+        assert keep.dtype == bool and keep.shape == (n,)
+        vals = residuals[~np.isnan(residuals)]
+        med = np.median(vals)
+        bound = med + cfg.outlier_k * max(np.median(np.abs(vals - med)), MAD_FLOOR)
+        assert np.array_equal(keep, np.isfinite(residuals) & (residuals <= bound))
+
+    # stage_filter: its counts plus the rows it keeps are all the tracks,
+    # here lifted by unit intrinsics and identity camera poses
+    T = tracks.world.shape[1]
+    ts = TrackSet(CameraIntrinsics(1.0, 1.0, 0.0, 0.0),
+                  [RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))] * T, np.zeros(T, dtype=bool),
+                  [Track(i, tracks.uv[i], tracks.world[i, :, 2], tracks.valid[i]) for i in range(n)])
+    try:
+        kept, counts = stage_filter(ts, Segment(0, T - 1), PipelineConfig(filter=cfg))
+    except InsufficientTracksError:
+        return  # every track removed
+    assert counts["static"] + counts["unreliable"] + len(kept) == n
+    assert list(kept.id) == sorted(kept.id)

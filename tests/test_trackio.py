@@ -38,29 +38,28 @@ def make_trackset(T=5, n=3) -> trackio.TrackSet:
     return trackio.TrackSet(intrinsics=intr, cam_poses=poses, hand=hand, tracks=tracks)
 
 
-def test_lift_project_inverse():
+def test_lift_track_matches_the_pinhole_formula():
     intr = trackio.CameraIntrinsics(525.0, 500.0, 320.0, 240.0)
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        uv = rng.uniform(0, 640, 2)
-        z = rng.uniform(0.1, 9.0)
-        p = trackio.lift_to_3d(uv, z, intr)
-        uv2, z2 = trackio.project_to_2d(p, intr)
-        assert np.max(np.abs(uv2 - uv)) < 1e-9
-        assert abs(z2 - z) < 1e-12
+    uv = rng.uniform(0, 640, (50, 2))
+    z = rng.uniform(0.1, 9.0, 50)
+    t3 = trackio.lift_track(trackio.Track(0, uv, z, np.ones(50, dtype=bool)), intr)
+    assert t3.valid.all()
+    x, y = (uv[:, 0] - intr.cx) * z / intr.fx, (uv[:, 1] - intr.cy) * z / intr.fy
+    assert np.array_equal(t3.positions, np.stack([x, y, z], axis=1))
+    # projecting back recovers the pixels
+    p = t3.positions
+    back = np.stack([intr.fx * p[:, 0] / p[:, 2] + intr.cx, intr.fy * p[:, 1] / p[:, 2] + intr.cy], axis=1)
+    assert np.max(np.abs(back - uv)) < 1e-9
 
 
 def test_lift_to_3d_rejects_bad_depth():
     intr = trackio.CameraIntrinsics(525.0, 500.0, 320.0, 240.0)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            trackio.lift_to_3d((10.0, 10.0), bad, intr)
-
-
-def test_project_rejects_behind_camera():
-    intr = trackio.CameraIntrinsics(525.0, 500.0, 320.0, 240.0)
-    with pytest.raises(ValueError):
-        trackio.project_to_2d(np.array([0.0, 0.0, -0.5]), intr)
+        track = trackio.Track(0, np.array([[10.0, 10.0]]), np.array([bad]), np.array([True]))
+        t3 = trackio.lift_track(track, intr, max_depth=np.inf)
+        assert not t3.valid[0]
+        assert np.all(np.isnan(t3.positions[0]))
 
 
 def test_lift_track_validity_rules():
@@ -83,13 +82,12 @@ def test_to_world_applies_camera_poses():
     ]
     pos = rng.normal(size=(4, 3))
     valid = np.array([True, True, False, True])
-    for cam_poses in (poses, trackio.stack_poses(poses)):
-        w = trackio.to_world(trackio.Track3D(pos.copy(), valid), cam_poses)
-        for t in range(4):
-            if valid[t]:
-                assert np.array_equal(w.positions[t], apply(poses[t], pos[t]))
-        assert np.all(np.isnan(w.positions[2]))
-        assert np.array_equal(w.valid, valid)
+    w = trackio.to_world(trackio.Track3D(pos.copy(), valid), trackio.stack_poses(poses))
+    for t in range(4):
+        if valid[t]:
+            assert np.array_equal(w.positions[t], apply(poses[t], pos[t]))
+    assert np.all(np.isnan(w.positions[2]))
+    assert np.array_equal(w.valid, valid)
 
 
 def test_lift_and_to_world_on_a_stack_equal_per_track_calls():
@@ -122,10 +120,10 @@ def test_world_rigidity_of_static_scene():
         uv = np.zeros((5, 2))
         depth = np.zeros(5)
         for t, pose in enumerate(poses):
-            cam = apply(inverse(pose), p)
-            uv[t], depth[t] = trackio.project_to_2d(cam, intr)
+            x, y, depth[t] = apply(inverse(pose), p)
+            uv[t] = intr.fx * x / depth[t] + intr.cx, intr.fy * y / depth[t] + intr.cy
         tr = trackio.Track(0, uv, depth, np.ones(5, dtype=bool))
-        w = trackio.to_world(trackio.lift_track(tr, intr), poses)
+        w = trackio.to_world(trackio.lift_track(tr, intr), trackio.stack_poses(poses))
         assert np.max(np.ptp(w.positions, axis=0)) < 1e-9
 
 

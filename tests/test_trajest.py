@@ -81,7 +81,7 @@ def screw_tracks(xi, thetas, base, valid=None):
         world[:, t] = apply(exp_map(xi, float(th)), base)
     if valid is None:
         valid = np.ones((n, T), dtype=bool)
-    return [SegmentTrack(i, None, world[i], valid[i]) for i in range(n)]
+    return SegmentTrack(np.arange(n), None, world, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_register_steps_matches_per_step_registration():
     rng = np.random.default_rng(12)
     for M in (1, 2, 9):
         steps = noisy_steps(rng, M)
-        q, t = register_steps(CorrespondenceSet(steps, 1, np.arange(M + 1)))
+        q, t = register_steps(CorrespondenceSet(steps, 1, np.arange(M + 1), max(len(s.src) for s in steps)))
         for m, s in enumerate(steps):
             one = register_rigid(s.src, s.dst)
             R, tt = reference_register(s.src, s.dst)
@@ -161,7 +161,7 @@ def test_register_steps_raises_on_a_near_collinear_step():
     line = np.linspace(0.0, 1.0, 8)[:, None] * [1.0, 2.0, -1.0]
     steps[2] = StepPairs(line, line + [0.1, 0.0, 0.0], np.arange(8))
     with pytest.raises(DegenerateGeometryError):
-        register_steps(CorrespondenceSet(steps, 1, np.arange(5)))
+        register_steps(CorrespondenceSet(steps, 1, np.arange(5), max(len(s.src) for s in steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +194,28 @@ def test_correspondences_require_both_endpoints():
     assert len(corr.steps[1].src) == 4  # step 2->4 loses it too
     assert len(corr.steps[2].src) == 5
     assert 0 not in corr.steps[0].track_ids
+
+
+def test_residual_stats_has_one_mean_per_row_and_nan_without_pairs():
+    rng = np.random.default_rng(4)
+    valid = np.ones((6, 9), dtype=bool)
+    valid[4, ::2] = False  # row 4 is never seen at a keyframe
+    tracks = screw_tracks(
+        Twist(np.array([0, 0, 1.0]), np.zeros(3)), np.linspace(0, 0.5, 9),
+        rng.uniform(-0.5, 0.5, (6, 3)) + [1.0, 0, 0], valid,
+    )
+    tracks.world += rng.normal(0.0, 0.001, tracks.world.shape)
+    corr = build_correspondences(tracks, stride=2)
+    steps = register_steps(corr)
+    means = residual_stats(corr, steps)[1]
+    assert means.shape == (6,)
+    assert np.isnan(means[4]) and np.all(np.isfinite(np.delete(means, 4)))
+    # each row's mean is over that row's pairs alone
+    q, t = steps
+    for k in (0, 5):
+        r = [np.linalg.norm(s.dst[s.track_ids == k][0] - quat_to_matrix(q[m]) @ s.src[s.track_ids == k][0] - t[m])
+             for m, s in enumerate(corr.steps)]
+        assert means[k] == pytest.approx(np.mean(r), rel=1e-12)
 
 
 def test_correspondences_too_few_pairs_raises():
@@ -231,15 +253,15 @@ def test_fit_independent_recovers_scripted_steps():
         S = rand_transform(rng, max_angle=0.4, max_t=0.2)
         steps.append(S)
         world[:, m + 1] = apply(S, world[:, m])
-    tracks = [SegmentTrack(i, None, world[i], np.ones(T, bool)) for i in range(n)]
-    corr = build_correspondences(tracks, stride=1)
+    corr = build_correspondences(SegmentTrack(np.arange(n), None, world, np.ones((n, T), bool)), stride=1)
     est = fit_independent(corr)
     assert est.mode == "independent"
     assert len(est.step_transforms) == T - 1
     for got, want in zip(est.step_transforms, steps):
         assert transform_err(got, want) < 1e-11
     assert est.rms_residual < 1e-12
-    assert set(residual_stats(corr, register_steps(corr))[1]) == set(range(n))
+    means = residual_stats(corr, register_steps(corr))[1]
+    assert means.shape == (n,) and np.all(means < 1e-12)
 
 
 def test_integrate_poses_equals_a_compose_chain_bit_for_bit():
@@ -393,8 +415,7 @@ def test_pair_linearization_matches_central_differences(gauge):
     thetas = np.array([0.0, 0.2, 3e-8, -0.15, 0.4])
     base = rng.uniform(-0.3, 0.3, (7, 3)) + [0.5, 0, 1.0]
     tracks = screw_tracks(xi, np.concatenate(([0.0], np.cumsum(thetas))), base)
-    for tr in tracks:  # noise, so that residuals and curvature terms are non-zero
-        tr.world += rng.normal(0.0, 0.01, tr.world.shape)
+    tracks.world += rng.normal(0.0, 0.01, tracks.world.shape)  # so that residuals and curvature terms are non-zero
     pairs = _flatten_pairs(build_correspondences(tracks, stride=1))
     start = retract_twist(xi, 0.05 * np.ones(twist_tangent_basis(xi).shape[1]))
     central_difference_check(
@@ -488,8 +509,7 @@ def test_regularized_fit_evaluates_each_point_once(monkeypatch):
     xi = Twist(w, -np.cross(w, [0.3, -0.1, 0.9]))
     base = rng.uniform(-0.3, 0.3, (9, 3)) + [0.5, 0, 1.0]
     tracks = screw_tracks(xi, np.linspace(0.0, 0.6, 8), base)
-    for tr in tracks:  # noise, so that the fit takes several iterations
-        tr.world += rng.normal(0.0, 0.005, tr.world.shape)
+    tracks.world += rng.normal(0.0, 0.005, tracks.world.shape)  # so that the fit takes several iterations
     corr = build_correspondences(tracks, stride=1)
     seen = []
 
