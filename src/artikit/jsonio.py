@@ -5,10 +5,14 @@ parses with orjson, which agrees with ``json`` on all it accepts except an
 integer literal outside [-2**63, 2**64 - 1], read as a float; so a file with
 an integer literal of 19 or more digits, and all that orjson refuses (NaN,
 Infinity, 1e400, a byte-order mark, UTF-16, lone surrogates, malformed
-files), is parsed by ``json``. Writing stays on ``json``: floats are written
-with Python's shortest round-trip repr, so a value survives save -> load
-bit-exactly, and ``allow_nan=False`` makes callers map NaN to null. Files
-are compact one-line JSON, read as UTF-8 whatever the locale.
+files), is parsed by ``json``. ``trackio.save_trackset`` writes track files
+with orjson, straight from the arrays, after checking that the only
+non-finite value is a NaN depth (written as null). ``dump_json`` writes all
+other files with ``json``: ``allow_nan=False`` makes callers map NaN to
+null, and ground-truth seeds may exceed 64 bits, which orjson refuses.
+Both write shortest round-trip floats, so a value survives save -> load
+bit-exactly. Files are compact one-line JSON, read as UTF-8 whatever the
+locale.
 """
 
 from __future__ import annotations

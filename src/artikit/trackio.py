@@ -31,12 +31,13 @@ Files are written as compact one-line JSON.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import chain
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from . import jsonio
 from .errors import TrackFileError
@@ -383,39 +384,50 @@ def load_trackset(path) -> TrackSet:
 def save_trackset(path, ts: TrackSet) -> None:
     """Write a track file; load(save(x)) reproduces x exactly.
 
-    A track id outside the signed 64-bit range, a non-finite pixel
-    coordinate or an infinite depth, which load would reject, raises
-    TrackFileError naming its field; a NaN depth is written as null.
+    Before anything is written, what load would reject raises TrackFileError
+    naming its field, track by track: an id outside the signed 64-bit range
+    or seen before (the loader's texts); a uv, depth or vis whose length is
+    not the frame count (the loader's text) or a uv not shaped (T, 2); a
+    non-finite pixel coordinate; an infinite depth. Poses and intrinsics are
+    checked when built, so the only non-finite value written is a NaN
+    depth, which orjson writes as null.
     """
+    T = ts.frame_count
+    seen_ids = set()
     for k, tr in enumerate(ts.tracks):
-        _require(-2**63 <= tr.id < 2**63, f"{path}.tracks[{k}].id", _ID_RULE)
+        w = f"{path}.tracks[{k}]"
+        _require(-2**63 <= tr.id < 2**63, f"{w}.id", _ID_RULE)
+        _require(tr.id not in seen_ids, f"{w}.id", f"duplicate track id {tr.id}")
+        seen_ids.add(tr.id)
+        for name in ("uv", "depth", "vis"):
+            n = len(getattr(tr, name))
+            _require(n == T, f"{w}.{name}", f"length {n} != frame count {T}")
+        _require(np.shape(tr.uv)[1:] == (2,), f"{w}.uv[0]", "must be a [u, v] pair")
         bad = np.flatnonzero(~np.all(np.isfinite(tr.uv), axis=1))
         if len(bad):
             t = int(bad[0])
-            raise TrackFileError(f"{path}.tracks[{k}].uv[{t}]: expected finite pixel "
-                                 f"coordinates, got {tr.uv[t].tolist()}")
+            raise TrackFileError(f"{w}.uv[{t}]: expected finite pixel coordinates, got {tr.uv[t].tolist()}")
         bad = np.flatnonzero(np.isinf(tr.depth))
         if len(bad):
             t = int(bad[0])
-            raise TrackFileError(f"{path}.tracks[{k}].depth[{t}]: expected a finite "
-                                 f"depth or NaN, got {tr.depth[t]}")
+            raise TrackFileError(f"{w}.depth[{t}]: expected a finite depth or NaN, got {tr.depth[t]}")
     doc = {
         "version": 1,
         "units": {"length": "m"},
         "intrinsics": ts.intrinsics.to_dict(),
         "frames": [
             {"t": i, "cam_pose": ts.cam_poses[i].to_dict(), "hand": bool(ts.hand[i])}
-            for i in range(ts.frame_count)
+            for i in range(T)
         ],
+        # orjson refuses non-contiguous arrays and spells float32 by its own repr
         "tracks": [
             {
                 "id": int(tr.id),
-                "uv": np.asarray(tr.uv, dtype=float).tolist(),
-                "depth": [None if math.isnan(d) else d
-                          for d in np.asarray(tr.depth, dtype=float).tolist()],
-                "vis": np.asarray(tr.vis, dtype=bool).tolist(),
+                "uv": np.ascontiguousarray(tr.uv, dtype=np.float64),
+                "depth": np.ascontiguousarray(tr.depth, dtype=np.float64),
+                "vis": np.ascontiguousarray(tr.vis, dtype=bool),
             }
             for tr in ts.tracks
         ],
     }
-    jsonio.dump_json(path, doc)
+    Path(path).write_bytes(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n")

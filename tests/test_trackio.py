@@ -291,6 +291,117 @@ def test_save_rejects_track_id_outside_int64(tmp_path, tid):
     assert not p.exists()
 
 
+def _set(track, **arrays):
+    for name, value in arrays.items():
+        setattr(track, name, value)
+
+
+@pytest.mark.parametrize(
+    "break_set, break_doc, message",
+    [
+        pytest.param(lambda ts: _set(ts.tracks[2], id=0), lambda d: d["tracks"][2].update(id=0),
+                     "tracks[2].id: duplicate track id 0", id="duplicate-id"),
+        pytest.param(lambda ts: _set(ts.tracks[1], uv=ts.tracks[1].uv[:-1]),
+                     lambda d: d["tracks"][1]["uv"].pop(),
+                     "tracks[1].uv: length 4 != frame count 5", id="uv-short"),
+        pytest.param(lambda ts: _set(ts.tracks[0], depth=np.append(ts.tracks[0].depth, 1.0)),
+                     lambda d: d["tracks"][0]["depth"].append(1.0),
+                     "tracks[0].depth: length 6 != frame count 5", id="depth-long"),
+        pytest.param(lambda ts: _set(ts.tracks[2], vis=ts.tracks[2].vis[1:]),
+                     lambda d: d["tracks"][2]["vis"].pop(),
+                     "tracks[2].vis: length 4 != frame count 5", id="vis-short"),
+        pytest.param(lambda ts: _set(ts.tracks[1], uv=np.hstack([ts.tracks[1].uv, ts.tracks[1].uv[:, :1]])),
+                     lambda d: [row.append(row[0]) for row in d["tracks"][1]["uv"]],
+                     "tracks[1].uv[0]: must be a [u, v] pair", id="uv-triples"),
+        pytest.param(lambda ts: _set(ts.tracks[0], uv=ts.tracks[0].uv[:, 0]),
+                     lambda d: d["tracks"][0].update(uv=[row[0] for row in d["tracks"][0]["uv"]]),
+                     "tracks[0].uv[0]: must be a [u, v] pair", id="uv-flat"),
+    ],
+)
+def test_save_refuses_what_load_refuses_with_the_loaders_text(tmp_path, break_set, break_doc, message):
+    ts = make_trackset()
+    break_set(ts)
+    p = tmp_path / "a.json"
+    with pytest.raises(TrackFileError) as ei:
+        trackio.save_trackset(p, ts)
+    assert str(ei.value) == f"{p}.{message}"
+    assert not p.exists()
+    q = _doc(tmp_path, break_doc)
+    with pytest.raises(TrackFileError) as ei:
+        trackio.load_trackset(q)
+    assert str(ei.value) == f"{q}.{message}"
+
+
+def _array_inputs(T):
+    """Tracks whose arrays are views, float32 or integers; all frames visible
+    at positive depth."""
+    rng = np.random.default_rng(7)
+    wide = rng.uniform(1, 640, (T, 5))
+    stacked = rng.uniform(1, 640, (T, 3, 2)).transpose(1, 0, 2)  # a row is a strided (T, 2) view
+    vis = np.ones((T, 2), dtype=bool)
+    return [
+        trackio.Track(0, wide[:, 1:3], wide[:, 4], vis[:, 1]),
+        trackio.Track(1, stacked[1], stacked[2, :, 0], vis[:, 0]),
+        trackio.Track(2, wide[:, :2].astype(np.float32), wide[:, 3].astype(np.float32), vis[:, 0].copy()),
+        trackio.Track(3, np.arange(2 * T).reshape(T, 2), np.arange(1, T + 1, dtype=np.int32),
+                      np.ones(T, dtype=np.uint8)),
+    ]
+
+
+@pytest.mark.parametrize("T, n", [(5, 4), (1, 4), (5, 0)], ids=["arrays", "one-frame", "no-tracks"])
+def test_save_takes_views_float32_and_integer_arrays(tmp_path, T, n):
+    ts = make_trackset(T, n=0)
+    ts.tracks = _array_inputs(T)[:n]
+    if T > 1 and n:  # orjson refuses the views as they are
+        assert not any(tr.uv.flags.c_contiguous or tr.depth.flags.c_contiguous for tr in ts.tracks[:2])
+    p = tmp_path / "a.json"
+    trackio.save_trackset(p, ts)
+    back = trackio.load_trackset(p)
+    assert [t.id for t in back.tracks] == [t.id for t in ts.tracks]
+    for a, b in zip(ts.tracks, back.tracks, strict=True):
+        for name, dtype in (("uv", np.float64), ("depth", np.float64), ("vis", bool)):
+            want = np.asarray(getattr(a, name), dtype=dtype)
+            got = getattr(b, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+# numbers that orjson and repr spell differently, or that sit at the edges of
+# a double: subnormals, the largest finite, a negative zero
+SPELLINGS = [1e-05, 1e16, 1e22, -0.0, 5e-324, 2.5e-310, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("v", SPELLINGS, ids=repr)
+def test_writer_spellings_read_back_bit_exactly(tmp_path, v):
+    """Each value goes where the schema allows it: uv and pose translations
+    take any finite number, depth a positive one on a visible frame (else a
+    hidden frame), focal lengths a positive one, principal points any."""
+    T = 2
+    ts = make_trackset(T, n=0)
+    ts.intrinsics = trackio.CameraIntrinsics(v if v > 0 else 1.0, v if v > 0 else 1.0, v, v)
+    ts.cam_poses = [RigidTransform(pose.q, np.full(3, v)) for pose in ts.cam_poses]
+    ts.tracks = [trackio.Track(0, np.full((T, 2), v), np.full(T, v), np.full(T, v > 0))]
+    p = tmp_path / "a.json"
+    trackio.save_trackset(p, ts)
+
+    def bits(x):
+        return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+    doc = json.loads(p.read_bytes())
+    K = doc["intrinsics"]
+    read = [K["cx"], K["cy"], *(fr["cam_pose"]["t"] for fr in doc["frames"]), *doc["tracks"][0]["uv"],
+            doc["tracks"][0]["depth"]]
+    loaded = trackio.load_trackset(p)
+    read += [loaded.intrinsics.cx, loaded.intrinsics.cy, *(pose.t for pose in loaded.cam_poses),
+             loaded.tracks[0].uv, loaded.tracks[0].depth]
+    if v > 0:
+        read += [K["fx"], K["fy"], loaded.intrinsics.fx, loaded.intrinsics.fy]
+    for x in read:
+        assert np.all(bits(x) == bits(v))
+    q = tmp_path / "b.json"
+    trackio.save_trackset(q, loaded)
+    assert q.read_bytes() == p.read_bytes()
+
+
 @PARSERS
 @pytest.mark.parametrize("tid", [2**63 - 1, -2**63], ids=["2**63-1", "-2**63"])
 def test_loader_accepts_track_id_at_the_int64_bounds(tmp_path, tid, nan):
