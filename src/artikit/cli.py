@@ -42,8 +42,6 @@ def _config_flags(p: argparse.ArgumentParser, *stages: str):
         g.add_argument("--tmin", dest="segmenter.t_min", type=int, help="min segment length (frames)")
         g.add_argument("--tmax", dest="segmenter.t_max", type=int, help="max segment length (frames)")
     if "filter" in stages:
-        g.add_argument("--sigma-static", dest="filter.sigma_static", type=float,
-                       help="percentile of least-moving tracks removed")
         g.add_argument("--static-mode", dest="filter.static_mode", choices=STATIC_MODES,
                        help="coordinates used for the motion score")
         g.add_argument("--sigma-reliable", dest="filter.sigma_reliable", type=float,

@@ -98,6 +98,10 @@ class PipelineConfig:
             if key in sections:
                 if not isinstance(val, dict):
                     raise ValueError(f"config section {key!r} must be an object")
+                known = {f.name for f in fields(sections[key])}
+                for leaf in val:
+                    if leaf not in known:
+                        raise ValueError(f"unknown config key '{key}.{leaf}'")
                 kwargs[key] = sections[key](**val)
             elif key in scalars:
                 kwargs[key] = val
@@ -109,7 +113,7 @@ class PipelineConfig:
 def effective_config(file_doc: dict | None, overrides: dict) -> PipelineConfig:
     """Defaults, overlaid by a config file, overlaid by explicit flags.
 
-    ``overrides`` uses dotted keys ("filter.sigma_static", "stride"), as the
+    ``overrides`` uses dotted keys ("filter.sigma_reliable", "stride"), as the
     CLI's flag dests spell them; None values mean "not given" and are skipped.
     """
     doc = {}
@@ -382,7 +386,10 @@ def load_segment_data(path) -> tuple[list, list]:
     entries = []
     try:
         for i, s in enumerate(doc["segments"]):
-            seg = Segment.from_dict(s["segment"])
+            try:
+                seg = Segment.from_dict(s["segment"])
+            except ValueError as e:
+                raise TrackFileError(f"{path}.segments[{i}].segment: {e}") from e
             T = seg.end - seg.start + 1
             rows = [_track_from_dict(t, f"{path}.segments[{i}].tracks[{k}]", T) for k, t in enumerate(s["tracks"])]
             ids, uv, world, valid = zip(*rows) if rows else ((),) * 4

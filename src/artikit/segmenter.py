@@ -49,7 +49,10 @@ class Segment:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Segment":
-        return cls(int(d["start"]), int(d["end"]))
+        for key in ("start", "end"):
+            if not isinstance(d[key], int) or isinstance(d[key], bool):
+                raise ValueError(f"segment {key} must be an integer, got {d[key]!r}")
+        return cls(d["start"], d["end"])
 
 
 def moving_average(signal, w_h: int) -> np.ndarray:

@@ -144,7 +144,7 @@ class GroundTruthJoint:
             raise ValueError(f"not an object, got {type(d).__name__}")
         try:
             seg = Segment.from_dict(d["segment"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+        except (KeyError, TypeError, ValueError):
             raise ValueError(f"segment: needs integers 0 <= start <= end, got {d.get('segment')!r}") from None
         if d.get("type") not in ("revolute", "prismatic"):
             raise ValueError(f"type: unknown type {d.get('type')!r}")

@@ -2,14 +2,13 @@
 
 Each filter reads a segment's tracks stacked on a leading axis (a
 ``SegmentTrack``), or one value per track, and returns an (N,) bool keep
-mask. The static filter is a rank split: scores are sorted stably (ties keep
-input order) and the lowest floor(p/100 * N) are removed; at percentile 100
-everything except the tracks tied at the maximum goes.
+mask. The static filter splits each segment's tracks at Otsu's threshold
+(Otsu, 1979) on the log10 of their motion scores, so the share removed as
+background is found from the scores themselves.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +17,13 @@ from .bounds import bounded, check_bounds
 from .errors import InsufficientTracksError
 
 MAD_FLOOR = 1e-9  # keeps the outlier bound meaningful when residuals are near-identical
+SCORE_FLOOR = 1e-12  # gives zero motion scores a log
 STATIC_MODES = ("image2d", "world3d")  # motion scored on pixel tracks or world positions
 
 
 @dataclass
 class FilterConfig:
-    sigma_static: float = bounded(50.0, "[0, 100]")  # percentile of motion scores removed as static
-    static_mode: str = "image2d"  # "image2d" (pixel tracks) or "world3d"
+    static_mode: str = "image2d"  # motion scored on "image2d" (pixel tracks) or "world3d"
     sigma_reliable: float = bounded(0.5, "[0, 1]")  # max tolerated fraction of unobserved frames
     outlier_k: float = bounded(3.0, ">= 0")  # MAD multiplier for the residual gate
 
@@ -49,19 +48,21 @@ def motion_score(tracks, mode: str) -> np.ndarray:
 
 
 def filter_static(tracks, cfg: FilterConfig) -> np.ndarray:
-    """Keep mask without the least-moving fraction of tracks (background
-    suppression)."""
+    """Keep mask without the static background: the tracks whose log motion
+    score lies above Otsu's cut, the one of the sorted log scores that
+    maximises k (N - k) (mean_low - mean_high)^2 (the lowest on a tie).
+    Equal scores, a single track's included, are all kept."""
     n = len(tracks)
     if n == 0:
         raise ValueError("filter_static requires at least one track")
-    scores = motion_score(tracks, cfg.static_mode)
-    if cfg.sigma_static >= 100.0:
-        k = n - int(np.sum(scores == scores.max()))
-    else:
-        k = math.floor(cfg.sigma_static / 100.0 * n)
-    keep = np.ones(n, dtype=bool)
-    keep[np.argsort(scores, kind="stable")[:k]] = False
-    return keep
+    logs = np.log10(np.maximum(motion_score(tracks, cfg.static_mode), SCORE_FLOOR))
+    s = np.sort(logs)
+    if s[0] == s[-1]:
+        return np.ones(n, dtype=bool)
+    k = np.arange(1, n)
+    low = np.cumsum(s)[:-1]
+    spread = k * (n - k) * (low / k - (s.sum() - low) / (n - k)) ** 2
+    return logs > s[np.argmax(spread)]
 
 
 def filter_unreliable(tracks, cfg: FilterConfig) -> np.ndarray:

@@ -185,6 +185,7 @@ def to_world(track3d: Track3D, poses: PoseStack) -> Track3D:
 
 
 _ID_RULE = "must be an integer in the signed 64-bit range"
+_VISIBLE_DEPTH_RULE = "visible frames require finite positive depth"
 
 
 def _require(cond: bool, where: str, msg: str):
@@ -374,7 +375,7 @@ def load_trackset(path) -> TrackSet:
         k, t = map(int, np.argwhere(bad)[0])
         raise TrackFileError(
             f"{where}.tracks[{k}].depth[{t}]: frame is visible but depth is "
-            f"{raw_tracks[k]['depth'][t]!r}; visible frames require finite positive depth"
+            f"{raw_tracks[k]['depth'][t]!r}; {_VISIBLE_DEPTH_RULE}"
         )
     tracks = [Track(tr["id"], *rows) for tr, *rows in zip(raw_tracks, uv, depth, vis)]
 
@@ -385,14 +386,18 @@ def save_trackset(path, ts: TrackSet) -> None:
     """Write a track file; load(save(x)) reproduces x exactly.
 
     Before anything is written, what load would reject raises TrackFileError
-    naming its field, track by track: an id outside the signed 64-bit range
+    naming its field: no frames (the loader's text); a hand that is not one
+    flag per frame; then, track by track, an id outside the signed 64-bit range
     or seen before (the loader's texts); a uv, depth or vis whose length is
     not the frame count (the loader's text) or a uv not shaped (T, 2); a
-    non-finite pixel coordinate; an infinite depth. Poses and intrinsics are
+    non-finite pixel coordinate; an infinite depth; a visible frame without
+    finite positive depth (the loader's text). Poses and intrinsics are
     checked when built, so the only non-finite value written is a NaN
     depth, which orjson writes as null.
     """
     T = ts.frame_count
+    _require(T > 0, str(path), "frames must be a non-empty list")
+    _require(np.shape(ts.hand) == (T,), f"{path}.hand", f"shape {np.shape(ts.hand)} != frame count ({T},)")
     seen_ids = set()
     for k, tr in enumerate(ts.tracks):
         w = f"{path}.tracks[{k}]"
@@ -411,6 +416,11 @@ def save_trackset(path, ts: TrackSet) -> None:
         if len(bad):
             t = int(bad[0])
             raise TrackFileError(f"{w}.depth[{t}]: expected a finite depth or NaN, got {tr.depth[t]}")
+        bad = np.flatnonzero(np.asarray(tr.vis, dtype=bool) & ~(tr.depth > 0))
+        if len(bad):
+            t, d = int(bad[0]), float(tr.depth[bad[0]])
+            raise TrackFileError(f"{w}.depth[{t}]: frame is visible but depth is "
+                                 f"{None if np.isnan(d) else d!r}; {_VISIBLE_DEPTH_RULE}")
     doc = {
         "version": 1,
         "units": {"length": "m"},

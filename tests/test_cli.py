@@ -232,6 +232,9 @@ BAD_JOINTS = {
     "axis-dir-nan": (dict(JOINT, axis_dir=[0.0, math.nan, 1.0]), "axis_dir"),
     "axis-point-two": (dict(JOINT, axis_point=[0.4, -0.2]), "axis_point"),
     "segment-reversed": (dict(JOINT, segment={"start": 40, "end": 10}), "segment"),
+    "segment-fraction": (dict(JOINT, segment={"start": 10.9, "end": 40}), "segment"),
+    "segment-string": (dict(JOINT, segment={"start": "10", "end": 40}), "segment"),
+    "segment-boolean": (dict(JOINT, segment={"start": True, "end": 40}), "segment"),
     "not-an-object": ([1, 2, 3], "not an object"),
     # ground truth only: a revolute prediction need not carry an axis point
     "revolute-without-point": (dict(JOINT, axis_point=None), "axis_point"),
@@ -315,7 +318,11 @@ def test_utf8_track_file_loads_under_an_ascii_locale(workdir):
     ([{"start": 3}], "'end'"),
     ([{"start": 9, "end": 3}], "invalid segment"),
     ([{"start": 0, "end": 500}], "past the recording's last frame"),
-], ids=["missing-key", "end-before-start", "end-past-recording"])
+    ([{"start": 10.9, "end": 20}], "start must be an integer, got 10.9"),
+    ([{"start": "10", "end": 20}], "start must be an integer, got '10'"),
+    ([{"start": 0, "end": True}], "end must be an integer, got True"),
+], ids=["missing-key", "end-before-start", "end-past-recording", "start-fraction", "start-string",
+        "end-boolean"])
 def test_malformed_segments_file_exits_2_with_json_error(workdir, capsys, segments, field):
     segs = workdir / "segs.json"
     segs.write_text(json.dumps({"segments": segments}))
@@ -354,7 +361,6 @@ OUT_OF_RANGE = {
     "segmenter.tau_h": 1.5,
     "segmenter.t_min": 0,
     "segmenter.t_max": 0,
-    "filter.sigma_static": 101.0,
     "filter.sigma_reliable": 1.5,
     "filter.outlier_k": -1.0,
     "smoother.lambda_vel": -1.0,
@@ -426,24 +432,28 @@ def test_missing_subcommand_is_a_usage_error():
 
 
 def three_frame_segdata(mutate) -> dict:
+    """A segment-data file of one three-frame segment holding one track;
+    ``mutate`` edits the segment's entry."""
     track = {"id": 0, "uv": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
              "world": [[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.2, 0.0, 1.0]],
              "valid": [True, True, True]}
-    mutate(track)
-    return {"version": 1, "stage": "filter", "skipped": [],
-            "segments": [{"segment": {"start": 0, "end": 2}, "filter_counts": {},
-                          "tracks": [track]}]}
+    entry = {"segment": {"start": 0, "end": 2}, "filter_counts": {}, "tracks": [track]}
+    mutate(entry)
+    return {"version": 1, "stage": "filter", "skipped": [], "segments": [entry]}
 
 
 @pytest.mark.parametrize("command", ["smooth", "estimate"])
 @pytest.mark.parametrize("mutate, field", [
-    (lambda tr: tr.update(world=[row[:2] for row in tr["world"]]), "world"),
-    (lambda tr: tr["world"].pop(), "world"),
-    (lambda tr: tr["uv"].pop(), "uv"),
-    (lambda tr: tr["world"].__setitem__(1, None), "world[1]"),
-    (lambda tr: [tr[k].pop() for k in ("uv", "world", "valid")], "valid"),
+    (lambda s: s["tracks"][0].update(world=[row[:2] for row in s["tracks"][0]["world"]]), "tracks[0].world"),
+    (lambda s: s["tracks"][0]["world"].pop(), "tracks[0].world"),
+    (lambda s: s["tracks"][0]["uv"].pop(), "tracks[0].uv"),
+    (lambda s: s["tracks"][0]["world"].__setitem__(1, None), "tracks[0].world[1]"),
+    (lambda s: [s["tracks"][0][k].pop() for k in ("uv", "world", "valid")], "tracks[0].valid"),
+    (lambda s: s["segment"].update(end=2.0), "segment"),
+    (lambda s: s["segment"].update(start="0"), "segment"),
+    (lambda s: s["segment"].update(start=False), "segment"),
 ], ids=["world-two-columns", "world-short", "uv-short", "world-null-on-valid-frame",
-        "shorter-than-segment"])
+        "shorter-than-segment", "end-fraction", "start-string", "start-boolean"])
 def test_malformed_segment_data_exits_2_with_json_error(tmp_path, capsys, command, mutate, field):
     segdata = tmp_path / "segdata.json"
     segdata.write_text(json.dumps(three_frame_segdata(mutate)))
@@ -453,7 +463,7 @@ def test_malformed_segment_data_exits_2_with_json_error(tmp_path, capsys, comman
     assert len(err_lines) == 1
     msg = json.loads(err_lines[0])
     assert msg["error"] == "TrackFileError"
-    assert msg["message"].startswith(f"{segdata}.segments[0].tracks[0].{field}: ")
+    assert msg["message"].startswith(f"{segdata}.segments[0].{field}: ")
 
 
 def one_frame_tracks(**overrides) -> dict:
@@ -483,7 +493,7 @@ WRONG_TYPE_INPUTS = {
     "camera-string": ("synth", "--config", scene_doc(camera="arc"), "scene config: camera "),
     **{
         f"skipped-{what}-{command}": (command, "--segdata",
-                                      dict(three_frame_segdata(lambda tr: None), skipped=bad),
+                                      dict(three_frame_segdata(lambda s: None), skipped=bad),
                                       f"{{path}}.{where}: ")
         for command in ("smooth", "estimate")
         for what, bad, where in (("number", 5, "skipped"), ("object", {}, "skipped"),

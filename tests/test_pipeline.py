@@ -78,21 +78,25 @@ def quiet_pipeline_config(**kw):
 
 
 def test_effective_config_precedence():
-    file_doc = {"stride": 3, "filter": {"sigma_static": 60.0}}
-    cfg = effective_config(file_doc, {"filter.sigma_static": 70.0, "mode": None})
+    file_doc = {"stride": 3, "filter": {"sigma_reliable": 0.6}}
+    cfg = effective_config(file_doc, {"filter.sigma_reliable": 0.7, "mode": None})
     assert cfg.stride == 3  # file value survives when no flag overrides it
-    assert cfg.filter.sigma_static == 70.0  # flag beats file
+    assert cfg.filter.sigma_reliable == 0.7  # flag beats file
     assert cfg.mode == "regularized"  # None means "flag not given"
     assert cfg.segmenter.w_h == 6
 
 
 def test_effective_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config key"):
-        effective_config({"sigma_static": 60.0}, {})  # section name missing
+        effective_config({"sigma_reliable": 0.6}, {})  # section name missing
     with pytest.raises(ValueError, match="unknown config key 'seed'"):
         effective_config({"seed": 3}, {})  # synthesis takes the seed, not the pipeline
-    with pytest.raises(ValueError, match="bad configuration"):
-        effective_config({"filter": {"sigma": 60.0}}, {})
+    # a key inside a section is named with its section; a config written for
+    # the removed rank split (filter.sigma_static) fails the same way
+    for leaf in ("sigma_statik", "sigma_static"):
+        with pytest.raises(ValueError) as ei:
+            effective_config({"filter": {"outlier_k": 2.0, leaf: 50}}, {})
+        assert str(ei.value) == f"bad configuration: unknown config key 'filter.{leaf}'"
     with pytest.raises(ValueError):
         effective_config(None, {"mode": "fancy"})
 
@@ -246,7 +250,7 @@ def test_degenerate_segments_end_in_skip_records(case, mode):
 
 
 @pytest.mark.parametrize("mode", ["regularized", "independent"])
-@pytest.mark.parametrize("scene, dropped", [(4, 0), (0, 2)])
+@pytest.mark.parametrize("scene, dropped", [(17, 0), (0, 2)])
 def test_each_step_is_registered_once_unless_the_gate_drops_tracks(monkeypatch, mode, scene, dropped):
     """The outlier gate's registration serves the fit (in regularized mode
     the revolute fit's seed) when no track is dropped; the kept tracks are

@@ -291,31 +291,48 @@ def test_save_rejects_track_id_outside_int64(tmp_path, tid):
     assert not p.exists()
 
 
-def _set(track, **arrays):
-    for name, value in arrays.items():
-        setattr(track, name, value)
+def _set(obj, **values):
+    for name, value in values.items():
+        setattr(obj, name, value)
 
 
 @pytest.mark.parametrize(
     "break_set, break_doc, message",
     [
         pytest.param(lambda ts: _set(ts.tracks[2], id=0), lambda d: d["tracks"][2].update(id=0),
-                     "tracks[2].id: duplicate track id 0", id="duplicate-id"),
+                     ".tracks[2].id: duplicate track id 0", id="duplicate-id"),
         pytest.param(lambda ts: _set(ts.tracks[1], uv=ts.tracks[1].uv[:-1]),
                      lambda d: d["tracks"][1]["uv"].pop(),
-                     "tracks[1].uv: length 4 != frame count 5", id="uv-short"),
+                     ".tracks[1].uv: length 4 != frame count 5", id="uv-short"),
         pytest.param(lambda ts: _set(ts.tracks[0], depth=np.append(ts.tracks[0].depth, 1.0)),
                      lambda d: d["tracks"][0]["depth"].append(1.0),
-                     "tracks[0].depth: length 6 != frame count 5", id="depth-long"),
+                     ".tracks[0].depth: length 6 != frame count 5", id="depth-long"),
         pytest.param(lambda ts: _set(ts.tracks[2], vis=ts.tracks[2].vis[1:]),
                      lambda d: d["tracks"][2]["vis"].pop(),
-                     "tracks[2].vis: length 4 != frame count 5", id="vis-short"),
+                     ".tracks[2].vis: length 4 != frame count 5", id="vis-short"),
         pytest.param(lambda ts: _set(ts.tracks[1], uv=np.hstack([ts.tracks[1].uv, ts.tracks[1].uv[:, :1]])),
                      lambda d: [row.append(row[0]) for row in d["tracks"][1]["uv"]],
-                     "tracks[1].uv[0]: must be a [u, v] pair", id="uv-triples"),
+                     ".tracks[1].uv[0]: must be a [u, v] pair", id="uv-triples"),
         pytest.param(lambda ts: _set(ts.tracks[0], uv=ts.tracks[0].uv[:, 0]),
                      lambda d: d["tracks"][0].update(uv=[row[0] for row in d["tracks"][0]["uv"]]),
-                     "tracks[0].uv[0]: must be a [u, v] pair", id="uv-flat"),
+                     ".tracks[0].uv[0]: must be a [u, v] pair", id="uv-flat"),
+        pytest.param(lambda ts: _set(ts.tracks[1], depth=np.where(np.arange(5) == 3, np.nan, ts.tracks[1].depth)),
+                     lambda d: d["tracks"][1]["depth"].__setitem__(3, None),
+                     ".tracks[1].depth[3]: frame is visible but depth is None; "
+                     "visible frames require finite positive depth", id="visible-depth-nan"),
+        pytest.param(lambda ts: _set(ts.tracks[0], depth=np.where(np.arange(5) == 2, -1.0, ts.tracks[0].depth)),
+                     lambda d: d["tracks"][0]["depth"].__setitem__(2, -1.0),
+                     ".tracks[0].depth[2]: frame is visible but depth is -1.0; "
+                     "visible frames require finite positive depth", id="visible-depth-negative"),
+        pytest.param(lambda ts: _set(ts, cam_poses=[], hand=np.zeros(0, dtype=bool)),
+                     lambda d: d.update(frames=[]), ": frames must be a non-empty list", id="no-frames"),
+        # the hand flags live in the frames on disk, so only the set can break them
+        pytest.param(lambda ts: _set(ts, hand=ts.hand[:3]), None,
+                     ".hand: shape (3,) != frame count (5,)", id="hand-short"),
+        pytest.param(lambda ts: _set(ts, hand=np.append(ts.hand, True)), None,
+                     ".hand: shape (6,) != frame count (5,)", id="hand-long"),
+        pytest.param(lambda ts: _set(ts, hand=None), None,
+                     ".hand: shape () != frame count (5,)", id="hand-none"),
     ],
 )
 def test_save_refuses_what_load_refuses_with_the_loaders_text(tmp_path, break_set, break_doc, message):
@@ -324,12 +341,14 @@ def test_save_refuses_what_load_refuses_with_the_loaders_text(tmp_path, break_se
     p = tmp_path / "a.json"
     with pytest.raises(TrackFileError) as ei:
         trackio.save_trackset(p, ts)
-    assert str(ei.value) == f"{p}.{message}"
+    assert str(ei.value) == f"{p}{message}"
     assert not p.exists()
+    if break_doc is None:
+        return
     q = _doc(tmp_path, break_doc)
     with pytest.raises(TrackFileError) as ei:
         trackio.load_trackset(q)
-    assert str(ei.value) == f"{q}.{message}"
+    assert str(ei.value) == f"{q}{message}"
 
 
 def _array_inputs(T):
