@@ -44,7 +44,7 @@ def _as_vec3(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite, got {a}")
     return a
 
@@ -175,10 +175,12 @@ def _quat_from_rotvec(w: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def renormalize(q: np.ndarray) -> np.ndarray:
-    """``q`` over its norm, unless that is within 1e-13 of 1: renormalizing a unit
-    quaternion wobbles the last ulp, so save/load/save would not be idempotent."""
-    n = np.linalg.norm(q)
+def renormalize(q: np.ndarray, n: float | None = None) -> np.ndarray:
+    """``q`` over its norm ``n`` (computed when not given), unless that is within
+    1e-13 of 1: renormalizing a unit quaternion wobbles the last ulp, so
+    save/load/save would not be idempotent."""
+    if n is None:
+        n = np.linalg.norm(q)
     return q if abs(n - 1.0) <= 1e-13 else q / n
 
 
@@ -193,12 +195,12 @@ class RigidTransform:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (4,):
             raise ValueError(f"q must be a 4-vector, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ValueError(f"q must be finite, got {q}")
         n = np.linalg.norm(q)
         if abs(n - 1.0) > 1e-3:
             raise ValueError(f"q must be near unit norm, got |q| = {n}")
-        self.q = renormalize(q)
+        self.q = renormalize(q, n)
         self.t = _as_vec3(self.t, "t")
 
     @classmethod

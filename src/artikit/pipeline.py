@@ -171,12 +171,13 @@ def stage_filter(ts: TrackSet, seg: Segment, cfg: PipelineConfig) -> tuple[Segme
 
 
 def stage_smooth(tracks: SegmentTrack, cfg: PipelineConfig, counts: dict) -> SegmentTrack:
-    """Smooth the world positions of all tracks in one block-banded solve;
+    """Smooth the world positions of all tracks in one band solve;
     observation masks pass through.
 
-    A track whose trajectory cannot be smoothed (no observations, singular
-    system) is dropped and counted, not fatal; the segment fails only when
-    nothing survives.
+    A track whose trajectory cannot be smoothed is dropped and counted, not
+    fatal; the segment fails only when nothing survives. With the velocity
+    term one observed frame suffices, with the jerk term alone three, with
+    neither every frame (see ``smooth_track``).
     """
     keep = np.zeros(len(tracks), dtype=bool)
     try:

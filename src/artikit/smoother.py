@@ -11,10 +11,10 @@ interpolated by the difference penalties alone. The first difference terms
 start at t = 1 and the third-difference terms at t = 3; no phantom samples
 are invented, and the jerk penalty is skipped entirely for sequences shorter
 than four frames. The normal equations form a symmetric positive definite
-system of bandwidth three, solved exactly with scipy's banded Cholesky.
-The tracks of a segment are solved together: their bands are uncoupled
-blocks of one band, one ``solveh_banded`` call whose solution equals the
-per-track solves bit for bit.
+system of bandwidth three, solved exactly by an LDL^T factorization of the
+band. The tracks of a segment are solved together: the factorization runs
+frame by frame and each step is elementwise over the tracks, so the stack's
+solution equals the per-track solves bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from numpy.lib.stride_tricks import as_strided
 
 from .bounds import bounded, check_bounds
 from .errors import IllPosedError
@@ -86,38 +86,73 @@ def _banded_system(weights: np.ndarray, cfg: SmootherConfig) -> tuple[np.ndarray
     return ab, bw
 
 
+def _solve_banded(ab: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each of N tracks' systems, given as the upper-form band ``ab``
+    (bw + 1, N, T) of ``_banded_system``, for ``rhs`` (N, T, 3) by an LDL^T
+    factorization without pivoting. Returns the (N, T, 3) solutions and an
+    (N,) mask of the tracks whose pivots all came out positive and finite;
+    the others' solutions are void. Every step is elementwise over the
+    tracks."""
+    bw = ab.shape[0] - 1
+    N, T = ab.shape[1:]
+    # rows padded with bw zero rows at each end: S[bw + i, bw + k] = A[i, i + k]
+    S = np.zeros((T + 2 * bw, 2 * bw + 1, N))
+    for k in range(bw + 1):
+        S[bw : bw + T - k, bw + k] = ab[bw - k, :, k:].T
+    X = np.zeros((T + 2 * bw, 3, N))
+    X[bw : bw + T] = rhs.transpose(1, 2, 0)
+    L = np.zeros((T + 2 * bw, bw, 1, N))  # L[bw + j, k - 1] = L_{j + k, j}
+    D, U = S[bw:, bw], S[bw:, bw + 1 :, None]  # A[j, j] and A[j, j + 1 .. j + bw] of pivot row j
+    Ut = U.transpose(0, 2, 1, 3)
+    sT, sk, sN = S.strides
+    # block[j, k - 1, c - 1] = A[j + k, j + c]: what eliminating row j updates
+    block = as_strided(S[bw + 1 :, bw:], (T, bw, bw, N), (sT, sT - sk, sk, sN))
+    lT, lk, _, lN = L.strides
+    # left[j, i] = L_{j, j - bw + i}: row j of L left of the diagonal
+    left = as_strided(L[:, bw - 1 :], (T, bw, 1, N), (lT, lT - lk, 0, lN))
+    with np.errstate(all="ignore"):  # a failed pivot spoils only its own track
+        for j in range(T):  # factor, and substitute forward through L
+            l = np.divide(U[j], D[j], out=L[bw + j])
+            block[j] -= l * Ut[j]
+            X[bw + j + 1 : 2 * bw + j + 1] -= l * X[bw + j]
+        X[bw : bw + T] /= D[:T, None]
+        for j in range(T - 1, -1, -1):  # substitute backward through L^T, column by column
+            X[j : bw + j] -= left[j] * X[bw + j]
+    return X[bw : bw + T].transpose(2, 0, 1), ((D[:T] > 0) & (D[:T] < np.inf)).all(axis=0)
+
+
 def smooth_track(track: Track3D, cfg: SmootherConfig) -> Track3D:
     """Solve for the minimizer of E of a track, or of each track of a stack
-    ((N, T, 3) positions, (N, T) masks) in one block-banded solve that
-    equals solving each alone bit for bit.
+    ((N, T, 3) positions, (N, T) masks) in one band solve that equals
+    solving each alone bit for bit.
 
     The track's ``valid`` mask supplies the fidelity weights: unobserved
-    frames get weight zero and come out interpolated. A track that cannot
-    be smoothed (no observed frame, gaps without difference penalties, a
-    singular system) comes back NaN and invalid, the others fully valid.
-    Raises IllPosedError when no track can be smoothed.
+    frames get weight zero and come out interpolated. The system is
+    positive definite exactly when the observed frames pin down what the
+    difference penalties leave free: with a velocity term one observed
+    frame (a constant is free), with the jerk term alone three (a quadratic
+    is free), with neither every frame. A track short of that, or whose
+    factorization still meets a pivot that is not positive, comes back NaN
+    and invalid, the others fully valid. Raises IllPosedError when no track
+    can be smoothed.
     """
     T = track.valid.shape[-1]
     valid = track.valid.reshape(-1, T)
     weights = valid.astype(float)
     ab, bw = _banded_system(weights, cfg)
-    ok = valid.any(axis=1) if bw else valid.all(axis=1)
+    needed = T if bw == 0 else 1 if cfg.lambda_vel > 0 else 3
+    ok = np.count_nonzero(valid, axis=1) >= needed
     if not ok.any():
         raise IllPosedError(
-            "zero smoothing weights with unobserved frames leave those frames unconstrained"
-            if valid.any() else "cannot smooth a track with zero observed frames"
+            "cannot smooth a track with zero observed frames" if not valid.any()
+            else "zero smoothing weights with unobserved frames leave those frames unconstrained"
+            if bw == 0 else "the jerk penalty alone needs three observed frames"
         )
     rhs = weights[:, :, None] * np.where(valid[:, :, None], track.positions.reshape(-1, T, 3), 0.0)
+    x, solved = _solve_banded(ab[:, ok], rhs[ok])
+    if not solved.any():
+        raise IllPosedError("smoothing system is not positive definite")
+    ok[ok] = solved
     out = np.full(rhs.shape, np.nan)
-    try:
-        out[ok] = solveh_banded(ab[:, ok].reshape(bw + 1, -1), rhs[ok].reshape(-1, 3)).reshape(-1, T, 3)
-    except np.linalg.LinAlgError as e:
-        # the joint factorization does not say whose block failed: solve each alone
-        for i in np.flatnonzero(ok):
-            try:
-                out[i] = solveh_banded(ab[:, i], rhs[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
-        if not ok.any():
-            raise IllPosedError(f"smoothing system is not positive definite: {e}") from e
+    out[ok] = x[solved]
     return Track3D(out.reshape(track.positions.shape), np.repeat(ok, T).reshape(track.valid.shape))

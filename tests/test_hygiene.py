@@ -1,6 +1,9 @@
 """Source hygiene checks that need no lint tool."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,14 @@ def test_unused_private_names_are_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_module_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+def test_import_loads_no_scipy():
+    """The runtime needs numpy and orjson only: scipy is a test dependency,
+    and importing it would cost every command line call its start-up."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    code = "import sys, artikit, artikit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

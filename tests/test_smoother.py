@@ -1,23 +1,23 @@
 """Trajectory smoothing against a dense normal-equations oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import solveh_banded
 
 from artikit.errors import IllPosedError
-from artikit.smoother import SmootherConfig, smooth_track, smoothing_energy
+from artikit.smoother import SmootherConfig, _banded_system, _solve_banded, smooth_track, smoothing_energy
 from artikit.trackio import Track3D
 
 
-def dense_smooth(targets, weights, cfg):
-    """Independent oracle: assemble the full quadratic and solve densely.
-
-    One T x T system per axis: data term diag(w), velocity differences on
-    consecutive frames, jerk by the third-difference stencil.
-    """
-    T = len(targets)
+def dense_normal_matrix(weights, cfg):
+    """The full T x T normal matrix of one axis: data term diag(w), velocity
+    differences on consecutive frames, jerk by the third-difference stencil."""
+    T = len(weights)
     A = np.diag(weights.astype(float))
     for t in range(1, T):
         d = np.zeros(T)
@@ -32,8 +32,13 @@ def dense_smooth(targets, weights, cfg):
             d[t - 2] = -3.0
             d[t - 3] = 1.0
             A += cfg.lambda_jerk * np.outer(d, d)
+    return A
+
+
+def dense_smooth(targets, weights, cfg):
+    """Independent oracle: assemble the full quadratic and solve densely."""
     rhs = weights[:, None] * np.where(weights[:, None] > 0, targets, 0.0)
-    return np.linalg.solve(A, rhs)
+    return np.linalg.solve(dense_normal_matrix(weights, cfg), rhs)
 
 
 def noisy_problem(rng, T, vis_rate=0.8):
@@ -60,6 +65,59 @@ def test_matches_dense_oracle():
         scale = max(1.0, np.abs(oracle).max())
         assert np.max(np.abs(out.positions - oracle)) < 1e-9 * scale
         assert np.all(out.valid)
+
+
+@pytest.mark.parametrize("lambdas", [(0.5, 5.0), (0.0, 5.0), (0.5, 0.0)])
+def test_matches_lapack_banded_cholesky(lambdas):
+    """Against LAPACK's banded Cholesky (scipy's ``solveh_banded``, a test
+    dependency) on the band the smoother builds, one track at a time, on
+    stacks of up to 420 tracks and up to 600 frames."""
+    rng = np.random.default_rng(6)
+    cfg = SmootherConfig(*lambdas)
+    for N, T in [(1, 5), (48, 47), (420, 70), (60, 600)]:
+        valid = rng.random((N, T)) < 0.8
+        valid[:, :3] = True
+        positions = np.cumsum(rng.normal(0.0, 0.01, (N, T, 3)), axis=1)
+        out = smooth_track(Track3D(positions, valid), cfg)
+        ab, _ = _banded_system(valid.astype(float), cfg)
+        rhs = np.where(valid[:, :, None], positions, 0.0)
+        lapack = np.stack([solveh_banded(ab[:, i], rhs[i]) for i in range(N)])
+        assert out.valid.all()
+        err = np.abs(out.positions - lapack).max(axis=(1, 2))
+        assert (err <= 1e-12 * np.abs(lapack).max(axis=(1, 2))).all()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_drops_exactly_the_rank_deficient_tracks(data):
+    """A track is dropped exactly when its normal matrix is singular: the
+    observed frames do not pin down what the difference penalties leave free."""
+    N = data.draw(st.integers(1, 6))
+    T = data.draw(st.integers(1, 12))
+    valid = data.draw(hnp.arrays(bool, (N, T)))
+    cfg = SmootherConfig(data.draw(st.sampled_from([0.0, 0.5])), data.draw(st.sampled_from([0.0, 5.0])))
+    singular = [np.linalg.matrix_rank(dense_normal_matrix(v, cfg)) < T for v in valid]
+    try:
+        out = smooth_track(Track3D(np.ones((N, T, 3)), valid), cfg)
+    except IllPosedError:
+        assert all(singular)
+        return
+    assert (~out.valid.all(axis=1)).tolist() == singular
+
+
+def test_failed_pivot_voids_only_its_track():
+    """A pivot that is not positive marks its own track unsolved, quietly,
+    and leaves the other tracks' solutions as they are alone."""
+    rng = np.random.default_rng(7)
+    ab, _ = _banded_system(np.ones((4, 8)), SmootherConfig())
+    ab[-1, 1, 4] = -1.0  # track 1's diagonal at frame 4: indefinite
+    ab[:, 3] = 0.0  # track 3: a zero pivot, then 0 / 0
+    rhs = rng.normal(size=(4, 8, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, solved = _solve_banded(ab, rhs)
+    assert solved.tolist() == [True, False, True, False]
+    assert np.array_equal(x[[0, 2]], _solve_banded(ab[:, [0, 2]], rhs[[0, 2]])[0])
 
 
 def test_short_track_velocity_only_oracle():
@@ -172,8 +230,8 @@ def test_stack_equals_per_track_calls(data):
 
 
 def test_stack_drops_only_the_singular_track():
-    # jerk alone leaves a quadratic free: one observed frame of six is singular,
-    # which fails the joint factorization and is found by solving each track alone
+    # jerk alone leaves a quadratic free: with one observed frame of six the
+    # track's system is singular and that track alone is dropped
     rng = np.random.default_rng(5)
     valid = np.ones((3, 6), dtype=bool)
     valid[1, 1:] = False
