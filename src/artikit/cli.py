@@ -43,7 +43,7 @@ def _config_flags(p: argparse.ArgumentParser, *stages: str):
         g.add_argument("--tmax", dest="segmenter.t_max", type=int, help="max segment length (frames)")
     if "filter" in stages:
         g.add_argument("--static-mode", dest="filter.static_mode", choices=STATIC_MODES,
-                       help="coordinates used for the motion score")
+                       help="coordinates of the motion score (default world3d)")
         g.add_argument("--sigma-reliable", dest="filter.sigma_reliable", type=float,
                        help="max tolerated unobserved fraction per track")
         g.add_argument("--max-depth", dest="max_depth", type=float,

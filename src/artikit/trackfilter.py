@@ -23,7 +23,7 @@ STATIC_MODES = ("image2d", "world3d")  # motion scored on pixel tracks or world 
 
 @dataclass
 class FilterConfig:
-    static_mode: str = "image2d"  # motion scored on "image2d" (pixel tracks) or "world3d"
+    static_mode: str = "world3d"  # motion scored on "world3d" (world positions) or "image2d" (pixels)
     sigma_reliable: float = bounded(0.5, "[0, 1]")  # max tolerated fraction of unobserved frames
     outlier_k: float = bounded(3.0, ">= 0")  # MAD multiplier for the residual gate
 

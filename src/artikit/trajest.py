@@ -3,9 +3,10 @@
 Correspondences pair keyframes a fixed stride apart; a track contributes a
 pair only where it was actually observed at both endpoints (smoothing fills
 gaps for the fidelity term, it does not manufacture observations). They are
-built from a segment's tracks stacked as one ``SegmentTrack``; each pair
-records its track's row, and ``residual_stats`` gives one mean residual per
-row, from which the pipeline's outlier gate makes a keep mask.
+built from a segment's tracks stacked as one ``SegmentTrack`` into one table
+with a row per pair, ordered by step and then by track row; each row records
+its step and its track's row, and ``residual_stats`` gives one mean residual
+per track row, from which the pipeline's outlier gate makes a keep mask.
 
 Two estimators share the correspondence structure:
 
@@ -24,14 +25,13 @@ Two estimators share the correspondence structure:
   fit is solved by ``damped_gauss_newton`` (the solver
   ``artmodel.fit_twist_to_poses`` shares) over the gauge-fixed twist chart
   plus the per-step magnitudes, with analytic Jacobians of the exp-map
-  point action. The pairs of all steps are flattened once per fit. The fit
-  hands the solver one model callable: at each trial point it moves every
-  step's sources with the stacked ``lie`` kernels, in a few array calls,
-  and returns the residuals plus a Jacobian callable that reuses the moved
-  points; the solver linearizes only accepted points and assembles the
-  arrowhead normal matrix from those rows with ``_normal_equations``, which
-  the score test calls too (see ``damped_gauss_newton`` for the contract
-  and stop rules).
+  point action. The fit hands the solver one model callable: at each trial
+  point it moves every pair's source with the stacked ``lie`` kernels, in a
+  few array calls, and returns the residuals plus a Jacobian callable that
+  reuses the moved points; the solver linearizes only accepted points and
+  assembles the arrowhead normal matrix from those rows with
+  ``_normal_equations``, which the score test calls too (see
+  ``damped_gauss_newton`` for the contract and stop rules).
 
 Step transforms are world-frame displacement fields and chain by left
 multiplication from an anchor placed at the centroid of the part's first
@@ -77,24 +77,22 @@ DAMPING_MAX = 1e12
 
 
 @dataclass
-class StepPairs:
-    """Point pairs supporting one step: src at frame t, dst at frame t + stride."""
-
-    src: np.ndarray  # (n, 3)
-    dst: np.ndarray  # (n, 3)
-    track_ids: np.ndarray  # (n,) row of each pair's track in the segment's stack
-
-
-@dataclass
 class CorrespondenceSet:
-    steps: list  # list[StepPairs]
+    """Every observed point pair of a segment, one row each, ordered by step
+    and then by track row: ``src`` at keyframe ``step``, ``dst`` at the next
+    keyframe."""
+
+    src: np.ndarray  # (P, 3)
+    dst: np.ndarray  # (P, 3)
+    step: np.ndarray  # (P,) index of each pair's step
+    track: np.ndarray  # (P,) row of each pair's track in the segment's stack
     stride: int
     keyframes: np.ndarray  # (M+1,) frame indices
-    track_count: int  # rows of the stack that ``track_ids`` index
+    track_count: int  # rows of the stack that ``track`` indexes
 
     @property
     def step_count(self) -> int:
-        return len(self.steps)
+        return len(self.keyframes) - 1
 
 
 @dataclass
@@ -138,17 +136,16 @@ def build_correspondences(tracks, stride: int = DEFAULT_STRIDE) -> Correspondenc
     world = tracks.world[:, keyframes]
     valid = tracks.valid[:, keyframes]
     both = valid[:, :-1] & valid[:, 1:]  # (tracks, steps): both endpoints observed
-    rows = np.arange(len(both))
-    steps = []
-    for m, sel in enumerate(both.T):
-        n = int(np.count_nonzero(sel))
-        if n < MIN_PAIRS_PER_STEP:
-            raise DegenerateStepError(
-                f"step {m} (frames {keyframes[m]}->{keyframes[m + 1]}) has {n} pairs; "
-                f"need at least {MIN_PAIRS_PER_STEP}"
-            )
-        steps.append(StepPairs(world[sel, m], world[sel, m + 1], rows[sel]))
-    return CorrespondenceSet(steps, stride, keyframes, len(both))
+    n = np.count_nonzero(both, axis=0)
+    starved = np.flatnonzero(n < MIN_PAIRS_PER_STEP)
+    if len(starved):
+        m = starved[0]
+        raise DegenerateStepError(
+            f"step {m} (frames {keyframes[m]}->{keyframes[m + 1]}) has {n[m]} pairs; "
+            f"need at least {MIN_PAIRS_PER_STEP}"
+        )
+    step, track = np.nonzero(both.T)
+    return CorrespondenceSet(world[track, step], world[track, step + 1], step, track, stride, keyframes, len(both))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +162,7 @@ def register_steps(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray]:
     a step with too few pairs and DegenerateGeometryError for the first
     (near-)collinear one, where the rotation about the line is unobservable.
     """
-    src, dst, step = _flatten_pairs(corr)
+    src, dst, step = corr.src, corr.dst, corr.step
     M = corr.step_count
     n, row = _step_rows(step, M)
     if n.min() < MIN_PAIRS_PER_STEP:
@@ -189,10 +186,16 @@ def register_steps(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray]:
 
 def register_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     """Least-squares rigid transform with dst ~= R @ src + t: the one-step
-    case of ``register_steps``, with its errors."""
-    if np.shape(src) != np.shape(dst):
-        raise ValueError(f"src {np.shape(src)} and dst {np.shape(dst)} differ in shape")
-    q, t = register_steps(CorrespondenceSet([StepPairs(src, dst, np.arange(len(src)))], 1, np.arange(2), len(src)))
+    case of ``register_steps``, with its errors. Raises ValueError unless
+    ``src`` and ``dst`` are finite (n, 3) arrays of one shape."""
+    src, dst = np.asarray(src, dtype=float), np.asarray(dst, dtype=float)
+    for name, x in (("src", src), ("dst", dst)):
+        if x.ndim != 2 or x.shape[1] != 3 or not np.isfinite(x).all():
+            raise ValueError(f"{name} must be a finite (n, 3) array, got shape {x.shape}")
+    if src.shape != dst.shape:
+        raise ValueError(f"src {src.shape} and dst {dst.shape} differ in shape")
+    n = len(src)
+    q, t = register_steps(CorrespondenceSet(src, dst, np.zeros(n, dtype=int), np.arange(n), 1, np.arange(2), n))
     return RigidTransform(q[0], t[0])
 
 
@@ -200,16 +203,14 @@ def residual_stats(corr: CorrespondenceSet, steps) -> tuple[float, np.ndarray]:
     """Residual RMS over all pairs of the stacked step transforms
     ``(q (M, 4), t (M, 3))``, plus each track row's mean pair residual
     (``corr.track_count``,), NaN for a row without pairs."""
-    src, dst, step = _flatten_pairs(corr)
-    n, row = _step_rows(step, corr.step_count)
+    n, row = _step_rows(corr.step, corr.step_count)
     a = np.zeros((corr.step_count, n.max(), 3))
-    a[row] = src
+    a[row] = corr.src
     Rt = np.swapaxes(np.ascontiguousarray(quat_to_matrix(steps[0])), 1, 2)  # laid out as R.T of one step
-    norms = np.linalg.norm(dst - ((a @ Rt)[row] + steps[1][step]), axis=1)
+    norms = np.linalg.norm(corr.dst - ((a @ Rt)[row] + steps[1][corr.step]), axis=1)
     total = sum(float(np.sum(x * x)) for x in np.split(norms, np.cumsum(n)[:-1]))
-    rows = np.concatenate([s.track_ids for s in corr.steps])
     with np.errstate(invalid="ignore"):  # 0 / 0 for a row without pairs
-        means = np.bincount(rows, norms, corr.track_count) / np.bincount(rows, minlength=corr.track_count)
+        means = np.bincount(corr.track, norms, corr.track_count) / np.bincount(corr.track, minlength=corr.track_count)
     return float(np.sqrt(total / len(norms))), means
 
 
@@ -255,7 +256,7 @@ def fit_independent(corr: CorrespondenceSet, anchor_points=None, steps=None) -> 
     if steps is None:
         steps = register_steps(corr)
     if anchor_points is None:
-        anchor_points = corr.steps[0].src
+        anchor_points = corr.src[corr.step == 0]
     anchor, poses = integrate_poses(steps, anchor_points)
     return TrajectoryEstimate(
         mode="independent",
@@ -377,35 +378,26 @@ def damped_gauss_newton(xi: Twist, thetas: np.ndarray, model):
 # regularized joint fit
 
 
-def _flatten_pairs(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every step's pairs as one (src, dst, step index) triple."""
-    src = np.concatenate([s.src for s in corr.steps])
-    dst = np.concatenate([s.dst for s in corr.steps])
-    step = np.repeat(np.arange(corr.step_count), [len(s.src) for s in corr.steps])
-    return src, dst, step
-
-
 def _step_rows(step: np.ndarray, M: int) -> tuple[np.ndarray, tuple]:
-    """Pair counts per step, and each flattened pair's (step, row) index in
-    a zero-padded (M, max count, 3) stack. A batched matmul over that stack
+    """Pair counts per step, and each pair's (step, row) index in a
+    zero-padded (M, max count, 3) stack. A batched matmul over that stack
     rounds each step as a matmul of the step alone does."""
     n = np.bincount(step, minlength=M)
     return n, (step, np.arange(len(step)) - np.repeat(np.cumsum(n) - n, n))
 
 
-def _pair_residual(pairs, xi: Twist, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Moved sources exp(theta_m hat(xi)) src and residuals dst - moved, (N, 3) each."""
-    src, dst, step = pairs
+def _pair_residual(corr: CorrespondenceSet, xi: Twist, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moved sources exp(theta_m hat(xi)) src and residuals dst - moved, (P, 3) each."""
     _, R, t = exp_map(xi, thetas)
-    y = apply_each(R[step], t[step], src)
-    return y, dst - y
+    y = apply_each(R[corr.step], t[corr.step], corr.src)
+    return y, corr.dst - y
 
 
-def _pair_model(pairs, xi: Twist, thetas: np.ndarray):
+def _pair_model(corr: CorrespondenceSet, xi: Twist, thetas: np.ndarray):
     """Point-pair residual rows of all steps and their Jacobian callable, in
     the ``damped_gauss_newton`` model contract."""
-    y, r = _pair_residual(pairs, xi, thetas)
-    return r.ravel(), partial(_pair_blocks, pairs[2], y, xi, thetas)
+    y, r = _pair_residual(corr, xi, thetas)
+    return r.ravel(), partial(_pair_blocks, corr.step, y, xi, thetas)
 
 
 def _pair_blocks(step: np.ndarray, y: np.ndarray, xi: Twist, thetas: np.ndarray, B: np.ndarray):
@@ -441,18 +433,18 @@ def _init_from_steps(corr: CorrespondenceSet, steps=None) -> tuple[Twist, np.nda
     the seed.
     """
     etas = log_map(register_steps(corr) if steps is None else steps)
-    weights = [float(len(step.src)) for step in corr.steps]
+    weights = np.bincount(corr.step, minlength=corr.step_count)
     norms = np.linalg.norm(etas, axis=1)
     ref = etas[int(np.argmax(norms))]
     signs = np.where(etas @ ref < 0, -1.0, 1.0)
-    mean = (signs[:, None] * etas * np.array(weights)[:, None]).sum(axis=0) / sum(weights)
+    mean = (signs[:, None] * etas * weights[:, None]).sum(axis=0) / weights.sum()
     xi0, _ = normalize_twist(Twist.from_vector(mean))
     x = xi0.as_vector()
     thetas0 = etas @ x / float(x @ x)
     return xi0, thetas0
 
 
-def _fit_prismatic(pairs, M: int) -> tuple[Twist, np.ndarray, np.ndarray]:
+def _fit_prismatic(corr: CorrespondenceSet) -> tuple[Twist, np.ndarray, np.ndarray]:
     """The global least-squares fit of the prismatic chart, in closed form.
 
     With omega = 0 every step is a translation theta_m v, so the fit
@@ -460,10 +452,10 @@ def _fit_prismatic(pairs, M: int) -> tuple[Twist, np.ndarray, np.ndarray]:
     d = dst - src: v is the top eigenvector of S = sum_m n_m dbar_m dbar_m^T
     (dbar_m step m's mean displacement, n_m its pair count) and
     theta_m = dbar_m . v, signed so that sum(thetas) >= 0. Returns the unit
-    twist, the magnitudes and the residual rows (N, 3).
+    twist, the magnitudes and the residual rows (P, 3).
     """
-    src, dst, step = pairs
-    d = dst - src
+    step, M = corr.step, corr.step_count
+    d = corr.dst - corr.src
     n = np.bincount(step, minlength=M)
     dbar = np.stack([np.bincount(step, d[:, c], M) for c in range(3)], axis=1) / n[:, None]
     v = np.linalg.eigh((n[:, None] * dbar).T @ dbar)[1][:, -1]
@@ -473,13 +465,13 @@ def _fit_prismatic(pairs, M: int) -> tuple[Twist, np.ndarray, np.ndarray]:
     return Twist(np.zeros(3), v), thetas, d - thetas[step, None] * v
 
 
-def _score_drop(pairs, xi: Twist, thetas: np.ndarray, r: np.ndarray) -> float:
+def _score_drop(corr: CorrespondenceSet, xi: Twist, thetas: np.ndarray, r: np.ndarray) -> float:
     """Rao's score test for freeing omega at the prismatic optimum ``xi``,
     ``thetas`` with residual rows ``r``: the Gauss-Newton predicted cost drop
     ``Jtr^T (J^T J)^-1 Jtr`` over omega's three axes, v's two tangent
     directions and the magnitudes; infinite when that system is singular."""
     B = np.hstack((np.eye(6)[:, :3], twist_tangent_basis(xi)))
-    blocks = _pair_blocks(pairs[2], pairs[1] - r, xi, thetas, B)
+    blocks = _pair_blocks(corr.step, corr.dst - r, xi, thetas, B)
     JtJ, Jtr = _normal_equations(*blocks, r.ravel(), len(thetas))
     return 2.0 * _predicted_decrease(JtJ, Jtr, 0.0)  # that model drop is of half the cost
 
@@ -500,20 +492,19 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None, steps=None) -> 
     ``non_converged``. ``rms_residual`` comes from the chosen fit's cost.
     ``steps`` reuses a ``register_steps`` of ``corr`` for the seed.
     """
-    pairs = _flatten_pairs(corr)
-    peak = float(np.max(np.linalg.norm(pairs[1] - pairs[0], axis=1)))
+    peak = float(np.max(np.linalg.norm(corr.dst - corr.src, axis=1)))
     if peak <= MIN_MOTION:
         raise InsufficientMotionError(
             f"peak point displacement {peak:.3e} m is below {MIN_MOTION} m"
         )
-    xi, thetas, r = _fit_prismatic(pairs, corr.step_count)
+    xi, thetas, r = _fit_prismatic(corr)
     cost = float(np.sum(r * r))
     N = r.size
-    floor = (np.finfo(float).eps * float(np.max(np.abs(pairs[0])))) ** 2 * N
+    floor = (np.finfo(float).eps * float(np.max(np.abs(corr.src)))) ** 2 * N
     need = max(-cost * np.expm1(-3.0 * np.log(N) / N), floor)
     stop = "converged"
-    if _score_drop(pairs, xi, thetas, r) > need:
-        fit = damped_gauss_newton(*_init_from_steps(corr, steps), partial(_pair_model, pairs))
+    if _score_drop(corr, xi, thetas, r) > need:
+        fit = damped_gauss_newton(*_init_from_steps(corr, steps), partial(_pair_model, corr))
         if cost - fit[2] > need:
             xi, thetas, cost, stop = fit
     converged = stop == "converged"
@@ -523,13 +514,13 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None, steps=None) -> 
         log.warning("regularized fit %s; flagged non_converged", stop)
     q, _, t = exp_map(xi, thetas)
     if anchor_points is None:
-        anchor_points = corr.steps[0].src
+        anchor_points = corr.src[corr.step == 0]
     anchor, poses = integrate_poses((q, t), anchor_points)
     return TrajectoryEstimate(
         mode="regularized",
         anchor=anchor,
         poses=poses,
-        rms_residual=float(np.sqrt(cost / len(pairs[0]))),
+        rms_residual=float(np.sqrt(cost / len(corr.src))),
         base_twist=xi,
         thetas=thetas,
         converged=converged,

@@ -270,6 +270,16 @@ def test_each_step_is_registered_once_unless_the_gate_drops_tracks(monkeypatch, 
     assert calls == [len(rec["trajectory"]["keyframes"]) - 1] * (2 if dropped else 1)
 
 
+@pytest.mark.parametrize("scene", [1, 5, 7, 10, 14])
+def test_default_config_types_noisy_suite_scenes_under_camera_motion(scene):
+    """Noisy revolute scenes that motion scored on pixels typed prismatic,
+    without a flag: the default config scores motion in the world frame."""
+    ts, gt = generate(suite_util.scene_config(scene, noisy=True))
+    doc = run_pipeline(ts, PipelineConfig())
+    assert doc["skipped"] == []
+    assert [r["type"] for r in doc["results"]] == [gt[0].joint_type] == ["revolute"]
+
+
 def test_results_doc_keeps_segment_order():
     ts = two_block_recording()
     cfg = quiet_pipeline_config()

@@ -3,6 +3,7 @@ fits, the shared solver's linearizations and stop rules, and the regularized
 fit's chart decision."""
 
 import itertools
+import re
 from functools import partial
 
 import numpy as np
@@ -44,11 +45,9 @@ from artikit.trackio import SegmentTrack
 from artikit.trajest import (
     MAX_ITER,
     _fit_prismatic,
-    _flatten_pairs,
     _pair_model,
     _pair_residual,
     CorrespondenceSet,
-    StepPairs,
     build_correspondences,
     choose_anchor,
     damped_gauss_newton,
@@ -125,6 +124,19 @@ def test_register_shape_mismatch():
         register_rigid(np.zeros((4, 3)), np.zeros((5, 3)))
 
 
+@pytest.mark.parametrize(
+    "bad, shape",
+    [(np.zeros((5, 2)), "(5, 2)"), (np.zeros(6), "(6,)"), (np.array([[0.0, 1.0, np.nan]] * 5), "(5, 3)")],
+    ids=["five-by-two", "one-dimensional", "nan"],
+)
+@pytest.mark.parametrize("side", ["src", "dst"])
+def test_register_rejects_what_is_not_a_finite_n_by_3_array(bad, shape, side):
+    good = np.random.default_rng(7).uniform(-1.0, 1.0, (5, 3))
+    args = (bad, good) if side == "src" else (good, bad)
+    with pytest.raises(ValueError, match=rf"^{side} must be a finite \(n, 3\) array, got shape {re.escape(shape)}$"):
+        register_rigid(*args)
+
+
 def reference_register(src, dst):
     """One step's registration as a per-step loop computes it: rotation, translation."""
     cs, cd = src.mean(axis=0), dst.mean(axis=0)
@@ -133,35 +145,45 @@ def reference_register(src, dst):
     return R, cd - R @ cs
 
 
+def pair_table(src, dst, step, M):
+    """A stride-1 table of the given pairs over M steps, each pair on a
+    track row of its own."""
+    return CorrespondenceSet(src, dst, step, np.arange(len(step)), 1, np.arange(M + 1), len(step))
+
+
 def noisy_steps(rng, M):
-    steps = []
+    """A pair table of M steps of 3 to 39 noisy pairs each, one rigid
+    transform per step."""
+    src, dst = [], []
     for _ in range(M):
         n = int(rng.integers(3, 40))
-        src = rng.uniform(-0.5, 0.5, (n, 3))
-        dst = apply(rand_transform(rng), src) + rng.normal(0.0, 0.01, (n, 3))
-        steps.append(StepPairs(src, dst, np.arange(n)))
-    return steps
+        src.append(rng.uniform(-0.5, 0.5, (n, 3)))
+        dst.append(apply(rand_transform(rng), src[-1]) + rng.normal(0.0, 0.01, (n, 3)))
+    step = np.repeat(np.arange(M), [len(s) for s in src])
+    return pair_table(np.concatenate(src), np.concatenate(dst), step, M)
 
 
 def test_register_steps_matches_per_step_registration():
     rng = np.random.default_rng(12)
     for M in (1, 2, 9):
-        steps = noisy_steps(rng, M)
-        q, t = register_steps(CorrespondenceSet(steps, 1, np.arange(M + 1), max(len(s.src) for s in steps)))
-        for m, s in enumerate(steps):
-            one = register_rigid(s.src, s.dst)
-            R, tt = reference_register(s.src, s.dst)
+        corr = noisy_steps(rng, M)
+        q, t = register_steps(corr)
+        for m in range(M):
+            s = corr.step == m
+            one = register_rigid(corr.src[s], corr.dst[s])
+            R, tt = reference_register(corr.src[s], corr.dst[s])
             assert np.max(np.abs(q[m] - one.q)) <= 1e-12 and np.max(np.abs(t[m] - one.t)) <= 1e-12
             assert np.max(np.abs(quat_to_matrix(q[m]) - R)) <= 1e-12
             assert np.max(np.abs(t[m] - tt)) <= 1e-12
 
 
 def test_register_steps_raises_on_a_near_collinear_step():
-    steps = noisy_steps(np.random.default_rng(13), 4)
-    line = np.linspace(0.0, 1.0, 8)[:, None] * [1.0, 2.0, -1.0]
-    steps[2] = StepPairs(line, line + [0.1, 0.0, 0.0], np.arange(8))
+    corr = noisy_steps(np.random.default_rng(13), 4)
+    s = corr.step == 2
+    line = np.linspace(0.0, 1.0, np.count_nonzero(s))[:, None] * [1.0, 2.0, -1.0]
+    corr.src[s], corr.dst[s] = line, line + [0.1, 0.0, 0.0]
     with pytest.raises(DegenerateGeometryError):
-        register_steps(CorrespondenceSet(steps, 1, np.arange(5), max(len(s.src) for s in steps)))
+        register_steps(corr)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +200,7 @@ def test_correspondences_structure():
     corr = build_correspondences(tracks, stride=2)
     assert list(corr.keyframes) == [0, 2, 4, 6, 8]
     assert corr.step_count == 4
-    assert all(len(s.src) == 6 for s in corr.steps)
+    assert np.array_equal(np.bincount(corr.step), [6, 6, 6, 6])
 
 
 def test_correspondences_require_both_endpoints():
@@ -190,10 +212,11 @@ def test_correspondences_require_both_endpoints():
         Twist(np.array([0, 0, 1.0]), np.zeros(3)), np.linspace(0, 0.5, 9), base, valid
     )
     corr = build_correspondences(tracks, stride=2)
-    assert len(corr.steps[0].src) == 4  # step 0->2 loses track 0
-    assert len(corr.steps[1].src) == 4  # step 2->4 loses it too
-    assert len(corr.steps[2].src) == 5
-    assert 0 not in corr.steps[0].track_ids
+    n = np.bincount(corr.step)
+    assert n[0] == 4  # step 0->2 loses track 0
+    assert n[1] == 4  # step 2->4 loses it too
+    assert n[2] == 5
+    assert 0 not in corr.track[corr.step == 0]
 
 
 def test_residual_stats_has_one_mean_per_row_and_nan_without_pairs():
@@ -213,8 +236,9 @@ def test_residual_stats_has_one_mean_per_row_and_nan_without_pairs():
     # each row's mean is over that row's pairs alone
     q, t = steps
     for k in (0, 5):
-        r = [np.linalg.norm(s.dst[s.track_ids == k][0] - quat_to_matrix(q[m]) @ s.src[s.track_ids == k][0] - t[m])
-             for m, s in enumerate(corr.steps)]
+        r = [np.linalg.norm(corr.dst[p] - quat_to_matrix(q[m]) @ corr.src[p] - t[m])
+             for m in range(corr.step_count) for p in np.flatnonzero((corr.step == m) & (corr.track == k))]
+        assert len(r) == corr.step_count
         assert means[k] == pytest.approx(np.mean(r), rel=1e-12)
 
 
@@ -228,6 +252,56 @@ def test_correspondences_too_few_pairs_raises():
     with pytest.raises(DegenerateStepError) as ei:
         build_correspondences(tracks, stride=2)
     assert "step 0" in str(ei.value)
+
+
+def test_correspondences_name_the_first_starved_step():
+    rng = np.random.default_rng(5)
+    valid = np.ones((5, 9), dtype=bool)
+    valid[0, [2, 8]] = False  # off steps 0, 1 and 3
+    valid[1, [4, 8]] = False  # off steps 1, 2 and 3
+    valid[2, 8] = False  # off step 3
+    valid[3, 2] = False  # off steps 0 and 1
+    tracks = screw_tracks(
+        Twist(np.array([0, 0, 1.0]), np.zeros(3)), np.linspace(0, 0.5, 9),
+        rng.uniform(-0.5, 0.5, (5, 3)) + [1.0, 0, 0], valid,
+    )
+    # pairs per step: 3, 2, 4, 2
+    with pytest.raises(DegenerateStepError) as ei:
+        build_correspondences(tracks, stride=2)
+    assert str(ei.value) == "step 1 (frames 2->4) has 2 pairs; need at least 3"
+
+
+@st.composite
+def fed_masks(draw):
+    """An (N, T) observation mask and a stride under which every step has
+    at least three pairs: three rows, placed at random, are always
+    observed."""
+    N, T = draw(st.integers(3, 10)), draw(st.integers(2, 16))
+    stride = draw(st.integers(1, T - 1))
+    valid = draw(hnp.arrays(bool, (N, T)))
+    valid[draw(st.permutations(range(N)))[:3]] = True
+    return valid, stride
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mask=fed_masks(), seed=st.integers(0, 2**32 - 1))
+def test_pair_table_holds_every_pair_observed_at_both_keyframes(mask, seed):
+    valid, stride = mask
+    N, T = valid.shape
+    world = np.random.default_rng(seed).normal(size=(N, T, 3))
+    corr = build_correspondences(SegmentTrack(np.arange(N), None, world, valid), stride)
+    kf = np.arange(0, T, stride)
+    assert np.array_equal(corr.keyframes, kf) and corr.step_count == len(kf) - 1
+    assert corr.track_count == N and corr.stride == stride
+    expected = [(m, k) for m in range(len(kf) - 1) for k in range(N) if valid[k, kf[m]] and valid[k, kf[m + 1]]]
+    assert list(zip(corr.step.tolist(), corr.track.tolist())) == expected
+    assert np.array_equal(corr.src, world[corr.track, kf[corr.step]])
+    assert np.array_equal(corr.dst, world[corr.track, kf[corr.step + 1]])
+    M = corr.step_count
+    steps = (np.tile([1.0, 0.0, 0.0, 0.0], (M, 1)), np.zeros((M, 3)))
+    means = residual_stats(corr, steps)[1]
+    paired = np.isin(np.arange(N), [k for _, k in expected])
+    assert np.array_equal(np.isnan(means), ~paired)
 
 
 def test_correspondences_single_keyframe_raises():
@@ -416,11 +490,11 @@ def test_pair_linearization_matches_central_differences(gauge):
     base = rng.uniform(-0.3, 0.3, (7, 3)) + [0.5, 0, 1.0]
     tracks = screw_tracks(xi, np.concatenate(([0.0], np.cumsum(thetas))), base)
     tracks.world += rng.normal(0.0, 0.01, tracks.world.shape)  # so that residuals and curvature terms are non-zero
-    pairs = _flatten_pairs(build_correspondences(tracks, stride=1))
+    corr = build_correspondences(tracks, stride=1)
     start = retract_twist(xi, 0.05 * np.ones(twist_tangent_basis(xi).shape[1]))
     central_difference_check(
-        lambda x, th: _pair_residual(pairs, x, th)[1].ravel(),
-        partial(_pair_model, pairs),
+        lambda x, th: _pair_residual(corr, x, th)[1].ravel(),
+        partial(_pair_model, corr),
         start,
         thetas + 0.01,
     )
@@ -513,16 +587,16 @@ def test_regularized_fit_evaluates_each_point_once(monkeypatch):
     corr = build_correspondences(tracks, stride=1)
     seen = []
 
-    def recording_model(pairs, x, th):
+    def recording_model(corr, x, th):
         seen.append((tuple(x.as_vector()), tuple(th)))
-        return _pair_model(pairs, x, th)
+        return _pair_model(corr, x, th)
 
     monkeypatch.setattr(trajest, "_pair_model", recording_model)
     est = fit_regularized(corr)
     assert est.converged and len(seen) > 3
     assert len(set(seen)) == len(seen)
     # the reported rms is the solver's final cost over the pair count
-    r = _pair_residual(_flatten_pairs(corr), est.base_twist, est.thetas)[1]
+    r = _pair_residual(corr, est.base_twist, est.thetas)[1]
     assert abs(est.rms_residual - np.sqrt(np.sum(r * r) / len(r))) < 1e-15
 
 
@@ -561,17 +635,16 @@ def test_closed_form_prismatic_fit_matches_solver(scene):
     stops at COST_RTOL, which leaves v up to 1e-6 off on the 2 cm scene (the
     cost is that flat in v), so that fit's v is held to 1e-5 only."""
     corr = suite_estimate(scene, noisy=True)["corr"]
-    pairs = _flatten_pairs(corr)
-    model = partial(_pair_model, pairs)
-    xi, thetas, r = _fit_prismatic(pairs, corr.step_count)
+    model = partial(_pair_model, corr)
+    xi, thetas, r = _fit_prismatic(corr)
     cost = float(np.sum(r * r))
     at = damped_gauss_newton(xi, thetas, model)
     assert at[3] == "converged" and twist_gauge(at[0]) == "prismatic"
     assert np.max(np.abs(xi.as_vector() - at[0].as_vector())) < 1e-9
     assert np.max(np.abs(thetas - at[1])) < 1e-9
-    d = pairs[1] - pairs[0]
+    d = corr.dst - corr.src
     v0 = d.sum(axis=0) / np.linalg.norm(d.sum(axis=0))
-    thetas0 = np.bincount(pairs[2], d @ v0) / np.bincount(pairs[2])
+    thetas0 = np.bincount(corr.step, d @ v0) / np.bincount(corr.step)
     ref = damped_gauss_newton(Twist(np.zeros(3), v0), thetas0, model)
     assert ref[3] == "converged" and twist_gauge(ref[0]) == "prismatic"
     assert cost <= ref[2] * (1.0 + 1e-12)  # equal up to rounding at best
@@ -594,7 +667,7 @@ def test_closed_form_prismatic_cost_is_minimal(seed, u, noise):
     step = np.repeat(np.arange(M), counts)
     src = rng.uniform(-1.0, 1.0, (len(step), 3))
     dst = src + rng.normal(0.0, 0.1, (M, 3))[step] + rng.normal(0.0, noise, src.shape)
-    xi, thetas, r = _fit_prismatic((src, dst, step), M)
+    xi, thetas, r = _fit_prismatic(pair_table(src, dst, step, M))
     d = dst - src
     cost = float(np.sum(r * r))
     assert np.array_equal(r, d - thetas[step, None] * xi.v)
