@@ -24,17 +24,25 @@ from .synth import GroundTruthJoint, parse_joints
 PARALLEL_EPS = 1e-4  # ‖cross product‖ below this counts as parallel lines
 
 
+def _axis_pair(a_hat, a_gt):
+    """Two axis directions as arrays, each followed by its norm; a ValueError
+    unless both are finite and nonzero."""
+    a_hat, a_gt = np.asarray(a_hat, dtype=float), np.asarray(a_gt, dtype=float)
+    if not (np.isfinite(a_hat).all() and np.isfinite(a_gt).all()):
+        raise ValueError("axis directions must be finite")
+    nh, ng = np.linalg.norm(a_hat), np.linalg.norm(a_gt)
+    if nh <= 0 or ng <= 0:
+        raise ValueError("axis directions must be nonzero")
+    return a_hat, nh, a_gt, ng
+
+
 def angular_error(a_hat, a_gt) -> float:
     """Angle between two axis directions in degrees, in [0, 90].
 
     Sign-invariant (an axis and its negation are the same axis) and
     independent of either vector's length.
     """
-    a_hat = np.asarray(a_hat, dtype=float)
-    a_gt = np.asarray(a_gt, dtype=float)
-    nh, ng = np.linalg.norm(a_hat), np.linalg.norm(a_gt)
-    if nh <= 0 or ng <= 0:
-        raise ValueError("axis directions must be nonzero")
+    a_hat, nh, a_gt, ng = _axis_pair(a_hat, a_gt)
     c = abs(float(np.dot(a_hat, a_gt))) / (nh * ng)
     return math.degrees(math.acos(min(1.0, c)))
 
@@ -48,11 +56,9 @@ def axis_distance(p_hat, a_hat, p_gt, a_gt) -> float:
     """
     p_hat = np.asarray(p_hat, dtype=float)
     p_gt = np.asarray(p_gt, dtype=float)
-    a_hat = np.asarray(a_hat, dtype=float)
-    a_gt = np.asarray(a_gt, dtype=float)
-    nh, ng = np.linalg.norm(a_hat), np.linalg.norm(a_gt)
-    if nh <= 0 or ng <= 0:
-        raise ValueError("axis directions must be nonzero")
+    if not (np.isfinite(p_hat).all() and np.isfinite(p_gt).all()):
+        raise ValueError("axis points must be finite")
+    a_hat, nh, a_gt, ng = _axis_pair(a_hat, a_gt)
     a_hat = a_hat / nh
     a_gt = a_gt / ng
     d = p_hat - p_gt

@@ -17,10 +17,8 @@ Stacks: ``exp_map`` with a 1-D array of M magnitudes, ``log_map`` of a pair
 of stacked quaternions and translations, ``se3_left_jacobian`` of (M, 6)
 rows, ``skew`` of (M, 3) rows, ``quat_mul`` and ``quat_to_matrix`` of (M, 4)
 rows all work on every row at once (see each docstring), Taylor branch chosen
-per row, with cross products written by component. A single ``log_map`` or
-``se3_left_jacobian`` is a one-row stack. A scalar ``exp_map`` keeps its own
-code, which synthetic scenes are generated with, so their digests do not
-depend on the stacked form; the two agree to rounding.
+per row, with cross products written by component. Each map has one formula:
+a single ``exp_map``, ``log_map`` or ``se3_left_jacobian`` is a one-row stack.
 """
 
 from __future__ import annotations
@@ -162,19 +160,6 @@ def matrix_to_quat(R) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def _quat_from_rotvec(w: np.ndarray) -> np.ndarray:
-    phi = np.linalg.norm(w)
-    half = 0.5 * phi
-    if phi < SMALL_ANGLE:
-        # sin(phi/2)/phi = 1/2 - phi^2/48 + O(phi^4)
-        k = 0.5 - phi * phi / 48.0
-        q = np.array([1.0 - half * half / 2.0, k * w[0], k * w[1], k * w[2]])
-    else:
-        k = np.sin(half) / phi
-        q = np.array([np.cos(half), k * w[0], k * w[1], k * w[2]])
-    return q / np.linalg.norm(q)
-
-
 def renormalize(q: np.ndarray, n: float | None = None) -> np.ndarray:
     """``q`` over its norm ``n`` (computed when not given), unless that is within
     1e-13 of 1: renormalizing a unit quaternion wobbles the last ulp, so
@@ -269,38 +254,24 @@ def rotation_angle(T: RigidTransform) -> float:
 # exp / log
 
 
-def _rodrigues_coeffs(phi: float) -> tuple[float, float]:
-    # A = (1 - cos phi)/phi^2, B = (phi - sin phi)/phi^3
-    if phi < SMALL_ANGLE:
-        p2 = phi * phi
-        return 0.5 - p2 / 24.0, 1.0 / 6.0 - p2 / 120.0
-    p2 = phi * phi
-    return (1.0 - np.cos(phi)) / p2, (phi - np.sin(phi)) / (p2 * phi)
-
-
-def _v_matrix(w: np.ndarray) -> np.ndarray:
-    """Translation mixing matrix V with exp translation t = V(w) @ rho."""
-    phi = np.linalg.norm(w)
-    A, B = _rodrigues_coeffs(phi)
-    W = skew(w)
-    return np.eye(3) + A * W + B * (W @ W)
-
-
 def exp_map(xi: Twist, theta):
     """Screw motion exp(theta * hat(xi)).
 
     Rotation by Rodrigues' formula (as a quaternion), translation through the
     V matrix; both use Taylor fallbacks below SMALL_ANGLE. A 1-D ``theta`` of
     M magnitudes returns the M motions stacked as arrays ``(q, R, t)``:
-    quaternions (M, 4), rotations (M, 3, 3) and translations (M, 3).
+    quaternions (M, 4), rotations (M, 3, 3) and translations (M, 3); a
+    scalar ``theta`` returns row 0 of that stack as a RigidTransform.
     """
+    if np.ndim(theta) > 1:
+        raise ValueError(f"theta must be a scalar or a 1-D array, got shape {np.shape(theta)}")
     if np.ndim(theta) == 1:
-        return _exp_rows(xi, np.asarray(theta, dtype=float))
+        q, t = _exp_rows(xi, np.asarray(theta, dtype=float))
+        return q, quat_to_matrix(q), t
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    w = xi.omega * theta
-    rho = xi.v * theta
-    return RigidTransform(_quat_from_rotvec(w), _v_matrix(w) @ rho)
+    q, t = _exp_rows(xi, np.array([theta], dtype=float))
+    return RigidTransform(q[0], t[0])
 
 
 def log_map(T):
@@ -318,7 +289,7 @@ def log_map(T):
 
 
 # ---------------------------------------------------------------------------
-# stacked exp / log: the scalar formulas on every row at once
+# stacked exp / log: each formula on every row at once
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -356,8 +327,7 @@ def _exp_rows(xi: Twist, thetas: np.ndarray):
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     A, B = _rodrigues_rows(phi)
     wxr = _cross(w, rho)
-    t = rho + A[:, None] * wxr + B[:, None] * _cross(w, wxr)
-    return q, quat_to_matrix(q), t
+    return q, rho + A[:, None] * wxr + B[:, None] * _cross(w, wxr)
 
 
 def _log_rows(q: np.ndarray, t: np.ndarray, stacked: bool = True) -> np.ndarray:

@@ -13,10 +13,10 @@ documented order: dynamic base points, static points, then per-frame noise,
 occlusion and depth dropouts in track-major order. Identical configs produce
 byte-identical files.
 
-``generate`` first collects the per-point draws in that order, in one loop
-that does nothing else, and then runs the geometry (camera transform,
-visibility, projection, depth) as arrays over all frames and points, with
-the same floating-point operations as a per-point computation.
+``generate`` moves the part by one stacked ``exp_map`` of the profile,
+collects the per-point draws in that order, in one loop that does nothing
+else, then runs the geometry (camera transform, visibility, projection,
+depth) as arrays over all frames and points.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import TrackFileError
-from .lie import RigidTransform, Twist, apply, apply_each, exp_map, inverse, matrix_to_quat
+from .lie import RigidTransform, Twist, apply_each, exp_map, inverse, matrix_to_quat
 from .segmenter import Segment
 from .trackio import CameraIntrinsics, Track, TrackSet, stack_poses
 
@@ -246,11 +246,10 @@ def generate(cfg: SynthConfig) -> tuple[TrackSet, list]:
     )
 
     n_total = cfg.n_dynamic + cfg.n_static
-    world = np.zeros((T, n_total, 3))
-    for t in range(T):
-        moved = apply(exp_map(xi, float(cfg.joint.motion_profile[t])), base_dynamic)
-        world[t, : cfg.n_dynamic] = moved
-        world[t, cfg.n_dynamic :] = static_pts
+    _, R, t = exp_map(xi, cfg.joint.motion_profile)
+    world = np.empty((T, n_total, 3))
+    world[:, : cfg.n_dynamic] = apply_each(R[:, None], t[:, None], base_dynamic)
+    world[:, cfg.n_dynamic :] = static_pts
 
     # the draws alone, in the documented order; the geometry below uses them
     rates = (cfg.occlusion_rate, cfg.invalid_depth_rate)

@@ -19,8 +19,9 @@ Two estimators share the correspondence structure:
   by BIC. The prismatic chart (omega = 0) is fitted in closed form, its
   global optimum. At that optimum a score test (Rao's) predicts, from the
   Gauss-Newton normal equations, how far freeing omega would lower the
-  cost; only a prediction above BIC's need for three more parameters runs
-  the revolute fit, and only a fitted drop above it keeps that chart. Drops
+  cost; a prediction above BIC's need for three more parameters, or a
+  registration seed that beats the prismatic cost by that need, runs the
+  revolute fit, and only a fitted drop above it keeps that chart. Drops
   below the rounding floor of the data's scale count as none. The revolute
   fit is solved by ``damped_gauss_newton`` (the solver
   ``artmodel.fit_twist_to_poses`` shares) over the gauge-fixed twist chart
@@ -156,23 +157,23 @@ def register_steps(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares rigid transform of every step, dst ~= R @ src + t, as
     stacked ``(q (M, 4), t (M, 3))``.
 
-    Centroids by ``np.bincount``, cross-covariances by one batched matmul,
-    one stacked SVD with a determinant guard against reflections: each step
+    Centroids and the 9 entries of each cross-covariance are sums per step
+    by ``np.bincount``, which adds a step's pairs in table order, then one
+    stacked SVD with a determinant guard against reflections: each step
     equals registering it alone, bit for bit. Raises DegenerateStepError for
     a step with too few pairs and DegenerateGeometryError for the first
     (near-)collinear one, where the rotation about the line is unobservable.
     """
     src, dst, step = corr.src, corr.dst, corr.step
     M = corr.step_count
-    n, row = _step_rows(step, M)
+    n = np.bincount(step, minlength=M)
     if n.min() < MIN_PAIRS_PER_STEP:
         raise DegenerateStepError(f"need >= {MIN_PAIRS_PER_STEP} pairs, got {n.min()}")
     cs = np.stack([np.bincount(step, src[:, c], M) for c in range(3)], axis=1) / n[:, None]
     cd = np.stack([np.bincount(step, dst[:, c], M) for c in range(3)], axis=1) / n[:, None]
-    a, b = np.zeros((2, M, n.max(), 3))
-    a[row], b[row] = src - cs[step], dst - cd[step]
-    H = np.swapaxes(a, 1, 2) @ b
-    U, S, Vt = np.linalg.svd(H)
+    a, b = src - cs[step], dst - cd[step]
+    H = np.stack([np.bincount(step, a[:, i] * b[:, j], M) for i in range(3) for j in range(3)], axis=1)
+    U, S, Vt = np.linalg.svd(H.reshape(M, 3, 3))
     flat = np.flatnonzero(S[:, 1] <= COLLINEARITY_RTOL * S[:, 0])
     if len(flat):
         raise DegenerateGeometryError(
@@ -203,12 +204,9 @@ def residual_stats(corr: CorrespondenceSet, steps) -> tuple[float, np.ndarray]:
     """Residual RMS over all pairs of the stacked step transforms
     ``(q (M, 4), t (M, 3))``, plus each track row's mean pair residual
     (``corr.track_count``,), NaN for a row without pairs."""
-    n, row = _step_rows(corr.step, corr.step_count)
-    a = np.zeros((corr.step_count, n.max(), 3))
-    a[row] = corr.src
-    Rt = np.swapaxes(np.ascontiguousarray(quat_to_matrix(steps[0])), 1, 2)  # laid out as R.T of one step
-    norms = np.linalg.norm(corr.dst - ((a @ Rt)[row] + steps[1][corr.step]), axis=1)
-    total = sum(float(np.sum(x * x)) for x in np.split(norms, np.cumsum(n)[:-1]))
+    R = quat_to_matrix(steps[0])
+    norms = np.linalg.norm(corr.dst - apply_each(R[corr.step], steps[1][corr.step], corr.src), axis=1)
+    total = float(norms @ norms)
     with np.errstate(invalid="ignore"):  # 0 / 0 for a row without pairs
         means = np.bincount(corr.track, norms, corr.track_count) / np.bincount(corr.track, minlength=corr.track_count)
     return float(np.sqrt(total / len(norms))), means
@@ -378,14 +376,6 @@ def damped_gauss_newton(xi: Twist, thetas: np.ndarray, model):
 # regularized joint fit
 
 
-def _step_rows(step: np.ndarray, M: int) -> tuple[np.ndarray, tuple]:
-    """Pair counts per step, and each pair's (step, row) index in a
-    zero-padded (M, max count, 3) stack. A batched matmul over that stack
-    rounds each step as a matmul of the step alone does."""
-    n = np.bincount(step, minlength=M)
-    return n, (step, np.arange(len(step)) - np.repeat(np.cumsum(n) - n, n))
-
-
 def _pair_residual(corr: CorrespondenceSet, xi: Twist, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Moved sources exp(theta_m hat(xi)) src and residuals dst - moved, (P, 3) each."""
     _, R, t = exp_map(xi, thetas)
@@ -483,11 +473,13 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None, steps=None) -> 
     confined to the normalized-twist gauge. The prismatic chart is fitted
     first, in closed form (``_fit_prismatic``). The revolute chart has three
     more parameters; BIC prefers it when it lowers the cost c_p by more than
-    c_p (1 - exp(-3 ln N / N)), N residual rows. It is fitted, from
+    c_p (1 - exp(-3 ln N / N)), N residual rows. It is fitted, from the seed
     ``_init_from_steps`` by ``damped_gauss_newton``, only when the score test
-    (``_score_drop``) predicts a drop above that need, and kept only when its
-    fitted drop is above it too. Both tests count a drop below the rounding
-    floor (machine eps * max |src|)^2 * N as none. A kept revolute fit that
+    (``_score_drop``) predicts a drop above that need or the seed's own cost
+    is below c_p by more (the score test is blind to a part turning about
+    its own centroid), and kept only when its fitted drop is above the need
+    too. Each test counts a drop below the rounding floor
+    (machine eps * max |src|)^2 * N as none. A kept revolute fit that
     stalls or reaches MAX_ITER returns the best iterate flagged
     ``non_converged``. ``rms_residual`` comes from the chosen fit's cost.
     ``steps`` reuses a ``register_steps`` of ``corr`` for the seed.
@@ -503,8 +495,10 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None, steps=None) -> 
     floor = (np.finfo(float).eps * float(np.max(np.abs(corr.src)))) ** 2 * N
     need = max(-cost * np.expm1(-3.0 * np.log(N) / N), floor)
     stop = "converged"
-    if _score_drop(corr, xi, thetas, r) > need:
-        fit = damped_gauss_newton(*_init_from_steps(corr, steps), partial(_pair_model, corr))
+    seed = _init_from_steps(corr, steps)
+    seed_drop = cost - float(np.sum(_pair_residual(corr, *seed)[1] ** 2))
+    if _score_drop(corr, xi, thetas, r) > need or seed_drop > need:
+        fit = damped_gauss_newton(*seed, partial(_pair_model, corr))
         if cost - fit[2] > need:
             xi, thetas, cost, stop = fit
     converged = stop == "converged"

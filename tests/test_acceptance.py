@@ -24,7 +24,6 @@ from artikit.evalkit import angular_error, axis_distance
 from artikit.lie import (
     RigidTransform,
     Twist,
-    _quat_from_rotvec,
     apply,
     compose,
     exp_map,
@@ -123,7 +122,7 @@ def test_criterion_3_registration_oracle():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(0.05, 0.5)
-        T = RigidTransform(_quat_from_rotvec(axis * angle), rng.uniform(-0.2, 0.2, 3))
+        T = RigidTransform(exp_map(Twist(axis * angle, np.zeros(3)), 1.0).q, rng.uniform(-0.2, 0.2, 3))
         steps.append(T)
         world[:, m + 1] = apply(T, world[:, m])
     tracks = SegmentTrack(np.arange(n_pts), None, world, np.ones((n_pts, n_steps + 1), dtype=bool))
@@ -142,7 +141,7 @@ def test_criterion_3_registration_oracle():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(0.05, 0.5)
-        T = RigidTransform(_quat_from_rotvec(axis * angle), rng.uniform(-0.2, 0.2, 3))
+        T = RigidTransform(exp_map(Twist(axis * angle, np.zeros(3)), 1.0).q, rng.uniform(-0.2, 0.2, 3))
         Y = apply(T, X) + rng.normal(0.0, 0.005, (100, 3))
         pair = SegmentTrack(np.arange(100), None, np.stack([X, Y], axis=1), np.ones((100, 2), dtype=bool))
         got = fit_independent(build_correspondences(pair, stride=1)).step_transforms[0]

@@ -56,6 +56,26 @@ def test_angular_error_zero_vector_raises():
         angular_error([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
 
 
+NON_FINITE = [[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0]]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_angular_error_non_finite_axis_raises(bad):
+    z = [0.0, 0.0, 1.0]
+    for args in ((bad, z), (z, bad)):
+        with pytest.raises(ValueError, match="axis directions must be finite"):
+            angular_error(*args)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_axis_distance_non_finite_input_raises(bad):
+    z, o = [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]
+    for args, what in (((bad, z, o, z), "points"), ((o, z, bad, z), "points"),
+                       ((o, bad, o, z), "directions"), ((o, z, o, bad), "directions")):
+        with pytest.raises(ValueError, match=f"axis {what} must be finite"):
+            axis_distance(*args)
+
+
 # ---------------------------------------------------------------------------
 # axis line distance
 

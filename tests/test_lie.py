@@ -322,7 +322,7 @@ def test_retract_twist_stays_in_gauge(u, delta, prismatic):
 
 
 # ---------------------------------------------------------------------------
-# stacked kernels against the scalar calls, row by row
+# stacked kernels, row by row, against the matrix exponential and the scalar calls
 
 # magnitudes mixing ordinary angles, angles below SMALL_ANGLE and exact zeros
 magnitudes = st.lists(
@@ -332,15 +332,22 @@ magnitudes = st.lists(
 
 @PROPERTY
 @given(u=vectors(6, 1.5), thetas=magnitudes)
-def test_stacked_exp_matches_scalar(u, thetas):
+def test_stacked_exp_matches_matrix_exponential(u, thetas):
     xi = lie.Twist.from_vector(u)
     q, R, t = lie.exp_map(xi, np.array(thetas))
-    assert q.shape == (len(thetas), 4) and R.shape == (len(thetas), 3, 3)
+    assert q.shape == (len(thetas), 4) and R.shape == (len(thetas), 3, 3) and t.shape == (len(thetas), 3)
     for m, th in enumerate(thetas):
-        T = lie.exp_map(xi, th)
-        assert np.allclose(q[m], T.q, rtol=0.0, atol=1e-12)
-        assert np.allclose(R[m], T.rotation_matrix(), rtol=0.0, atol=1e-12)
-        assert np.allclose(t[m], T.t, rtol=0.0, atol=1e-12)
+        oracle = expm(hat4(xi, th))
+        assert np.allclose(R[m], oracle[:3, :3], rtol=0.0, atol=1e-12)
+        assert np.allclose(t[m], oracle[:3, 3], rtol=0.0, atol=1e-12)
+        T = lie.exp_map(xi, th)  # a scalar magnitude is a one-row stack
+        assert np.array_equal(T.q, q[m]) and np.array_equal(T.t, t[m])
+
+
+@pytest.mark.parametrize("theta", [np.zeros((2, 3)), np.zeros((1, 1)), [[0.5]], np.zeros((2, 1, 1))])
+def test_exp_refuses_theta_of_two_or_more_dimensions(theta):
+    with pytest.raises(ValueError, match=r"theta must be a scalar or a 1-D array, got shape \("):
+        lie.exp_map(rand_twist(np.random.default_rng(0)), theta)
 
 
 @PROPERTY
