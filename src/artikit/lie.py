@@ -13,12 +13,14 @@ Conventions used throughout the package:
 * ``compose(a, b)`` applies ``b`` first, then ``a``,
 * 6-vectors stack the rotational part first: ``(omega, v)``.
 
-Stacks: ``exp_map`` with a 1-D array of M magnitudes, ``log_map`` of a pair
-of stacked quaternions and translations, ``se3_left_jacobian`` of (M, 6)
-rows, ``skew`` of (M, 3) rows, ``quat_mul`` and ``quat_to_matrix`` of (M, 4)
-rows all work on every row at once (see each docstring), Taylor branch chosen
-per row, with cross products written by component. Each map has one formula:
-a single ``exp_map``, ``log_map`` or ``se3_left_jacobian`` is a one-row stack.
+Stacks: ``exp_map`` with a 1-D array of M magnitudes, ``log_map`` and
+``inverse`` of a pair of stacked quaternions and translations,
+``se3_left_jacobian`` of (M, 6) rows, ``skew`` of (M, 3) rows, ``quat_mul`` and
+``quat_to_matrix`` of (M, 4) rows and ``matrix_to_quat`` of (M, 3, 3) rows all
+work on every row at once (see each docstring), Taylor or Shepperd branch
+chosen per row, with cross products written by component. Each map has one
+formula: one ``exp_map``, ``log_map``, ``inverse``, ``matrix_to_quat`` or
+``se3_left_jacobian`` is a one-row stack.
 """
 
 from __future__ import annotations
@@ -113,10 +115,6 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ).T
 
 
-def _quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def quat_to_matrix(q) -> np.ndarray:
     """Rotation matrix of a unit quaternion (w, x, y, z); (M, 3, 3) for (M, 4) rows."""
     w, x, y, z = np.asarray(q).T
@@ -130,34 +128,33 @@ def quat_to_matrix(q) -> np.ndarray:
     return R if R.ndim == 2 else np.moveaxis(R, -1, 0)
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Norms of (M, n) rows, each ``np.linalg.norm`` of its row bit for bit."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
 def matrix_to_quat(R) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a rotation matrix, Shepperd's method."""
+    """Unit quaternion (w, x, y, z), w >= 0, of a rotation matrix by Shepperd's
+    method; (M, 4) rows for (M, 3, 3). A mask picks each row's branch, and a
+    branch runs on its own rows only; one matrix is row 0 of that stack."""
     R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    if tr > 0.0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
-        )
-    else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
-    # canonical sign: w >= 0
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R.reshape(-1, 9).T
+    tr = r00 + r11 + r22
+    # K[a, b] = 4 q_a q_b, each diagonal entry rounded as in its own branch
+    K = np.array([[tr + 1.0, r21 - r12, r02 - r20, r10 - r01],
+                  [r21 - r12, 1.0 + r00 - r11 - r22, r01 + r10, r02 + r20],
+                  [r02 - r20, r01 + r10, 1.0 + r11 - r00 - r22, r12 + r21],
+                  [r10 - r01, r02 + r20, r12 + r21, 1.0 + r22 - r00 - r11]])
+    branch = np.where(tr > 0.0, 0, np.where((r00 >= r11) & (r00 >= r22), 1, np.where(r11 >= r22, 2, 3)))
+    q = np.empty((len(tr), 4))
+    for b in np.unique(branch).tolist():
+        rows = branch == b
+        s = np.sqrt(K[b, b, rows]) * 2.0
+        q[rows] = (K[b][:, rows] / s).T
+        q[rows, b] = 0.25 * s
+    q = np.where(q[:, :1] < 0, -q, q)
+    q /= row_norms(q)[:, None]
+    return q if R.ndim == 3 else q[0]
 
 
 def renormalize(q: np.ndarray, n: float | None = None) -> np.ndarray:
@@ -210,8 +207,13 @@ class RigidTransform:
         return {"q": self.q.tolist(), "t": self.t.tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RigidTransform":
-        return cls(np.asarray(d["q"], dtype=float), np.asarray(d["t"], dtype=float))
+    def from_dict(cls, d) -> "RigidTransform":
+        """The pose ``{"q": .., "t": ..}``; a ValueError says what is wrong."""
+        if not isinstance(d, dict):
+            raise ValueError(f"must be an object, got {d!r}")
+        if "q" not in d or "t" not in d:
+            raise ValueError(f"missing {'t' if 'q' in d else 'q'}")
+        return cls(d["q"], d["t"])
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
@@ -221,9 +223,15 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     return RigidTransform(q, t)  # constructor renormalizes q
 
 
-def inverse(T: RigidTransform) -> RigidTransform:
-    qc = _quat_conj(T.q)
-    return RigidTransform(qc, -(quat_to_matrix(qc) @ T.t))
+def inverse(T):
+    """Inverse transform, a one-row stack: a pair ``(q, t)`` of (M, 4)
+    quaternions and (M, 3) translations gives arrays ``(q, R, t)``, R contiguous."""
+    if isinstance(T, RigidTransform):
+        q, _, t = inverse((T.q[None], T.t[None]))
+        return RigidTransform(q[0], t[0])
+    qc = T[0] * np.array([1.0, -1.0, -1.0, -1.0])
+    R = np.ascontiguousarray(quat_to_matrix(qc))
+    return qc, R, -(R @ T[1][:, :, None])[:, :, 0]
 
 
 def apply(T: RigidTransform, points) -> np.ndarray:

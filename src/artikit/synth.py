@@ -13,10 +13,10 @@ documented order: dynamic base points, static points, then per-frame noise,
 occlusion and depth dropouts in track-major order. Identical configs produce
 byte-identical files.
 
-``generate`` moves the part by one stacked ``exp_map`` of the profile,
-collects the per-point draws in that order, in one loop that does nothing
-else, then runs the geometry (camera transform, visibility, projection,
-depth) as arrays over all frames and points.
+A camera path is one stacked look-at. ``generate`` moves the part by one
+stacked ``exp_map`` of the profile, collects the per-point draws in that
+order in a loop that does nothing else, then inverts the camera path as one
+stack and projects every frame's points at once.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import numpy as np
 
 from . import jsonio
 from .errors import TrackFileError
-from .lie import RigidTransform, Twist, apply_each, exp_map, inverse, matrix_to_quat
+from .lie import RigidTransform, Twist, apply_each, exp_map, inverse, matrix_to_quat, row_norms
 from .segmenter import Segment
-from .trackio import CameraIntrinsics, Track, TrackSet, stack_poses
+from .trackio import CameraIntrinsics, Track, TrackSet
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=525.0, fy=525.0, cx=320.0, cy=240.0)
 
@@ -192,26 +192,25 @@ def ramp_profile(T: int, window: tuple, magnitude: float) -> np.ndarray:
     return magnitude * (3.0 * x * x - 2.0 * x * x * x)
 
 
-def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> RigidTransform:
-    """Camera-to-world pose with +z looking from ``eye`` toward ``target``."""
-    eye = np.asarray(eye, dtype=float)
-    f = np.asarray(target, dtype=float) - eye
-    nf = np.linalg.norm(f)
-    if nf <= 0:
+def _look_at_rows(eyes: np.ndarray, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:
+    """Quaternions (M, 4) of camera-to-world rotations with +z looking from
+    each of the (M, 3) ``eyes`` toward ``target``."""
+    f = np.asarray(target, dtype=float) - eyes
+    nf = row_norms(f)
+    if np.any(nf <= 0):
         raise ValueError("eye and target coincide")
-    f = f / nf
-    upv = np.asarray(up, dtype=float)
-    r = np.cross(f, upv)
-    nr = np.linalg.norm(r)
-    if nr < 1e-9:
-        # forward parallel to up; fall back to another support vector
-        upv = np.array([0.0, 1.0, 0.0])
-        r = np.cross(f, upv)
-        nr = np.linalg.norm(r)
-    r = r / nr
+    f = f / nf[:, None]
+    r = np.cross(f, up)
+    # forward parallel to up: fall back to another support vector
+    r = np.where(row_norms(r)[:, None] < 1e-9, np.cross(f, (0.0, 1.0, 0.0)), r)
+    r = r / row_norms(r)[:, None]
     d = np.cross(f, r)  # completes a right-handed (right, down, forward) frame
-    R = np.stack([r, d, f], axis=1)
-    return RigidTransform(matrix_to_quat(R), eye)
+    return matrix_to_quat(np.stack([r, d, f], axis=-1))
+
+
+def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> RigidTransform:
+    """Camera-to-world pose, +z looking from ``eye`` toward ``target``: a one-row look-at."""
+    return RigidTransform(_look_at_rows(np.atleast_2d(eye), target, up)[0], eye)
 
 
 def arc_camera_path(
@@ -222,14 +221,11 @@ def arc_camera_path(
     sweep_deg: float = 25.0,
     start_deg: float = 200.0,
 ) -> list:
-    """Camera orbiting the target over a modest arc, always looking at it."""
+    """Camera orbiting the target over a modest arc, one stacked look-at."""
     target = np.asarray(target, dtype=float)
     angles = np.deg2rad(start_deg + np.linspace(0.0, sweep_deg, T))
-    poses = []
-    for a in angles:
-        eye = target + np.array([radius * np.cos(a), radius * np.sin(a), height])
-        poses.append(look_at_pose(eye, target))
-    return poses
+    eyes = target + np.column_stack((radius * np.cos(angles), radius * np.sin(angles), np.full(T, height)))
+    return [RigidTransform(q, eye) for q, eye in zip(_look_at_rows(eyes, target), eyes)]
 
 
 def generate(cfg: SynthConfig) -> tuple[TrackSet, list]:
@@ -268,8 +264,9 @@ def generate(cfg: SynthConfig) -> tuple[TrackSet, list]:
         # rng.normal(0, sigma) returns 0 + sigma * z: the same operations
         world = world + (0.0 + cfg.noise_sigma * noise)
 
-    cams = stack_poses([inverse(pose) for pose in cfg.camera_path])
-    p_cam = apply_each(cams.rotations[:, None], cams.translations[:, None], world)
+    path = cfg.camera_path
+    _, R_cam, t_cam = inverse((np.array([p.q for p in path]), np.array([p.t for p in path])))
+    p_cam = apply_each(R_cam[:, None], t_cam[:, None], world)
     front = p_cam[..., 2] > 1e-6
     occluded = draws[..., 0] < rates[0]
     dropped = draws[..., 1] < rates[1]
@@ -398,7 +395,12 @@ def config_from_dict(doc: dict) -> SynthConfig:
                 start_deg=float(cam.get("start_deg", 200.0)),
             )
         elif kind == "poses":
-            path = [RigidTransform.from_dict(p) for p in cam["poses"]]
+            path = []
+            for i, p in enumerate(cam["poses"]):
+                try:
+                    path.append(RigidTransform.from_dict(p))
+                except (TypeError, ValueError) as e:
+                    raise ValueError(f"camera.poses[{i}]: {e}") from None
         else:
             raise ValueError(f"unknown camera kind {kind!r}")
         kwargs = {}

@@ -157,11 +157,11 @@ def register_steps(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares rigid transform of every step, dst ~= R @ src + t, as
     stacked ``(q (M, 4), t (M, 3))``.
 
-    Centroids and the 9 entries of each cross-covariance are sums per step
-    by ``np.bincount``, which adds a step's pairs in table order, then one
-    stacked SVD with a determinant guard against reflections: each step
-    equals registering it alone, bit for bit. Raises DegenerateStepError for
-    a step with too few pairs and DegenerateGeometryError for the first
+    Centroids and the 9 entries of each cross-covariance are sums per step by
+    ``np.bincount``, which adds a step's pairs in table order, then one stacked SVD
+    with a determinant guard against reflections and one stacked ``matrix_to_quat``:
+    each step equals registering it alone, bit for bit. Raises DegenerateStepError
+    for a step with too few pairs and DegenerateGeometryError for the first
     (near-)collinear one, where the rotation about the line is unobservable.
     """
     src, dst, step = corr.src, corr.dst, corr.step
@@ -182,7 +182,7 @@ def register_steps(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray]:
     V, Ut = np.swapaxes(Vt, 1, 2), np.swapaxes(U, 1, 2)
     V[:, :, 2] *= np.sign(np.linalg.det(V @ Ut))[:, None]
     R = V @ Ut
-    return np.array([matrix_to_quat(r) for r in R]), cd - (R @ cs[:, :, None])[:, :, 0]
+    return matrix_to_quat(R), cd - (R @ cs[:, :, None])[:, :, 0]
 
 
 def register_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:

@@ -516,3 +516,39 @@ def test_wrongly_typed_input_section_exits_2_naming_it(tmp_path, capsys, case):
     msg = json.loads(err_lines[0])
     assert msg["error"] == "TrackFileError"
     assert msg["message"].startswith(start.format(path=path))
+
+
+def camera_poses_scene(bad_pose) -> dict:
+    """Five explicit camera poses, pose 3 replaced by ``bad_pose``."""
+    poses = [{"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, -2.0, 1.0 + 0.1 * k]} for k in range(5)]
+    poses[3] = bad_pose
+    return scene_doc(frames=5, hand_window=[1, 3], camera={"kind": "poses", "poses": poses})
+
+
+BAD_CAMERA_POSES = {
+    "non-unit-q": ({"q": [2.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0, 0.0]},
+                   "q must be near unit norm, got |q| = 2.0"),
+    "missing-t": ({"q": [1.0, 0.0, 0.0, 0.0]}, "missing t"),
+    "short-t": ({"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0]}, "t must be a 3-vector, got shape (2,)"),
+    "not-an-object": (5, "must be an object, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CAMERA_POSES))
+def test_synth_names_the_bad_explicit_camera_pose(tmp_path, capsys, case):
+    bad_pose, reason = BAD_CAMERA_POSES[case]
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(camera_poses_scene(bad_pose)))
+    assert main(["synth", "--config", str(scene), "--out-tracks", str(tmp_path / "t.json")]) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    msg = json.loads(err_lines[0])
+    assert msg["error"] == "TrackFileError"
+    assert msg["message"] == f"scene config: camera.poses[3]: {reason}"
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_synth_takes_explicit_camera_poses(tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(camera_poses_scene({"q": [0.0, 0.0, 0.0, 1.0], "t": [0.0, 0.0, 0.0]})))
+    assert main(["synth", "--config", str(scene), "--out-tracks", str(tmp_path / "t.json")]) == 0

@@ -386,3 +386,52 @@ def test_stacked_left_jacobian_matches_scalar(rows):
     assert J.shape == (len(u), 6, 6)
     for m in range(len(u)):
         assert np.allclose(J[m], lie.se3_left_jacobian(u[m]), rtol=0.0, atol=1e-12)
+
+
+def rotation_about(axis: int, angle: float) -> np.ndarray:
+    q = np.zeros(4)
+    q[0], q[1 + axis] = np.cos(angle / 2), np.sin(angle / 2)
+    return lie.quat_to_matrix(q)
+
+
+# a random rotation, the identity, or a turn near pi about x, y or z (trace
+# <= 0, so Shepperd's x, y or z branch)
+rotations = (
+    vectors(4, 1.0)
+    .filter(lambda q: np.linalg.norm(q) > 0.1)
+    .map(lambda q: lie.quat_to_matrix(q / np.linalg.norm(q)))
+    | st.just(np.eye(3))
+    | st.builds(rotation_about, st.sampled_from([0, 1, 2]), st.floats(np.pi - 0.5, np.pi + 0.5))
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(rows=st.lists(rotations, min_size=1, max_size=8))
+def test_stacked_matrix_to_quat_matches_one_matrix_calls(rows):
+    # every branch runs on its own rows only: one evaluated elsewhere would
+    # take the square root of a negative number and warn
+    R = np.array(rows)
+    q = lie.matrix_to_quat(R)
+    assert q.shape == (len(R), 4)
+    for m in range(len(R)):
+        one = lie.matrix_to_quat(R[m])
+        assert one.shape == (4,)
+        assert q[m].tobytes() == one.tobytes()
+        assert one[0] >= 0.0
+        assert np.max(np.abs(lie.quat_to_matrix(one) - R[m])) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stacked_matrix_to_quat_takes_each_branch_on_its_rows():
+    near_pi = [rotation_about(axis, np.pi - 0.01) for axis in range(3)]
+    # 0.1 rad about x or y: two of the x, y, z branches' radicands round to
+    # -1.1e-16 on this row, so a branch evaluated outside its rows warns
+    R = np.array([near_pi[2], np.eye(3), near_pi[0], rotation_about(0, 0.1), near_pi[1],
+                  rotation_about(1, 0.1)])
+    q = lie.matrix_to_quat(R)
+    # the largest component names the branch
+    assert np.argmax(np.abs(q), axis=1).tolist() == [3, 0, 1, 0, 2, 0]
+    for m in range(len(R)):
+        assert q[m].tobytes() == lie.matrix_to_quat(R[m]).tobytes()
+    assert lie.matrix_to_quat(np.zeros((0, 3, 3))).shape == (0, 4)

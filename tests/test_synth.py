@@ -6,6 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from artikit.errors import TrackFileError
 from artikit.lie import RigidTransform
@@ -20,6 +23,7 @@ from artikit.synth import (
     load_ground_truth,
     look_at_pose,
     ramp_profile,
+    _look_at_rows,
     save_ground_truth,
 )
 from artikit.trackio import lift_track, save_trackset, stack_poses, to_world
@@ -247,6 +251,88 @@ def test_look_at_pose_faces_target():
     assert np.allclose(T2.rotation_matrix()[:, 2], [0.0, 0.0, 1.0], atol=1e-12)
     with pytest.raises(ValueError):
         look_at_pose(eye, eye)
+
+
+def oracle_look_at(eye, target, up=(0.0, 0.0, 1.0)) -> RigidTransform:
+    """One frame at a time, with Shepperd's method on one matrix: the
+    look-at that the stacked one replaced."""
+    eye = np.asarray(eye, dtype=float)
+    f = np.asarray(target, dtype=float) - eye
+    nf = np.linalg.norm(f)
+    if nf <= 0:
+        raise ValueError("eye and target coincide")
+    f = f / nf
+    upv = np.asarray(up, dtype=float)
+    r = np.cross(f, upv)
+    nr = np.linalg.norm(r)
+    if nr < 1e-9:
+        upv = np.array([0.0, 1.0, 0.0])
+        r = np.cross(f, upv)
+        nr = np.linalg.norm(r)
+    r = r / nr
+    R = np.stack([r, np.cross(f, r), f], axis=1)
+    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    if tr > 0.0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        q = [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
+    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
+        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
+    elif R[1, 1] >= R[2, 2]:
+        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q = [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
+    else:
+        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q = [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
+    q = np.array(q)
+    if q[0] < 0:
+        q = -q
+    return RigidTransform(q / np.linalg.norm(q), eye)
+
+
+def same_bits(a: RigidTransform, b: RigidTransform) -> bool:
+    return a.q.tobytes() == b.q.tobytes() and a.t.tobytes() == b.t.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    T=st.sampled_from([0, 1, 2, 70, 600]),
+    target=hnp.arrays(float, 3, elements=st.floats(-3.0, 3.0)),
+    radius=st.floats(0.1, 5.0),
+    height=st.floats(-2.0, 2.0),
+    start_deg=st.floats(-720.0, 720.0),
+    sweep_deg=st.floats(-400.0, 400.0),
+)
+def test_arc_camera_path_matches_per_frame_look_at(T, target, radius, height, start_deg, sweep_deg):
+    path = arc_camera_path(
+        T, target, radius=radius, height=height, sweep_deg=sweep_deg, start_deg=start_deg
+    )
+    angles = np.deg2rad(start_deg + np.linspace(0.0, sweep_deg, T))
+    assert len(path) == T
+    for a, pose in zip(angles, path):
+        eye = target + np.array([radius * np.cos(a), radius * np.sin(a), height])
+        assert same_bits(pose, oracle_look_at(eye, target))
+
+
+def test_stacked_look_at_falls_back_on_the_parallel_row_only():
+    target = np.array([0.2, -0.1, 1.0])
+    eyes = target + np.array([[2.0, 0.5, 0.3], [0.0, 0.0, 1.5], [-1.0, 2.0, -0.4], [0.0, 0.0, -0.7]])
+    q = _look_at_rows(eyes, target)
+    for m, eye in enumerate(eyes):
+        pose = RigidTransform(q[m], eye)
+        assert same_bits(pose, oracle_look_at(eye, target))
+        assert same_bits(look_at_pose(eye, target), pose)
+        right = pose.rotation_matrix()[:, 0]
+        # rows 1 and 3 look along -z and +z: their right axis is f x (0, 1, 0)
+        if m in (1, 3):
+            f = np.sign(eye[2] - target[2]) * np.array([0.0, 0.0, -1.0])
+            assert np.allclose(right, np.cross(f, [0.0, 1.0, 0.0]), atol=1e-12)
+        else:
+            assert abs(right[2]) < 1e-12  # perpendicular to up = +z
+    with pytest.raises(ValueError, match="coincide"):
+        _look_at_rows(np.vstack([eyes, target]), target)
+    with pytest.raises(ValueError, match="coincide"):
+        arc_camera_path(5, target, radius=0.0, height=0.0)
 
 
 def test_arc_camera_path_orbits_target():
