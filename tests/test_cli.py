@@ -19,7 +19,7 @@ from artikit.jsonio import load_json
 from artikit.lie import RigidTransform
 from artikit.pipeline import PipelineConfig, effective_config
 from artikit.synth import JointSpec, SynthConfig, generate
-from artikit.trackio import save_trackset
+from artikit.trackio import load_trackset, save_trackset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -552,3 +552,6 @@ def test_synth_takes_explicit_camera_poses(tmp_path):
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(camera_poses_scene({"q": [0.0, 0.0, 0.0, 1.0], "t": [0.0, 0.0, 0.0]})))
     assert main(["synth", "--config", str(scene), "--out-tracks", str(tmp_path / "t.json")]) == 0
+    poses = load_trackset(tmp_path / "t.json").cam_poses
+    assert [p.q.tolist() for p in poses[2:4]] == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    assert poses[4].t.tolist() == [0.0, -2.0, 1.4]
