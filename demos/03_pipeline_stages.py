@@ -18,7 +18,6 @@ from artikit.pipeline import (
     stage_filter,
     stage_smooth,
 )
-from artikit.trackfilter import FilterConfig
 
 scene = {
     "seed": 17,
@@ -36,9 +35,7 @@ scene = {
 }
 ts, gt = synth.generate(synth.config_from_dict(scene))
 
-# the camera moves, so static/dynamic separation needs 3D motion scores
 cfg = PipelineConfig(
-    filter=FilterConfig(static_mode="world3d"),
     classifier=ClassifierConfig(theta_rot_min=0.05),
     jobs=1,
 )

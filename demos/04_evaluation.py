@@ -14,7 +14,6 @@ from artikit import synth
 from artikit.artmodel import ClassifierConfig
 from artikit.evalkit import evaluate, render_report
 from artikit.pipeline import PipelineConfig, run_pipeline
-from artikit.trackfilter import FilterConfig
 
 SCENES = [
     ("revolute", [0.0, 0.0, 1.0], [0.4, -0.2, 1.0], 0.7),
@@ -23,7 +22,6 @@ SCENES = [
 ]
 
 cfg = PipelineConfig(
-    filter=FilterConfig(static_mode="world3d"),
     classifier=ClassifierConfig(theta_rot_min=0.05),
     jobs=1,
 )

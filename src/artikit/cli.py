@@ -9,8 +9,9 @@ skipped segments included.
 
 The CLI holds no pipeline knowledge of its own: each tuning flag's dest is
 its dotted config key, and ``pipeline.effective_config`` validates them.
-Configuration precedence: command-line flag > --config file > built-in
-default. The effective configuration is echoed to stderr before work
+Every config value has a flag but ``filter.static_mode``, whose one value is
+``world3d``. Configuration precedence: command-line flag > --config file >
+built-in default. The effective configuration is echoed to stderr before work
 starts. Errors print a one-line machine-readable JSON object to stderr and
 exit nonzero.
 """
@@ -26,7 +27,6 @@ import sys
 from . import evalkit, jsonio, pipeline, synth, trackio
 from .errors import ArtikitError, TrackFileError
 from .segmenter import Segment
-from .trackfilter import STATIC_MODES
 
 
 def _config_flags(p: argparse.ArgumentParser, *stages: str):
@@ -42,8 +42,6 @@ def _config_flags(p: argparse.ArgumentParser, *stages: str):
         g.add_argument("--tmin", dest="segmenter.t_min", type=int, help="min segment length (frames)")
         g.add_argument("--tmax", dest="segmenter.t_max", type=int, help="max segment length (frames)")
     if "filter" in stages:
-        g.add_argument("--static-mode", dest="filter.static_mode", choices=STATIC_MODES,
-                       help="coordinates of the motion score (default world3d)")
         g.add_argument("--sigma-reliable", dest="filter.sigma_reliable", type=float,
                        help="max tolerated unobserved fraction per track")
         g.add_argument("--max-depth", dest="max_depth", type=float,

@@ -93,7 +93,12 @@ class Twist:
         return {"omega": self.omega.tolist(), "v": self.v.tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Twist":
+    def from_dict(cls, d) -> "Twist":
+        """The twist ``{"omega": .., "v": ..}``; a ValueError says what is wrong."""
+        if not isinstance(d, dict):
+            raise ValueError(f"must be an object, got {d!r}")
+        if "omega" not in d or "v" not in d:
+            raise ValueError(f"missing {'v' if 'omega' in d else 'omega'}")
         return cls(np.asarray(d["omega"], dtype=float), np.asarray(d["v"], dtype=float))
 
 

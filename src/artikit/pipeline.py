@@ -3,8 +3,8 @@
 The pipeline runs four stages per interaction segment:
 
 1. filter: lift the segment's frames of all tracks to world coordinates as
-   one stacked ``SegmentTrack``, drop static background and unreliable
-   tracks;
+   one stacked ``SegmentTrack``, drop static background (motion scored on
+   world positions) and unreliable tracks;
 2. smooth: denoise the surviving tracks' world trajectories in one
    block-banded solve (observation masks survive untouched);
 3. estimate: build keyframe correspondences, register every step once,
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,10 @@ from .trackio import (
     Track,
     Track3D,
     TrackSet,
+    _ID_RULE,
+    _NUMBER,
+    _as_number,
+    _require,
     lift_track,
     stack_poses,
     to_world,
@@ -155,7 +160,7 @@ def stage_filter(ts: TrackSet, seg: Segment, cfg: PipelineConfig) -> tuple[Segme
     stack = Track(np.array([tr.id for tr in ts.tracks]),
                   *(np.array([getattr(tr, f)[frames] for tr in ts.tracks]) for f in ("uv", "depth", "vis")))
     world = to_world(lift_track(stack, ts.intrinsics, cfg.max_depth), stack_poses(ts.cam_poses[frames]))
-    tracks = SegmentTrack(stack.id, stack.uv, world.positions, world.valid)
+    tracks = SegmentTrack(stack.id, world.positions, world.valid)
     static = filter_static(tracks, cfg.filter)
     keep = static & filter_unreliable(tracks, cfg.filter)
     counts = {"static": int(np.count_nonzero(~static)), "unreliable": int(np.count_nonzero(static & ~keep))}
@@ -316,51 +321,59 @@ def save_results(path, doc: dict) -> None:
 # segment-stage intermediate files (the stage-by-stage CLI path)
 
 
-def _track_to_dict(tid, uv: np.ndarray, world: np.ndarray, valid: np.ndarray) -> dict:
+def _track_to_dict(tid, world: np.ndarray, valid: np.ndarray) -> dict:
     """One row of a stacked SegmentTrack as a segment-data track entry."""
     finite = np.isfinite(world).all(axis=1).tolist()
     return {
         "id": int(tid),
-        "uv": uv.tolist(),
         "world": [row if ok else None for row, ok in zip(world.tolist(), finite)],
         "valid": valid.tolist(),
     }
 
 
-def _rows(values, width: int, T: int, where: str) -> np.ndarray:
-    """``values`` as a (T, width) float array; anything else is a
-    TrackFileError naming ``where``."""
+def _world_rows(rows: list, T: int, where: str) -> np.ndarray:
+    """A track entry's world rows, [x, y, z] or null, as a (T, 3) float
+    array with NaN for null; a TrackFileError names the first element that
+    is not a number (``_as_number``'s text), or else rows not shaped (T, 3)."""
     try:
-        a = np.array(values, dtype=float)
-    except (TypeError, ValueError):  # ragged rows or non-numbers
+        a = np.array([[np.nan] * 3 if row is None else row for row in rows], dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged rows, non-numbers, huge integers
         a = None
-    if a is None or a.shape != (T, width):
+    if a is None or not set(map(type, chain.from_iterable(row for row in rows if type(row) is list))) <= _NUMBER:
+        for t, row in enumerate(rows):
+            for j, x in enumerate(row if type(row) is list else ()):
+                _as_number(x, f"{where}[{t}][{j}]")
+    if a is None or a.shape != (T, 3):
         got = "" if a is None else f", got shape {a.shape}"
-        raise TrackFileError(
-            f"{where}: expected {T} rows of {width} numbers, one per valid flag{got}"
-        )
+        raise TrackFileError(f"{where}: expected {T} rows of 3 numbers, one per valid flag{got}")
     return a
 
 
 def _track_from_dict(d: dict, where: str, T: int) -> tuple:
-    """A segment-data track entry as one row (id, uv, world, valid)."""
-    valid = np.asarray(d["valid"], dtype=bool)
-    if valid.shape != (T,):
-        raise TrackFileError(f"{where}.valid: must be a list of {T} booleans, one per segment frame")
-    uv = _rows(d["uv"], 2, T, f"{where}.uv")
-    world = _rows([[np.nan] * 3 if row is None else row for row in d["world"]], 3, T,
-                  f"{where}.world")
+    """A segment-data track entry as one row (id, world, valid); a bad id,
+    flag or number is a TrackFileError naming it, in the track file's words."""
+    tid = d["id"]
+    _require(type(tid) is int and -2**63 <= tid < 2**63, f"{where}.id", _ID_RULE)
+    valid = d["valid"]
+    _require(isinstance(valid, list) and len(valid) == T, f"{where}.valid",
+             f"must be a list of {T} booleans, one per segment frame")
+    if not set(map(type, valid)) <= {bool}:
+        t = next(t for t, b in enumerate(valid) if type(b) is not bool)
+        raise TrackFileError(f"{where}.valid[{t}]: must be a boolean, got {valid[t]!r}")
+    valid = np.array(valid, dtype=bool)
+    world = _world_rows(d["world"], T, f"{where}.world")
     unset = np.flatnonzero(valid & ~np.isfinite(world).all(axis=1))
     if len(unset):
         raise TrackFileError(f"{where}.world[{unset[0]}]: valid frame has no finite position")
-    return int(d["id"]), uv, world, valid
+    return tid, world, valid
 
 
 def save_segment_data(path, stage: str, entries: list, skipped: list) -> None:
     """Write the per-segment working set produced by filter or smooth.
 
     ``entries`` holds (segment, tracks, counts) triples, ``tracks`` a
-    stacked SegmentTrack; the file holds one entry per track.
+    stacked SegmentTrack; the file holds one entry per track: id, world
+    rows (null where not finite) and valid flags.
     """
     doc = {
         "version": 1,
@@ -369,7 +382,7 @@ def save_segment_data(path, stage: str, entries: list, skipped: list) -> None:
             {
                 "segment": seg.to_dict(),
                 "filter_counts": counts,
-                "tracks": [_track_to_dict(*row) for row in zip(tracks.id, tracks.uv, tracks.world, tracks.valid)],
+                "tracks": [_track_to_dict(*row) for row in zip(tracks.id, tracks.world, tracks.valid)],
             }
             for seg, tracks, counts in entries
         ],
@@ -380,7 +393,8 @@ def save_segment_data(path, stage: str, entries: list, skipped: list) -> None:
 
 def load_segment_data(path) -> tuple[list, list]:
     """Read back (segment, tracks, counts) triples, ``tracks`` stacked, plus
-    skip records."""
+    skip records. Track entries follow the track file's rules for ids,
+    flags and numbers; a ``uv`` entry, which older files carry, is ignored."""
     doc = jsonio.load_json(path)
     if not isinstance(doc, dict) or doc.get("version") != 1 or "segments" not in doc:
         raise TrackFileError(f"{path}: not a segment-data file")
@@ -393,9 +407,9 @@ def load_segment_data(path) -> tuple[list, list]:
                 raise TrackFileError(f"{path}.segments[{i}].segment: {e}") from e
             T = seg.end - seg.start + 1
             rows = [_track_from_dict(t, f"{path}.segments[{i}].tracks[{k}]", T) for k, t in enumerate(s["tracks"])]
-            ids, uv, world, valid = zip(*rows) if rows else ((),) * 4
-            tracks = SegmentTrack(np.array(ids), np.array(uv).reshape(-1, T, 2),
-                                  np.array(world).reshape(-1, T, 3), np.array(valid, dtype=bool).reshape(-1, T))
+            ids, world, valid = zip(*rows) if rows else ((),) * 3
+            tracks = SegmentTrack(np.array(ids), np.array(world).reshape(-1, T, 3),
+                                  np.array(valid, dtype=bool).reshape(-1, T))
             entries.append((seg, tracks, dict(s.get("filter_counts", {}))))
     except (KeyError, TypeError, ValueError) as e:
         raise TrackFileError(f"{path}: bad segment data: {e}") from e

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -156,9 +157,11 @@ class GroundTruthJoint:
 
 
 def _vec3(value, name: str) -> np.ndarray:
+    """``value`` as 3 finite numbers; a boolean or a string is not a number."""
     try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        numbers = all(isinstance(x, Real) and not isinstance(x, bool) for x in value)
+        v = np.array(value, dtype=float) if numbers else None
+    except (TypeError, OverflowError):  # not a sequence; an integer too large for a float
         v = None
     if v is None or v.shape != (3,) or not np.all(np.isfinite(v)):
         raise ValueError(f"{name}: must be 3 finite numbers, got {value!r}")
@@ -346,6 +349,13 @@ def _object(val, name: str) -> dict:
     return val
 
 
+def _field(d: dict, key: str, where: str = ""):
+    """``d[key]``; a missing key is a ValueError naming it after ``where``."""
+    if key not in d:
+        raise ValueError(f"{where}missing {key}")
+    return d[key]
+
+
 def config_from_dict(doc: dict) -> SynthConfig:
     """Build a SynthConfig from a scene description dictionary.
 
@@ -360,8 +370,8 @@ def config_from_dict(doc: dict) -> SynthConfig:
          "noise_sigma": 0.0, "occlusion_rate": 0.0, "invalid_depth_rate": 0.0}
     """
     try:
-        T = int(doc["frames"])
-        jd = _object(doc["joint"], "joint")
+        T = int(_field(doc, "frames"))
+        jd = _object(_field(doc, "joint"), "joint")
         hand_window = tuple(int(x) for x in doc.get("hand_window", (0, T - 1)))
         motion = _object(jd.get("motion", {}), "joint.motion")
         if "profile" in motion:
@@ -369,8 +379,8 @@ def config_from_dict(doc: dict) -> SynthConfig:
         else:
             profile = ramp_profile(T, hand_window, float(motion.get("magnitude", 0.5)))
         joint = JointSpec(
-            joint_type=jd["type"],
-            axis_dir=np.asarray(jd["axis_dir"], dtype=float),
+            joint_type=_field(jd, "type", "joint: "),
+            axis_dir=np.asarray(_field(jd, "axis_dir", "joint: "), dtype=float),
             axis_point=None
             if jd.get("axis_point") is None
             else np.asarray(jd["axis_point"], dtype=float),
@@ -396,7 +406,7 @@ def config_from_dict(doc: dict) -> SynthConfig:
             )
         elif kind == "poses":
             path = []
-            for i, p in enumerate(cam["poses"]):
+            for i, p in enumerate(_field(cam, "poses", "camera: ")):
                 try:
                     path.append(RigidTransform.from_dict(p))
                 except (TypeError, ValueError) as e:
@@ -418,7 +428,8 @@ def config_from_dict(doc: dict) -> SynthConfig:
         if "part_center" in doc:
             kwargs["part_center"] = np.asarray(doc["part_center"], dtype=float)
         if "intrinsics" in doc:
-            kwargs["intrinsics"] = CameraIntrinsics.from_dict(doc["intrinsics"])
+            K = _object(doc["intrinsics"], "intrinsics")
+            kwargs["intrinsics"] = CameraIntrinsics(*(_field(K, k, "intrinsics: ") for k in ("fx", "fy", "cx", "cy")))
         return SynthConfig(
             seed=int(doc.get("seed", 0)),
             joint=joint,

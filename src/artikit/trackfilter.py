@@ -4,7 +4,8 @@ Each filter reads a segment's tracks stacked on a leading axis (a
 ``SegmentTrack``), or one value per track, and returns an (N,) bool keep
 mask. The static filter splits each segment's tracks at Otsu's threshold
 (Otsu, 1979) on the log10 of their motion scores, so the share removed as
-background is found from the scores themselves.
+background is found from the scores themselves. Motion is scored on world
+positions: under a moving camera, pixel motion mixes in the camera's motion.
 """
 
 from __future__ import annotations
@@ -18,32 +19,31 @@ from .errors import InsufficientTracksError
 
 MAD_FLOOR = 1e-9  # keeps the outlier bound meaningful when residuals are near-identical
 SCORE_FLOOR = 1e-12  # gives zero motion scores a log
-STATIC_MODES = ("image2d", "world3d")  # motion scored on pixel tracks or world positions
 
 
 @dataclass
 class FilterConfig:
-    static_mode: str = "world3d"  # motion scored on "world3d" (world positions) or "image2d" (pixels)
+    static_mode: str = "world3d"  # the only value: motion is scored on world positions
     sigma_reliable: float = bounded(0.5, "[0, 1]")  # max tolerated fraction of unobserved frames
     outlier_k: float = bounded(3.0, ">= 0")  # MAD multiplier for the residual gate
 
     def __post_init__(self):
         check_bounds(self)
-        if self.static_mode not in STATIC_MODES:
-            raise ValueError(f"static_mode must be one of {STATIC_MODES}, got {self.static_mode!r}")
+        if self.static_mode != "world3d":
+            raise ValueError(f"filter.static_mode must be 'world3d', got {self.static_mode!r}: motion is "
+                             "scored on world positions, since pixel motion mixes camera and part motion")
 
 
-def motion_score(tracks, mode: str) -> np.ndarray:
-    """Each track's total positional variance over observed frames (sum of
-    per-axis variances, ``np.var``'s to the bit), shaped (N,).
+def motion_score(tracks) -> np.ndarray:
+    """Each track's total world-positional variance over observed frames
+    (sum of per-axis variances, ``np.var``'s to the bit), shaped (N,).
 
     Tracks with fewer than two observations score zero: they carry no motion
     evidence and fall with the static background.
     """
-    coords = tracks.uv if mode == "image2d" else tracks.world
     seen, n = tracks.valid[..., None], np.count_nonzero(tracks.valid, axis=-1)[..., None]
-    mean = np.where(seen, coords, 0.0).sum(axis=-2, keepdims=True) / np.maximum(n, 1)[..., None]
-    dev = np.where(seen, coords - mean, 0.0)
+    mean = np.where(seen, tracks.world, 0.0).sum(axis=-2, keepdims=True) / np.maximum(n, 1)[..., None]
+    dev = np.where(seen, tracks.world - mean, 0.0)
     return np.where(n[..., 0] < 2, 0.0, ((dev * dev).sum(axis=-2) / np.maximum(n, 1)).sum(axis=-1))
 
 
@@ -55,7 +55,7 @@ def filter_static(tracks, cfg: FilterConfig) -> np.ndarray:
     n = len(tracks)
     if n == 0:
         raise ValueError("filter_static requires at least one track")
-    logs = np.log10(np.maximum(motion_score(tracks, cfg.static_mode), SCORE_FLOOR))
+    logs = np.log10(np.maximum(motion_score(tracks), SCORE_FLOOR))
     s = np.sort(logs)
     if s[0] == s[-1]:
         return np.ones(n, dtype=bool)

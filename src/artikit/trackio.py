@@ -24,8 +24,8 @@ field with finiteness checks; each track holds rows of those arrays. Frames
 or tracks that fail go through the element-by-element walk, which finds and
 names the first bad element, so the bulk path never decides an error
 message. Lifting and world mapping take one track or a stack of tracks with
-a leading track axis; the pipeline carries a segment's tracks as one such
-stack, a ``SegmentTrack``.
+a leading track axis; the pipeline carries a segment's lifted world tracks
+as one stack, a ``SegmentTrack``, and pixel coordinates stop at the lift.
 Files are written as compact one-line JSON.
 """
 
@@ -92,7 +92,7 @@ class Track3D:
 
 @dataclass
 class SegmentTrack:
-    """One segment's tracks, stacked on a leading track axis.
+    """One segment's world tracks, stacked on a leading track axis.
 
     ``valid`` is the observation mask (visible and lifted successfully); it is
     preserved through smoothing so estimation never treats interpolated
@@ -100,7 +100,6 @@ class SegmentTrack:
     """
 
     id: np.ndarray  # (N,)
-    uv: np.ndarray  # (N, T, 2)
     world: np.ndarray  # (N, T, 3)
     valid: np.ndarray  # (N, T) bool
 
@@ -109,7 +108,7 @@ class SegmentTrack:
 
     def take(self, rows) -> "SegmentTrack":
         """The tracks selected by ``rows``, a keep mask or row indices."""
-        return SegmentTrack(self.id[rows], self.uv[rows], self.world[rows], self.valid[rows])
+        return SegmentTrack(self.id[rows], self.world[rows], self.valid[rows])
 
 
 @dataclass

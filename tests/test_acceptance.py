@@ -125,7 +125,7 @@ def test_criterion_3_registration_oracle():
         T = RigidTransform(exp_map(Twist(axis * angle, np.zeros(3)), 1.0).q, rng.uniform(-0.2, 0.2, 3))
         steps.append(T)
         world[:, m + 1] = apply(T, world[:, m])
-    tracks = SegmentTrack(np.arange(n_pts), None, world, np.ones((n_pts, n_steps + 1), dtype=bool))
+    tracks = SegmentTrack(np.arange(n_pts), world, np.ones((n_pts, n_steps + 1), dtype=bool))
     est = fit_independent(build_correspondences(tracks, stride=1))
     worst = 0.0
     for got, want in zip(est.step_transforms, steps):
@@ -143,7 +143,7 @@ def test_criterion_3_registration_oracle():
         angle = rng.uniform(0.05, 0.5)
         T = RigidTransform(exp_map(Twist(axis * angle, np.zeros(3)), 1.0).q, rng.uniform(-0.2, 0.2, 3))
         Y = apply(T, X) + rng.normal(0.0, 0.005, (100, 3))
-        pair = SegmentTrack(np.arange(100), None, np.stack([X, Y], axis=1), np.ones((100, 2), dtype=bool))
+        pair = SegmentTrack(np.arange(100), np.stack([X, Y], axis=1), np.ones((100, 2), dtype=bool))
         got = fit_independent(build_correspondences(pair, stride=1)).step_transforms[0]
         errs_deg.append(math.degrees(rotation_angle(compose(got, inverse(T)))))
     p95 = float(np.percentile(errs_deg, 95))

@@ -17,7 +17,7 @@ from artikit import cli
 from artikit.cli import _overrides, build_parser, main
 from artikit.jsonio import load_json
 from artikit.lie import RigidTransform
-from artikit.pipeline import PipelineConfig, effective_config
+from artikit.pipeline import PipelineConfig, effective_config, load_segment_data
 from artikit.synth import JointSpec, SynthConfig, generate
 from artikit.trackio import load_trackset, save_trackset
 
@@ -147,7 +147,55 @@ def test_every_tuning_flag_sets_its_config_key():
             assert _overrides(args) == {action.dest: value}
             assert effective_config(None, _overrides(args)).to_dict() == PipelineConfig().to_dict()
             seen.add(action.dest)
-    assert seen == set(defaults)  # every settable value has a flag
+    # every settable value has a flag, but the one-valued filter.static_mode
+    assert seen == set(defaults) - {"filter.static_mode"}
+
+
+@pytest.mark.parametrize("argv", [["filter", "--segments", "s.json"], ["run"]], ids=["filter", "run"])
+def test_static_mode_is_not_a_flag(capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        build_parser().parse_args(argv + ["--tracks", "t.json", "--out", "o.json", "--static-mode", "world3d"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --static-mode world3d" in capsys.readouterr().err
+
+
+def test_image2d_static_mode_exits_2_naming_the_field_and_why(workdir, capsys):
+    cfg = workdir / "image2d.json"
+    cfg.write_text(json.dumps({"filter": {"static_mode": "image2d"}}))
+    assert main(["run", "--tracks", str(workdir / "tracks.json"), "--out", str(workdir / "o.json"),
+                 "--config", str(cfg)]) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0]) == {
+        "error": "ArtikitError",
+        "message": "bad configuration: filter.static_mode must be 'world3d', got 'image2d': motion is "
+                   "scored on world positions, since pixel motion mixes camera and part motion",
+    }
+    assert not (workdir / "o.json").exists()
+
+
+def test_segment_data_with_pixel_tracks_reads_and_runs_as_without(workdir):
+    """Segment-data files once carried each track's ``uv``: such a file loads
+    to the same stacks, and the next stage writes the same bytes."""
+    run_and_stage(workdir, str(workdir / "tracks.json"))
+    c = str(workdir / "pipeline.json")
+    for name, command, want in (("filtered", "smooth", "smoothed"), ("smoothed", "estimate", "staged")):
+        new = workdir / f"{name}.json"
+        doc = load_json(new)
+        for s in doc["segments"]:
+            assert s["tracks"] and all(list(tr) == ["id", "world", "valid"] for tr in s["tracks"])
+            s["tracks"] = [{"id": tr["id"], "uv": [[320.0 + k, 240.0 - t] for t in range(len(tr["valid"]))], **tr}
+                           for k, tr in enumerate(s["tracks"])]
+        old = workdir / f"old-{name}.json"
+        old.write_text(json.dumps(doc))
+        for (seg, a, counts), (seg2, b, counts2) in zip(load_segment_data(new)[0], load_segment_data(old)[0],
+                                                         strict=True):
+            assert (seg, counts) == (seg2, counts2)
+            assert np.array_equal(a.id, b.id) and np.array_equal(a.valid, b.valid)
+            assert np.array_equal(a.world, b.world, equal_nan=True)
+        out = workdir / f"from-old-{name}.json"
+        assert main([command, "--segdata", str(old), "--out", str(out), "--config", c]) == 0
+        assert out.read_bytes() == (workdir / f"{want}.json").read_bytes()
 
 
 def test_worker_count_does_not_change_output(workdir):
@@ -434,8 +482,7 @@ def test_missing_subcommand_is_a_usage_error():
 def three_frame_segdata(mutate) -> dict:
     """A segment-data file of one three-frame segment holding one track;
     ``mutate`` edits the segment's entry."""
-    track = {"id": 0, "uv": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
-             "world": [[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.2, 0.0, 1.0]],
+    track = {"id": 0, "world": [[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.2, 0.0, 1.0]],
              "valid": [True, True, True]}
     entry = {"segment": {"start": 0, "end": 2}, "filter_counts": {}, "tracks": [track]}
     mutate(entry)
@@ -446,15 +493,24 @@ def three_frame_segdata(mutate) -> dict:
 @pytest.mark.parametrize("mutate, field", [
     (lambda s: s["tracks"][0].update(world=[row[:2] for row in s["tracks"][0]["world"]]), "tracks[0].world"),
     (lambda s: s["tracks"][0]["world"].pop(), "tracks[0].world"),
-    (lambda s: s["tracks"][0]["uv"].pop(), "tracks[0].uv"),
     (lambda s: s["tracks"][0]["world"].__setitem__(1, None), "tracks[0].world[1]"),
-    (lambda s: [s["tracks"][0][k].pop() for k in ("uv", "world", "valid")], "tracks[0].valid"),
+    (lambda s: [s["tracks"][0][k].pop() for k in ("world", "valid")], "tracks[0].valid"),
     (lambda s: s["segment"].update(end=2.0), "segment"),
     (lambda s: s["segment"].update(start="0"), "segment"),
     (lambda s: s["segment"].update(start=False), "segment"),
-], ids=["world-two-columns", "world-short", "uv-short", "world-null-on-valid-frame",
-        "shorter-than-segment", "end-fraction", "start-string", "start-boolean"])
+    (lambda s: s["tracks"][0].update(id=7.9), "tracks[0].id: must be an integer in the signed 64-bit range"),
+    (lambda s: s["tracks"][0].update(id="7"), "tracks[0].id: must be an integer in the signed 64-bit range"),
+    (lambda s: s["tracks"][0]["valid"].__setitem__(1, "no"), "tracks[0].valid[1]: must be a boolean, got 'no'"),
+    (lambda s: s["tracks"][0]["valid"].__setitem__(1, 1), "tracks[0].valid[1]: must be a boolean, got 1"),
+    (lambda s: s["tracks"][0]["world"][1].__setitem__(2, "1.5"),
+     "tracks[0].world[1][2]: expected a number, got '1.5'"),
+    (lambda s: s["tracks"][0]["world"][1].__setitem__(0, True), "tracks[0].world[1][0]: expected a number, got True"),
+    (lambda s: s["tracks"][0]["world"][2].__setitem__(1, 10**400), "tracks[0].world[2][1]: expected a finite number"),
+], ids=["world-two-columns", "world-short", "world-null-on-valid-frame", "shorter-than-segment",
+        "end-fraction", "start-string", "start-boolean", "id-fraction", "id-string", "valid-string",
+        "valid-integer", "world-string", "world-boolean", "world-huge-integer"])
 def test_malformed_segment_data_exits_2_with_json_error(tmp_path, capsys, command, mutate, field):
+    """``field`` names the element, and may go on with the message's text."""
     segdata = tmp_path / "segdata.json"
     segdata.write_text(json.dumps(three_frame_segdata(mutate)))
     rc = main([command, "--segdata", str(segdata), "--out", str(tmp_path / "o.json")])
@@ -463,7 +519,8 @@ def test_malformed_segment_data_exits_2_with_json_error(tmp_path, capsys, comman
     assert len(err_lines) == 1
     msg = json.loads(err_lines[0])
     assert msg["error"] == "TrackFileError"
-    assert msg["message"].startswith(f"{segdata}.segments[0].{field}: ")
+    where, _, reason = field.partition(": ")
+    assert msg["message"].startswith(f"{segdata}.segments[0].{where}: {reason}")
 
 
 def one_frame_tracks(**overrides) -> dict:
@@ -545,6 +602,29 @@ def test_synth_names_the_bad_explicit_camera_pose(tmp_path, capsys, case):
     msg = json.loads(err_lines[0])
     assert msg["error"] == "TrackFileError"
     assert msg["message"] == f"scene config: camera.poses[3]: {reason}"
+    assert not (tmp_path / "t.json").exists()
+
+
+MISSING_SCENE_KEYS = {
+    "frames": (lambda d: d.pop("frames"), "missing frames"),
+    "joint-type": (lambda d: d["joint"].pop("type"), "joint: missing type"),
+    "camera-poses": (lambda d: d.update(camera={"kind": "poses"}), "camera: missing poses"),
+    "intrinsics-fy": (lambda d: d.update(intrinsics={"fx": 500.0, "cx": 320.0, "cy": 240.0}),
+                      "intrinsics: missing fy"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_SCENE_KEYS))
+def test_synth_names_a_missing_scene_key(tmp_path, capsys, case):
+    mutate, reason = MISSING_SCENE_KEYS[case]
+    doc = scene_doc()
+    mutate(doc)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    assert main(["synth", "--config", str(scene), "--out-tracks", str(tmp_path / "t.json")]) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0]) == {"error": "TrackFileError", "message": f"scene config: {reason}"}
     assert not (tmp_path / "t.json").exists()
 
 

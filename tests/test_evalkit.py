@@ -15,7 +15,7 @@ from artikit.evalkit import (
     render_report,
 )
 from artikit.jsonio import dump_json
-from artikit.synth import GroundTruthJoint
+from artikit.synth import GroundTruthJoint, load_ground_truth
 
 
 def joint(start, end, jtype, axis_dir, axis_point=None):
@@ -209,6 +209,24 @@ def test_evaluate_rejects_malformed_entries():
         evaluate([{"segment": {"start": 0, "end": 10}}], gt)
     with pytest.raises(ValueError, match="unknown type"):
         evaluate([joint(0, 10, "helical", [1.0, 0.0, 0.0])], gt)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("axis_dir", ["0", "0", True]),
+    ("axis_dir", [0, 0, True]),
+    ("axis_dir", [0.0, "1.0", 0.0]),
+    ("axis_point", [0.4, 0.0, False]),
+    ("axis_point", ["0.4", 0.0, 1.0]),
+], ids=["dir-strings-and-boolean", "dir-boolean", "dir-string", "point-boolean", "point-string"])
+def test_joint_entries_read_numbers_only(tmp_path, field, value):
+    entry = dict(joint(0, 10, "revolute", [0.0, 0.0, 1.0], [0.4, 0.0, 1.0]), **{field: value})
+    with pytest.raises(ValueError) as ei:
+        GroundTruthJoint.from_dict(entry)
+    assert str(ei.value) == f"{field}: must be 3 finite numbers, got {value!r}"
+    dump_json(tmp_path / "gt.json", [entry])
+    with pytest.raises(TrackFileError) as ei:
+        load_ground_truth(tmp_path / "gt.json")
+    assert str(ei.value) == f"{tmp_path / 'gt.json'}[0]: {field}: must be 3 finite numbers, got {value!r}"
 
 
 # ---------------------------------------------------------------------------

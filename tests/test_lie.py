@@ -238,6 +238,17 @@ def test_twist_vector_and_dict_round_trips():
     assert np.all(back.q == T.q) and np.all(back.t == T.t)
 
 
+@pytest.mark.parametrize("doc, reason", [
+    ({"v": [0.0, 0.0, 1.0]}, "missing omega"),
+    ({"omega": [0.0, 0.0, 1.0]}, "missing v"),
+    ([0.0, 0.0, 1.0], "must be an object, got [0.0, 0.0, 1.0]"),
+], ids=["missing-omega", "missing-v", "not-an-object"])
+def test_twist_from_dict_says_what_is_wrong(doc, reason):
+    with pytest.raises(ValueError) as ei:
+        lie.Twist.from_dict(doc)
+    assert str(ei.value) == reason
+
+
 def test_rigid_transform_validation():
     with pytest.raises(ValueError):
         lie.RigidTransform(np.array([1.0, 0, 0]), np.zeros(3))

@@ -361,7 +361,6 @@ def test_segment_data_round_trip(tmp_path):
     assert len(tracks2) == len(tracks)
     assert np.array_equal(tracks2.id, tracks.id)
     assert np.array_equal(tracks2.valid, tracks.valid)
-    assert np.array_equal(tracks2.uv, tracks.uv)
     assert np.array_equal(tracks2.world, tracks.world, equal_nan=True)
 
 
@@ -371,7 +370,7 @@ def test_segment_data_without_tracks_loads_an_empty_stack(tmp_path):
         {"segment": {"start": 0, "end": 2}, "filter_counts": {}, "tracks": []}]}))
     (seg, tracks, counts), = load_segment_data(path)[0]
     assert len(tracks) == 0
-    assert (tracks.uv.shape, tracks.world.shape, tracks.valid.shape) == ((0, 3, 2), (0, 3, 3), (0, 3))
+    assert (tracks.id.shape, tracks.world.shape, tracks.valid.shape) == ((0,), (0, 3, 3), (0, 3))
     with pytest.raises(IllPosedError):
         stage_smooth(tracks, PipelineConfig(), counts)
     assert counts == {"unsmoothable": 0}

@@ -25,15 +25,12 @@ from artikit.trackfilter import (
 from artikit.trackio import CameraIntrinsics, SegmentTrack, Track, TrackSet
 
 
-def make_tracks(world, valid=None, uv=None):
-    """Tracks stacked on the leading axis of ``world`` (N, T, 3), ids 0..N-1;
-    pixels default to the world x and y."""
+def make_tracks(world, valid=None):
+    """Tracks stacked on the leading axis of ``world`` (N, T, 3), ids 0..N-1."""
     world = np.asarray(world, dtype=float)
     if valid is None:
         valid = np.ones(world.shape[:2], dtype=bool)
-    if uv is None:
-        uv = world[..., :2].copy()
-    return SegmentTrack(np.arange(len(world)), np.asarray(uv, dtype=float), world, np.asarray(valid, dtype=bool))
+    return SegmentTrack(np.arange(len(world)), world, np.asarray(valid, dtype=bool))
 
 
 def line_tracks(steps):
@@ -46,33 +43,31 @@ def line_tracks(steps):
 def test_motion_score_hand_example():
     # x coordinates 0, 2 with mean 1: var over both axes summed
     world = np.array([[[0.0, 0, 0], [2.0, 0, 0]]])
-    assert motion_score(make_tracks(world), "world3d") == pytest.approx([1.0])
-    # image mode reads pixel coordinates instead
-    tr = make_tracks(world, uv=np.array([[[0.0, 0.0], [0.0, 4.0]]]))
-    assert motion_score(tr, "image2d") == pytest.approx([4.0])
+    assert motion_score(make_tracks(world)) == pytest.approx([1.0])
+    # the axes' variances add: y coordinates 0, 4 add 4
+    world[0, 1, 1] = 4.0
+    assert motion_score(make_tracks(world)) == pytest.approx([5.0])
 
 
 def test_motion_score_needs_two_observations():
     tr = make_tracks(np.random.default_rng(0).normal(size=(1, 4, 3)), valid=[[True, False, False, False]])
-    assert motion_score(tr, "world3d")[0] == 0.0
+    assert motion_score(tr)[0] == 0.0
 
 
 def test_motion_score_of_a_stack_equals_np_var_per_track():
     rng = np.random.default_rng(6)
     N, T = 12, 40
     world = rng.normal(size=(N, T, 3)) * rng.uniform(0.01, 10.0, (N, 1, 1))
-    uv = rng.normal(size=(N, T, 2)) * 100.0
     valid = rng.random((N, T)) < rng.uniform(0.0, 1.0, (N, 1))
     valid[0], valid[1] = False, np.arange(T) == 3  # no observation, one observation
     world[~valid] = np.nan
-    stack = SegmentTrack(np.arange(N), uv, world, valid)
-    for mode, coords in (("world3d", world), ("image2d", uv)):
-        scores = motion_score(stack, mode)
-        for i in range(N):
-            pts = coords[i][valid[i]]
-            want = float(np.sum(np.var(pts, axis=0))) if len(pts) >= 2 else 0.0
-            assert scores[i] == want
-            assert motion_score(stack.take([i]), mode)[0] == want
+    stack = SegmentTrack(np.arange(N), world, valid)
+    scores = motion_score(stack)
+    for i in range(N):
+        pts = world[i][valid[i]]
+        want = float(np.sum(np.var(pts, axis=0))) if len(pts) >= 2 else 0.0
+        assert scores[i] == want
+        assert motion_score(stack.take([i]))[0] == want
 
 
 def test_static_filter_removes_exact_count():
@@ -95,7 +90,7 @@ def test_static_filter_equal_scores_keep_every_track():
 def test_static_filter_partitions_and_preserves_order():
     tracks = make_tracks(np.random.default_rng(1).normal(size=(9, 6, 3)))
     keep = filter_static(tracks, FilterConfig(static_mode="world3d"))
-    scores = motion_score(tracks, "world3d")
+    scores = motion_score(tracks)
     assert 0 < np.count_nonzero(~keep) < 9
     assert scores[keep].min() > scores[~keep].max()
     assert list(tracks.take(keep).id) == list(np.flatnonzero(keep))
@@ -143,6 +138,9 @@ def test_outlier_no_residuals_raises():
 def test_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(static_mode="pixels")
+    with pytest.raises(ValueError, match=r"^filter\.static_mode must be 'world3d', got 'image2d': motion is "
+                                         r"scored on world positions"):
+        FilterConfig(static_mode="image2d")
     with pytest.raises(ValueError):
         FilterConfig(sigma_reliable=1.5)
     with pytest.raises(ValueError):
@@ -161,8 +159,7 @@ def filter_inputs(draw):
     tracks = make_tracks(draw(hnp.arrays(float, (n, T, 3), elements=coords)),
                          valid=draw(hnp.arrays(bool, (n, T))))
     residuals = draw(hnp.arrays(float, n, elements=st.just(np.nan) | st.floats(0.0, 1.0)))
-    cfg = FilterConfig(static_mode=draw(st.sampled_from(["image2d", "world3d"])),
-                       sigma_reliable=draw(st.floats(0.0, 1.0)),
+    cfg = FilterConfig(sigma_reliable=draw(st.floats(0.0, 1.0)),
                        outlier_k=draw(st.floats(0.0, 5.0)))
     return tracks, residuals, cfg, draw(st.permutations(range(n)))
 
@@ -179,7 +176,7 @@ def test_filters_partition_their_input(inputs):
     # the static filter keeps at least one track, every kept score above
     # every removed one; permuting the tracks permutes the mask, and copies
     # of one track, all scored alike, are all kept
-    scores = motion_score(tracks, cfg.static_mode)
+    scores = motion_score(tracks)
     assert static.any()
     if not static.all():
         assert scores[static].min() > scores[~static].max()
@@ -198,11 +195,12 @@ def test_filters_partition_their_input(inputs):
         assert np.array_equal(keep, np.isfinite(residuals) & (residuals <= bound))
 
     # stage_filter: its counts plus the rows it keeps are all the tracks,
-    # here lifted by unit intrinsics and identity camera poses
+    # here lifted from pixels at the world x and y by unit intrinsics and
+    # identity camera poses
     T = tracks.world.shape[1]
     ts = TrackSet(CameraIntrinsics(1.0, 1.0, 0.0, 0.0),
                   [RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))] * T, np.zeros(T, dtype=bool),
-                  [Track(i, tracks.uv[i], tracks.world[i, :, 2], tracks.valid[i]) for i in range(n)])
+                  [Track(i, tracks.world[i, :, :2], tracks.world[i, :, 2], tracks.valid[i]) for i in range(n)])
     try:
         kept, counts = stage_filter(ts, Segment(0, T - 1), PipelineConfig(filter=cfg))
     except InsufficientTracksError:

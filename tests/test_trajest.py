@@ -80,7 +80,7 @@ def screw_tracks(xi, thetas, base, valid=None):
         world[:, t] = apply(exp_map(xi, float(th)), base)
     if valid is None:
         valid = np.ones((n, T), dtype=bool)
-    return SegmentTrack(np.arange(n), None, world, valid)
+    return SegmentTrack(np.arange(n), world, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +289,7 @@ def test_pair_table_holds_every_pair_observed_at_both_keyframes(mask, seed):
     valid, stride = mask
     N, T = valid.shape
     world = np.random.default_rng(seed).normal(size=(N, T, 3))
-    corr = build_correspondences(SegmentTrack(np.arange(N), None, world, valid), stride)
+    corr = build_correspondences(SegmentTrack(np.arange(N), world, valid), stride)
     kf = np.arange(0, T, stride)
     assert np.array_equal(corr.keyframes, kf) and corr.step_count == len(kf) - 1
     assert corr.track_count == N and corr.stride == stride
@@ -327,7 +327,7 @@ def test_fit_independent_recovers_scripted_steps():
         S = rand_transform(rng, max_angle=0.4, max_t=0.2)
         steps.append(S)
         world[:, m + 1] = apply(S, world[:, m])
-    corr = build_correspondences(SegmentTrack(np.arange(n), None, world, np.ones((n, T), bool)), stride=1)
+    corr = build_correspondences(SegmentTrack(np.arange(n), world, np.ones((n, T), bool)), stride=1)
     est = fit_independent(corr)
     assert est.mode == "independent"
     assert len(est.step_transforms) == T - 1
@@ -643,7 +643,7 @@ def test_rotation_about_the_part_centroid_is_revolute(sigma):
         axis /= np.linalg.norm(axis)
         _, R, t = exp_map(Twist(axis, -np.cross(axis, c)), np.linspace(0.0, 1.2, 46))
         world = apply_each(R[None], t[None], base[:, None]) + rng.normal(0.0, sigma, (20, 46, 3))
-        tracks = SegmentTrack(np.arange(20), np.zeros((20, 46, 2)), world, np.ones((20, 46), dtype=bool))
+        tracks = SegmentTrack(np.arange(20), world, np.ones((20, 46), dtype=bool))
         est = pipeline.stage_estimate(tracks, pipeline.PipelineConfig(), {})["estimate"]
         assert est.joint_type == "revolute" and est.flags == [], (draw, est.joint_type, est.flags)
         assert abs(abs(est.axis_dir @ axis) - 1.0) < 1e-3
