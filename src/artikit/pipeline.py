@@ -33,7 +33,7 @@ import numpy as np
 
 from . import jsonio
 from .artmodel import ArticulationEstimate, ClassifierConfig, build_articulation_estimate
-from .bounds import bounded, check_bounds
+from .bounds import bounded, check_bounds, check_keys
 from .errors import ArtikitError, IllPosedError, InsufficientTracksError, TrackFileError
 from .lie import transform_twist
 from .segmenter import Segment, SegmenterConfig, extract_segments, moving_average
@@ -97,21 +97,15 @@ class PipelineConfig:
         would change results without a trace.
         """
         sections = {f.name: f.default_factory for f in fields(cls) if f.default_factory is not MISSING}
-        scalars = {f.name for f in fields(cls)} - sections.keys()
+        check_keys(doc, {f.name for f in fields(cls)})
         kwargs = {}
         for key, val in doc.items():
             if key in sections:
                 if not isinstance(val, dict):
                     raise ValueError(f"config section {key!r} must be an object")
-                known = {f.name for f in fields(sections[key])}
-                for leaf in val:
-                    if leaf not in known:
-                        raise ValueError(f"unknown config key '{key}.{leaf}'")
-                kwargs[key] = sections[key](**val)
-            elif key in scalars:
-                kwargs[key] = val
-            else:
-                raise ValueError(f"unknown config key {key!r}")
+                check_keys(val, {f.name for f in fields(sections[key])}, f"{key}.")
+                val = sections[key](**val)
+            kwargs[key] = val
         return cls(**kwargs)
 
 

@@ -22,12 +22,13 @@ stack and projects every frame's points at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from numbers import Real
 
 import numpy as np
 
 from . import jsonio
+from .bounds import bounded, check_bounds, check_keys, check_value
 from .errors import TrackFileError
 from .lie import RigidTransform, Twist, apply_each, exp_map, inverse, matrix_to_quat, row_norms
 from .segmenter import Segment
@@ -68,35 +69,28 @@ class JointSpec:
 
 @dataclass
 class SynthConfig:
-    seed: int
+    seed: int = bounded(MISSING, ">= 0", int)
     joint: JointSpec
     camera_path: list  # list[RigidTransform], camera-to-world, length T
-    n_dynamic: int = 48
-    n_static: int = 20
-    noise_sigma: float = 0.0  # m, isotropic 3D
-    occlusion_rate: float = 0.0
-    invalid_depth_rate: float = 0.0
+    n_dynamic: int = bounded(48, ">= 1", int)
+    n_static: int = bounded(20, ">= 0", int)
+    noise_sigma: float = bounded(0.0, ">= 0")  # m, isotropic 3D
+    occlusion_rate: float = bounded(0.0, "[0, 1)")
+    invalid_depth_rate: float = bounded(0.0, "[0, 1)")
     hand_window: tuple = None  # (start, end) inclusive; defaults to full range
     intrinsics: CameraIntrinsics = field(default_factory=lambda: DEFAULT_INTRINSICS)
     part_center: np.ndarray | None = None  # dynamic point cloud center at theta=0
-    part_extent: float = 0.5  # m, cube edge for dynamic points
+    part_extent: float = bounded(0.5, ">= 0")  # m, cube edge for dynamic points
     scene_center: np.ndarray | None = None  # static background center
-    scene_extent: float = 1.6
+    scene_extent: float = bounded(1.6, ">= 0")
 
     def __post_init__(self):
+        check_bounds(self)
         T = len(self.camera_path)
         if len(self.joint.motion_profile) != T:
             raise ValueError(
                 f"motion_profile length {len(self.joint.motion_profile)} != camera path length {T}"
             )
-        if self.n_dynamic < 1:
-            raise ValueError("need at least one dynamic point")
-        for name in ("noise_sigma",):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("occlusion_rate", "invalid_depth_rate"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ValueError(f"{name} must be in [0, 1)")
         if self.hand_window is None:
             self.hand_window = (0, T - 1)
         s, e = self.hand_window
@@ -356,6 +350,14 @@ def _field(d: dict, key: str, where: str = ""):
     return d[key]
 
 
+# the keys a scene config may carry; the scalar ones are SynthConfig fields
+_SCALAR_KEYS = ("n_dynamic", "n_static", "noise_sigma", "occlusion_rate", "invalid_depth_rate",
+                "part_extent", "scene_extent")
+_SCENE_KEYS = ("seed", "frames", "joint", "hand_window", "camera", "part_center", "intrinsics", *_SCALAR_KEYS)
+_ARC_KEYS = ("radius", "height", "sweep_deg", "start_deg")
+_INTRINSICS_KEYS = ("fx", "fy", "cx", "cy")
+
+
 def config_from_dict(doc: dict) -> SynthConfig:
     """Build a SynthConfig from a scene description dictionary.
 
@@ -368,43 +370,64 @@ def config_from_dict(doc: dict) -> SynthConfig:
          "camera": {"kind": "arc", "radius": 2.2, "sweep_deg": 25.0},
          "n_dynamic": 48, "n_static": 20,
          "noise_sigma": 0.0, "occlusion_rate": 0.0, "invalid_depth_rate": 0.0}
+
+    Values are read as given, never coerced: a count must be a JSON integer,
+    any other number a JSON number, and a key that is not read is refused,
+    with the pipeline config's texts (``bounds``).
     """
     try:
-        T = int(_field(doc, "frames"))
+        check_keys(doc, _SCENE_KEYS)
+        T = _field(doc, "frames")
+        check_value("frames", T, ">= 1", int)
         jd = _object(_field(doc, "joint"), "joint")
-        hand_window = tuple(int(x) for x in doc.get("hand_window", (0, T - 1)))
+        check_keys(jd, ("type", "axis_dir", "axis_point", "motion"), "joint.")
+        hand_window = doc.get("hand_window", [0, T - 1])
+        if not (isinstance(hand_window, list) and len(hand_window) == 2):
+            raise ValueError(f"hand_window must be [start, end], got {hand_window!r}")
+        for i, x in enumerate(hand_window):
+            check_value(f"hand_window[{i}]", x, kind=int)
+        hand_window = tuple(hand_window)
         motion = _object(jd.get("motion", {}), "joint.motion")
         if "profile" in motion:
-            profile = np.asarray(motion["profile"], dtype=float)
+            check_keys(motion, ("profile",), "joint.motion.")
+            profile = motion["profile"]
+            if not isinstance(profile, list):
+                raise ValueError(f"joint.motion.profile must be a list, got {profile!r}")
+            for t, x in enumerate(profile):
+                check_value(f"joint.motion.profile[{t}]", x)
+            profile = np.asarray(profile, dtype=float)
         else:
-            profile = ramp_profile(T, hand_window, float(motion.get("magnitude", 0.5)))
+            check_keys(motion, ("kind", "magnitude"), "joint.motion.")
+            if motion.get("kind", "ramp") != "ramp":
+                raise ValueError(f"unknown motion kind {motion['kind']!r}")
+            magnitude = motion.get("magnitude", 0.5)
+            check_value("joint.motion.magnitude", magnitude)
+            profile = ramp_profile(T, hand_window, float(magnitude))
         joint = JointSpec(
             joint_type=_field(jd, "type", "joint: "),
-            axis_dir=np.asarray(_field(jd, "axis_dir", "joint: "), dtype=float),
+            axis_dir=_vec3(_field(jd, "axis_dir", "joint: "), "joint.axis_dir"),
             axis_point=None
             if jd.get("axis_point") is None
-            else np.asarray(jd["axis_point"], dtype=float),
+            else _vec3(jd["axis_point"], "joint.axis_point"),
             motion_profile=profile,
         )
         cam = _object(doc.get("camera", {"kind": "arc"}), "camera")
         kind = cam.get("kind", "arc")
         if kind == "arc":
+            check_keys(cam, ("kind", "target", *_ARC_KEYS), "camera.")
             target = cam.get("target")
-            if target is None:
-                target = (
-                    joint.axis_point
-                    if joint.axis_point is not None
-                    else np.array([0.0, 0.0, 1.2])
-                )
-            path = arc_camera_path(
-                T,
-                target,
-                radius=float(cam.get("radius", 2.2)),
-                height=float(cam.get("height", 0.3)),
-                sweep_deg=float(cam.get("sweep_deg", 25.0)),
-                start_deg=float(cam.get("start_deg", 200.0)),
-            )
+            if target is not None:
+                target = _vec3(target, "camera.target")
+            elif joint.axis_point is not None:
+                target = joint.axis_point
+            else:
+                target = np.array([0.0, 0.0, 1.2])
+            arc = {key: cam[key] for key in _ARC_KEYS if key in cam}
+            for key, val in arc.items():
+                check_value(f"camera.{key}", val)
+            path = arc_camera_path(T, target, **arc)
         elif kind == "poses":
+            check_keys(cam, ("kind", "poses"), "camera.")
             path = []
             for i, p in enumerate(_field(cam, "poses", "camera: ")):
                 try:
@@ -413,29 +436,21 @@ def config_from_dict(doc: dict) -> SynthConfig:
                     raise ValueError(f"camera.poses[{i}]: {e}") from None
         else:
             raise ValueError(f"unknown camera kind {kind!r}")
-        kwargs = {}
-        for key in (
-            "n_dynamic",
-            "n_static",
-            "noise_sigma",
-            "occlusion_rate",
-            "invalid_depth_rate",
-            "part_extent",
-            "scene_extent",
-        ):
-            if key in doc:
-                kwargs[key] = doc[key]
+        kwargs = {key: doc[key] for key in _SCALAR_KEYS if key in doc}
         if "part_center" in doc:
-            kwargs["part_center"] = np.asarray(doc["part_center"], dtype=float)
+            kwargs["part_center"] = _vec3(doc["part_center"], "part_center")
         if "intrinsics" in doc:
             K = _object(doc["intrinsics"], "intrinsics")
-            kwargs["intrinsics"] = CameraIntrinsics(*(_field(K, k, "intrinsics: ") for k in ("fx", "fy", "cx", "cy")))
+            check_keys(K, _INTRINSICS_KEYS, "intrinsics.")
+            for key in _INTRINSICS_KEYS:
+                check_value(f"intrinsics.{key}", _field(K, key, "intrinsics: "))
+            kwargs["intrinsics"] = CameraIntrinsics(*(K[key] for key in _INTRINSICS_KEYS))
         return SynthConfig(
-            seed=int(doc.get("seed", 0)),
+            seed=doc.get("seed", 0),
             joint=joint,
             camera_path=path,
             hand_window=hand_window,
             **kwargs,
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise TrackFileError(f"scene config: {e}") from e

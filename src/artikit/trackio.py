@@ -5,13 +5,16 @@ detection flag, plus a set of 2D point tracks with per-frame depth and
 visibility. Units are meters, pixels, radians throughout; depth is along the
 camera z axis. NaN depth is encoded as null on disk.
 
-Schema (version 1)::
+Schema (version 2)::
 
-    {"version": 1,
+    {"version": 2,
      "units": {"length": "m"},
      "intrinsics": {"fx": .., "fy": .., "cx": .., "cy": ..},
      "frames": [{"t": 0, "cam_pose": {"q": [w,x,y,z], "t": [x,y,z]}, "hand": false}, ...],
-     "tracks": [{"id": 0, "uv": [[u,v], ...], "depth": [..|null, ...], "vis": [true, ...]}, ...]}
+     "tracks": [{"id": 0, "u": [..], "v": [..], "depth": [..|null, ...], "vis": [true, ...]}, ...]}
+
+A track's per-frame fields are flat lists of T scalars; in memory ``u`` and
+``v`` are the columns of one (T, 2) ``uv`` array.
 
 A track ``id`` is an integer in the signed 64-bit range [-2**63, 2**63 - 1].
 Validation errors name the offending field and index. A frame where
@@ -21,11 +24,12 @@ is legal in the file and is marked invalid at lift time.
 Loading checks the frames, then all tracks at once, in bulk first: the
 element types of the tracks' flat lists, then one (tracks, frames) array per
 field with finiteness checks; each track holds rows of those arrays. Frames
-or tracks that fail go through the element-by-element walk, which finds and
-names the first bad element, so the bulk path never decides an error
-message. Lifting and world mapping take one track or a stack of tracks with
-a leading track axis; the pipeline carries a segment's lifted world tracks
-as one stack, a ``SegmentTrack``, and pixel coordinates stop at the lift.
+or tracks that fail go through the element-by-element walk, which checks a
+track's u, v, vis and depth in that order and names the first bad element,
+so the bulk path never decides an error message. Lifting and world mapping
+take one track or a stack of tracks with a leading track axis; the pipeline
+carries a segment's lifted world tracks as one stack, a ``SegmentTrack``,
+and pixel coordinates stop at the lift.
 Files are written as compact one-line JSON.
 """
 
@@ -44,6 +48,7 @@ from .errors import TrackFileError
 from .lie import RigidTransform, apply_each, quat_to_matrix
 
 DEFAULT_MAX_DEPTH = 10.0  # meters; depth beyond this is treated as sensor junk
+VERSION = 2  # of the track-file schema
 
 
 @dataclass
@@ -208,6 +213,7 @@ def _as_number(x, where: str) -> float:
     return val
 
 
+_PER_FRAME = ("u", "v", "depth", "vis")  # a track's lists of T scalars, in file order
 _NUMBER = {int, float}
 _NUMBER_OR_NULL = {int, float, type(None)}
 
@@ -216,25 +222,20 @@ def _track_stacks(raw_tracks: list, T: int):
     """(uv, depth, vis) stacks, shaped (N, T, 2), (N, T) and (N, T), of
     structurally checked tracks, or None if an element is bad.
 
-    Type checks over all tracks' flat lists, then one conversion per array.
+    Type checks over all tracks' flat lists, then one conversion per list.
     None hands the tracks to ``_walk_track``, which finds the first bad element.
     """
-    pts = list(chain.from_iterable(tr["uv"] for tr in raw_tracks))
-    if not (set(map(type, pts)) <= {list} and set(map(len, pts)) <= {2}):
-        return None
-    flat = list(chain.from_iterable(pts))
-    del pts
-    if not set(map(type, flat)) <= _NUMBER:
-        return None
+    cols = []
     try:
-        uv = np.array(flat, dtype=float).reshape(-1, T, 2)
-        flat = list(chain.from_iterable(tr["depth"] for tr in raw_tracks))
-        if not set(map(type, flat)) <= _NUMBER_OR_NULL:
-            return None
-        depth = np.array(flat, dtype=float).reshape(-1, T)  # null becomes NaN
+        for name, types in (("u", _NUMBER), ("v", _NUMBER), ("depth", _NUMBER_OR_NULL)):
+            flat = list(chain.from_iterable(tr[name] for tr in raw_tracks))
+            if not set(map(type, flat)) <= types:
+                return None
+            cols.append(np.array(flat, dtype=float).reshape(-1, T))  # null becomes NaN
     except OverflowError:  # an integer too large for a float
         return None
-    # every NaN depth must come from a null: a NaN or infinite literal is bad
+    uv, depth = np.stack(cols[:2], axis=-1), cols[2]
+    # every NaN depth must come from a null in depth's list: a NaN or infinite literal is bad
     if not np.isfinite(uv).all() or np.count_nonzero(~np.isfinite(depth)) != flat.count(None):
         return None
     flat = list(chain.from_iterable(tr["vis"] for tr in raw_tracks))
@@ -243,14 +244,11 @@ def _track_stacks(raw_tracks: list, T: int):
     return uv, depth, np.array(flat, dtype=bool).reshape(-1, T)
 
 
-def _walk_track(uv: list, depth: list, vis: list, w: str):
+def _walk_track(u: list, v: list, depth: list, vis: list, w: str):
     """The element-by-element check: raises naming the first bad element."""
-    T = len(uv)
-    uv_arr = np.zeros((T, 2))
-    for t, pt in enumerate(uv):
-        _require(isinstance(pt, list) and len(pt) == 2, f"{w}.uv[{t}]", "must be a [u, v] pair")
-        uv_arr[t, 0] = _as_number(pt[0], f"{w}.uv[{t}][0]")
-        uv_arr[t, 1] = _as_number(pt[1], f"{w}.uv[{t}][1]")
+    uv_arr = np.column_stack([[_as_number(x, f"{w}.{name}[{t}]") for t, x in enumerate(col)]
+                              for name, col in (("u", u), ("v", v))])
+    T = len(vis)
     vis_arr = np.zeros(T, dtype=bool)
     for t, b in enumerate(vis):
         _require(isinstance(b, bool), f"{w}.vis[{t}]", f"must be a boolean, got {b!r}")
@@ -320,7 +318,7 @@ def load_trackset(path) -> TrackSet:
 
     A file with several faults reports the first one met in this order: the
     top level, intrinsics and frames; each track's structure (an object, an
-    integer id not seen before, uv/depth/vis lists of the frame count),
+    integer id not seen before, u/v/depth/vis lists of the frame count),
     track by track; the element types and finiteness of every track, track
     by track; the visible-depth rule, by track and then by frame.
     The cyclic collector stays paused until the parsed document is freed.
@@ -328,7 +326,7 @@ def load_trackset(path) -> TrackSet:
     doc = jsonio.load_json(path)
     where = str(path)
     _require(isinstance(doc, dict), where, "top level must be an object")
-    _require(doc.get("version") == 1, where, f"version must be 1, got {doc.get('version')!r}")
+    _require(doc.get("version") == VERSION, where, f"version must be {VERSION}, got {doc.get('version')!r}")
     units = doc.get("units", {})
     _require(isinstance(units, dict), f"{where}.units", "must be an object")
     _require(units.get("length", "m") == "m", f"{where}.units", "length unit must be 'm'")
@@ -359,13 +357,13 @@ def load_trackset(path) -> TrackSet:
         _require(isinstance(tid, int) and not isinstance(tid, bool) and -2**63 <= tid < 2**63, f"{w}.id", _ID_RULE)
         _require(tid not in seen_ids, f"{w}.id", f"duplicate track id {tid}")
         seen_ids.add(tid)
-        for name in ("uv", "depth", "vis"):
+        for name in _PER_FRAME:
             arr = tr.get(name)
             _require(isinstance(arr, list), f"{w}.{name}", "must be a list")
             _require(len(arr) == T, f"{w}.{name}", f"length {len(arr)} != frame count {T}")
     stacks = _track_stacks(raw_tracks, T)
     if stacks is None:
-        walked = [_walk_track(tr["uv"], tr["depth"], tr["vis"], f"{where}.tracks[{k}]")
+        walked = [_walk_track(*(tr[name] for name in _PER_FRAME), f"{where}.tracks[{k}]")
                   for k, tr in enumerate(raw_tracks)]
         stacks = tuple(map(np.stack, zip(*walked)))
     uv, depth, vis = stacks
@@ -387,8 +385,8 @@ def save_trackset(path, ts: TrackSet) -> None:
     Before anything is written, what load would reject raises TrackFileError
     naming its field: no frames (the loader's text); a hand that is not one
     flag per frame; then, track by track, an id outside the signed 64-bit range
-    or seen before (the loader's texts); a uv, depth or vis whose length is
-    not the frame count (the loader's text) or a uv not shaped (T, 2); a
+    or seen before (the loader's texts); a uv not shaped (T, 2); a depth or
+    vis whose length is not the frame count (the loader's text); a
     non-finite pixel coordinate; an infinite depth; a visible frame without
     finite positive depth (the loader's text). Poses and intrinsics are
     checked when built, so the only non-finite value written is a NaN
@@ -403,10 +401,10 @@ def save_trackset(path, ts: TrackSet) -> None:
         _require(-2**63 <= tr.id < 2**63, f"{w}.id", _ID_RULE)
         _require(tr.id not in seen_ids, f"{w}.id", f"duplicate track id {tr.id}")
         seen_ids.add(tr.id)
-        for name in ("uv", "depth", "vis"):
+        _require(np.shape(tr.uv) == (T, 2), f"{w}.uv", f"shape {np.shape(tr.uv)} != ({T}, 2)")
+        for name in ("depth", "vis"):
             n = len(getattr(tr, name))
             _require(n == T, f"{w}.{name}", f"length {n} != frame count {T}")
-        _require(np.shape(tr.uv)[1:] == (2,), f"{w}.uv[0]", "must be a [u, v] pair")
         bad = np.flatnonzero(~np.all(np.isfinite(tr.uv), axis=1))
         if len(bad):
             t = int(bad[0])
@@ -421,7 +419,7 @@ def save_trackset(path, ts: TrackSet) -> None:
             raise TrackFileError(f"{w}.depth[{t}]: frame is visible but depth is "
                                  f"{None if np.isnan(d) else d!r}; {_VISIBLE_DEPTH_RULE}")
     doc = {
-        "version": 1,
+        "version": VERSION,
         "units": {"length": "m"},
         "intrinsics": ts.intrinsics.to_dict(),
         "frames": [
@@ -432,11 +430,12 @@ def save_trackset(path, ts: TrackSet) -> None:
         "tracks": [
             {
                 "id": int(tr.id),
-                "uv": np.ascontiguousarray(tr.uv, dtype=np.float64),
+                "u": np.ascontiguousarray(tr.uv[:, 0], dtype=np.float64),
+                "v": np.ascontiguousarray(tr.uv[:, 1], dtype=np.float64),
                 "depth": np.ascontiguousarray(tr.depth, dtype=np.float64),
                 "vis": np.ascontiguousarray(tr.vis, dtype=bool),
             }
             for tr in ts.tracks
         ],
     }
-    Path(path).write_bytes(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n")
+    Path(path).write_bytes(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE))

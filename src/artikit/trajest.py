@@ -102,15 +102,13 @@ class TrajectoryEstimate:
 
     ``poses`` stacks the M+1 world poses, with the anchor in row 0.
     ``rms_residual`` is the pair residual rms of either estimator.
-    ``step_transforms`` is populated by the independent estimator only;
-    ``base_twist``/``thetas`` by the regularized estimator only.
+    ``base_twist``/``thetas`` are populated by the regularized estimator only.
     """
 
     mode: str
     anchor: RigidTransform
     poses: tuple  # (q (M+1, 4), t (M+1, 3))
     rms_residual: float
-    step_transforms: list = field(default_factory=list)  # list[RigidTransform], length M
     base_twist: Twist | None = None
     thetas: np.ndarray | None = None
     converged: bool = True
@@ -261,7 +259,6 @@ def fit_independent(corr: CorrespondenceSet, anchor_points=None, steps=None) -> 
         anchor=anchor,
         poses=poses,
         rms_residual=residual_stats(corr, steps)[0],
-        step_transforms=[RigidTransform(q, t) for q, t in zip(*steps)],
     )
 
 

@@ -34,7 +34,7 @@ from artikit.lie import (
 from artikit.segmenter import Segment, SegmenterConfig, extract_segments, match_segments, moving_average, segment_iou
 from artikit.smoother import SmootherConfig, smooth_track, smoothing_energy
 from artikit.trackio import SegmentTrack
-from artikit.trajest import build_correspondences, fit_independent
+from artikit.trajest import build_correspondences, register_steps
 from test_segmenter import naive_moving_average, naive_runs
 from test_smoother import dense_smooth, noisy_problem
 
@@ -126,9 +126,9 @@ def test_criterion_3_registration_oracle():
         steps.append(T)
         world[:, m + 1] = apply(T, world[:, m])
     tracks = SegmentTrack(np.arange(n_pts), world, np.ones((n_pts, n_steps + 1), dtype=bool))
-    est = fit_independent(build_correspondences(tracks, stride=1))
+    registered = zip(*register_steps(build_correspondences(tracks, stride=1)))
     worst = 0.0
-    for got, want in zip(est.step_transforms, steps):
+    for got, want in zip((RigidTransform(q, t) for q, t in registered), steps):
         D = compose(got, inverse(want))
         worst = max(worst, rotation_angle(D) + float(np.linalg.norm(D.t)))
     assert worst < 1e-9
@@ -144,7 +144,7 @@ def test_criterion_3_registration_oracle():
         T = RigidTransform(exp_map(Twist(axis * angle, np.zeros(3)), 1.0).q, rng.uniform(-0.2, 0.2, 3))
         Y = apply(T, X) + rng.normal(0.0, 0.005, (100, 3))
         pair = SegmentTrack(np.arange(100), np.stack([X, Y], axis=1), np.ones((100, 2), dtype=bool))
-        got = fit_independent(build_correspondences(pair, stride=1)).step_transforms[0]
+        got = RigidTransform(*(a[0] for a in register_steps(build_correspondences(pair, stride=1))))
         errs_deg.append(math.degrees(rotation_angle(compose(got, inverse(T)))))
     p95 = float(np.percentile(errs_deg, 95))
     assert p95 < 0.5

@@ -230,13 +230,14 @@ def test_synth_seed_override(workdir):
     assert a.read_bytes() != c.read_bytes()  # scene file says seed 5
 
 
-@pytest.mark.parametrize("extra", [{}, {"note": math.nan}], ids=["orjson-accepts", "orjson-refuses"])
-def test_scene_seed_beyond_64_bits_is_read_exactly(tmp_path, extra):
+# orjson refuses a byte-order mark, which json reads
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["orjson-accepts", "orjson-refuses"])
+def test_scene_seed_beyond_64_bits_is_read_exactly(tmp_path, bom):
     """A 128-bit seed, as SeedSequence().entropy gives, is not rounded to a float."""
     out = {}
     for name, seed in (("file", 2**64 + 1), ("rounded", 2**64)):
         scene = tmp_path / f"{name}.json"
-        scene.write_text(json.dumps(scene_doc(seed=seed, **extra)))
+        scene.write_bytes(bom + json.dumps(scene_doc(seed=seed)).encode())
         out[name] = tmp_path / f"{name}-tracks.json"
         assert main(["synth", "--config", str(scene), "--out-tracks", str(out[name])]) == 0
     out["flag"] = tmp_path / "flag-tracks.json"
@@ -524,7 +525,7 @@ def test_malformed_segment_data_exits_2_with_json_error(tmp_path, capsys, comman
 
 
 def one_frame_tracks(**overrides) -> dict:
-    doc = {"version": 1, "units": {"length": "m"},
+    doc = {"version": 2, "units": {"length": "m"},
            "intrinsics": {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0},
            "frames": [{"t": 0, "cam_pose": {"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0, 0.0]},
                        "hand": False}],
@@ -617,6 +618,46 @@ MISSING_SCENE_KEYS = {
 @pytest.mark.parametrize("case", sorted(MISSING_SCENE_KEYS))
 def test_synth_names_a_missing_scene_key(tmp_path, capsys, case):
     mutate, reason = MISSING_SCENE_KEYS[case]
+    doc = scene_doc()
+    mutate(doc)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    assert main(["synth", "--config", str(scene), "--out-tracks", str(tmp_path / "t.json")]) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0]) == {"error": "TrackFileError", "message": f"scene config: {reason}"}
+    assert not (tmp_path / "t.json").exists()
+
+
+# (mutation of scene_doc(), the message after "scene config: "): values are
+# read as given, never coerced, and a key that is not read is refused
+SCENE_TYPE_ERRORS = {
+    "frames-string": (lambda d: d.update(frames="40"), "frames must be an integer, got '40'"),
+    "hand-window-fraction": (lambda d: d.update(hand_window=[5.9, 34]), "hand_window[0] must be an integer, got 5.9"),
+    "hand-window-triple": (lambda d: d.update(hand_window=[5, 20, 34]),
+                           "hand_window must be [start, end], got [5, 20, 34]"),
+    "camera-radius-string": (lambda d: d.update(camera={"kind": "arc", "radius": "2.2"}),
+                             "camera.radius must be a number, got '2.2'"),
+    "seed-string": (lambda d: d.update(seed="3"), "seed must be an integer, got '3'"),
+    "seed-negative": (lambda d: d.update(seed=-1), "seed must be >= 0, got -1"),
+    "noise-sigma-true": (lambda d: d.update(noise_sigma=True), "noise_sigma must be a number, got True"),
+    "misspelt-key": (lambda d: d.update(noise_sgima=0.01), "unknown config key 'noise_sgima'"),
+    "misspelt-camera-key": (lambda d: d.update(camera={"kind": "arc", "raduis": 2.0}),
+                            "unknown config key 'camera.raduis'"),
+    "n-dynamic-fraction": (lambda d: d.update(n_dynamic=4.5), "n_dynamic must be an integer, got 4.5"),
+    "motion-kind-unknown": (lambda d: d["joint"]["motion"].update(kind="sine"), "unknown motion kind 'sine'"),
+    "magnitude-string": (lambda d: d["joint"]["motion"].update(magnitude="0.6"),
+                         "joint.motion.magnitude must be a number, got '0.6'"),
+    "axis-dir-strings": (lambda d: d["joint"].update(axis_dir=["0", "0", "1"]),
+                         "joint.axis_dir: must be 3 finite numbers, got ['0', '0', '1']"),
+    "intrinsics-string": (lambda d: d.update(intrinsics={"fx": "500", "fy": 500.0, "cx": 320.0, "cy": 240.0}),
+                          "intrinsics.fx must be a number, got '500'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENE_TYPE_ERRORS))
+def test_synth_refuses_a_scene_value_it_would_coerce(tmp_path, capsys, case):
+    mutate, reason = SCENE_TYPE_ERRORS[case]
     doc = scene_doc()
     mutate(doc)
     scene = tmp_path / "scene.json"

@@ -165,6 +165,52 @@ def test_save_rejects_non_finite_uv(tmp_path):
     assert not p.exists()
 
 
+def test_written_file_is_version_2_with_flat_per_frame_lists(tmp_path):
+    ts = make_trackset()
+    p = tmp_path / "a.json"
+    trackio.save_trackset(p, ts)
+    doc = json.loads(p.read_bytes())
+    assert doc["version"] == 2
+    for tr, want in zip(doc["tracks"], ts.tracks, strict=True):
+        assert list(tr) == ["id", "u", "v", "depth", "vis"]
+        assert [tr["u"], tr["v"]] == want.uv.T.tolist()
+
+
+def test_loader_refuses_a_version_1_file(tmp_path):
+    """A file of the old layout, one [u, v] list per frame, is refused by
+    the version rule; no reader of it is kept."""
+    def to_version_1(d):
+        d["version"] = 1
+        for tr in d["tracks"]:
+            tr["uv"] = [list(pt) for pt in zip(tr.pop("u"), tr.pop("v"))]
+
+    p = _doc(tmp_path, to_version_1)
+    with pytest.raises(TrackFileError) as ei:
+        trackio.load_trackset(p)
+    assert str(ei.value) == f"{p}: version must be 2, got 1"
+
+
+@pytest.mark.parametrize("column", ["u", "v"])
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        (True, "expected a number, got True"),
+        ("1.5", "expected a number, got '1.5'"),
+        (None, "expected a number, got None"),
+        ([1.0, 2.0], "expected a number, got [1.0, 2.0]"),
+        (math.nan, "expected a finite number, got nan"),
+        (-math.inf, "expected a finite number, got -inf"),
+        (10**400, "expected a finite number, got 1000"),
+    ],
+    ids=["true", "string", "null", "pair", "nan", "minus-infinity", "huge-integer"],
+)
+def test_loader_names_a_bad_pixel_element(tmp_path, column, bad, reason):
+    p = _doc(tmp_path, lambda d: d["tracks"][1][column].__setitem__(2, bad))
+    with pytest.raises(TrackFileError) as ei:
+        trackio.load_trackset(p)
+    assert str(ei.value).startswith(f"{p}.tracks[1].{column}[2]: {reason}")
+
+
 def hide_with_depth(doc, k, t, depth):
     doc["tracks"][k]["vis"][t] = False
     doc["tracks"][k]["depth"][t] = depth
@@ -183,12 +229,13 @@ def _doc(tmp_path, mutate):
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
-        (lambda d: d.update(version=2), "version"),
+        (lambda d: d.update(version=1), "version"),
         (lambda d: d.pop("intrinsics"), "intrinsics"),
         (lambda d: d["frames"][1].update(t=7), "frames[1]"),
         (lambda d: d["frames"][0].pop("hand"), "hand"),
         (lambda d: d["tracks"][0].update(id=d["tracks"][1]["id"]), "duplicate"),
-        (lambda d: d["tracks"][0]["uv"].pop(), "uv"),
+        pytest.param(lambda d: d["tracks"][0]["u"].pop(), "tracks[0].u: length 4 != frame count 5", id="u-short"),
+        pytest.param(lambda d: d["tracks"][2].pop("v"), "tracks[2].v: must be a list", id="v-missing"),
         (lambda d: d["tracks"][0]["vis"].__setitem__(0, 1), "vis[0]"),
         (lambda d: d["tracks"][0]["depth"].__setitem__(0, None), "depth[0]"),
         (lambda d: d["tracks"][0]["depth"].__setitem__(0, "deep"), "depth[0]"),
@@ -211,18 +258,12 @@ def _doc(tmp_path, mutate):
                      "frames[3].cam_pose: q must be near unit norm", id="q-not-unit"),
         pytest.param(lambda d: d["frames"][2].update(hand=1),
                      "frames[2].hand: must be a boolean", id="hand-int"),
-        pytest.param(lambda d: d["tracks"][0]["uv"][1].__setitem__(0, True),
-                     "tracks[0].uv[1][0]: expected a number, got True", id="uv-true"),
-        pytest.param(lambda d: d["tracks"][0]["uv"][2].append(1.0),
-                     "tracks[0].uv[2]: must be a [u, v] pair", id="uv-triple"),
-        pytest.param(lambda d: d["tracks"][0]["uv"].__setitem__(3, 5.0),
-                     "tracks[0].uv[3]: must be a [u, v] pair", id="uv-row-number"),
-        pytest.param(lambda d: d["tracks"][0]["uv"].__setitem__(3, "uv"),
-                     "tracks[0].uv[3]: must be a [u, v] pair", id="uv-row-string"),
-        pytest.param(lambda d: d["tracks"][0]["uv"][1].__setitem__(1, math.nan),
-                     "tracks[0].uv[1][1]: expected a finite number, got nan", id="uv-nan"),
-        pytest.param(lambda d: d["tracks"][2]["uv"][4].__setitem__(0, math.inf),
-                     "tracks[2].uv[4][0]: expected a finite number, got inf", id="uv-infinity"),
+        pytest.param(lambda d: d["tracks"][0]["u"].__setitem__(1, True),
+                     "tracks[0].u[1]: expected a number, got True", id="uv-true"),
+        pytest.param(lambda d: d["tracks"][0]["v"].__setitem__(1, math.nan),
+                     "tracks[0].v[1]: expected a finite number, got nan", id="uv-nan"),
+        pytest.param(lambda d: d["tracks"][2]["u"].__setitem__(4, math.inf),
+                     "tracks[2].u[4]: expected a finite number, got inf", id="uv-infinity"),
         pytest.param(lambda d: d["tracks"][1]["depth"].__setitem__(2, True),
                      "tracks[1].depth[2]: expected a number or null, got True", id="depth-true"),
         pytest.param(lambda d: d["tracks"][0]["depth"].__setitem__(0, math.inf),
@@ -301,21 +342,15 @@ def _set(obj, **values):
     [
         pytest.param(lambda ts: _set(ts.tracks[2], id=0), lambda d: d["tracks"][2].update(id=0),
                      ".tracks[2].id: duplicate track id 0", id="duplicate-id"),
-        pytest.param(lambda ts: _set(ts.tracks[1], uv=ts.tracks[1].uv[:-1]),
-                     lambda d: d["tracks"][1]["uv"].pop(),
-                     ".tracks[1].uv: length 4 != frame count 5", id="uv-short"),
+        pytest.param(lambda ts: _set(ts.tracks[1], depth=ts.tracks[1].depth[:-1]),
+                     lambda d: d["tracks"][1]["depth"].pop(),
+                     ".tracks[1].depth: length 4 != frame count 5", id="depth-short"),
         pytest.param(lambda ts: _set(ts.tracks[0], depth=np.append(ts.tracks[0].depth, 1.0)),
                      lambda d: d["tracks"][0]["depth"].append(1.0),
                      ".tracks[0].depth: length 6 != frame count 5", id="depth-long"),
         pytest.param(lambda ts: _set(ts.tracks[2], vis=ts.tracks[2].vis[1:]),
                      lambda d: d["tracks"][2]["vis"].pop(),
                      ".tracks[2].vis: length 4 != frame count 5", id="vis-short"),
-        pytest.param(lambda ts: _set(ts.tracks[1], uv=np.hstack([ts.tracks[1].uv, ts.tracks[1].uv[:, :1]])),
-                     lambda d: [row.append(row[0]) for row in d["tracks"][1]["uv"]],
-                     ".tracks[1].uv[0]: must be a [u, v] pair", id="uv-triples"),
-        pytest.param(lambda ts: _set(ts.tracks[0], uv=ts.tracks[0].uv[:, 0]),
-                     lambda d: d["tracks"][0].update(uv=[row[0] for row in d["tracks"][0]["uv"]]),
-                     ".tracks[0].uv[0]: must be a [u, v] pair", id="uv-flat"),
         pytest.param(lambda ts: _set(ts.tracks[1], depth=np.where(np.arange(5) == 3, np.nan, ts.tracks[1].depth)),
                      lambda d: d["tracks"][1]["depth"].__setitem__(3, None),
                      ".tracks[1].depth[3]: frame is visible but depth is None; "
@@ -333,6 +368,13 @@ def _set(obj, **values):
                      ".hand: shape (6,) != frame count (5,)", id="hand-long"),
         pytest.param(lambda ts: _set(ts, hand=None), None,
                      ".hand: shape () != frame count (5,)", id="hand-none"),
+        # the pixels are two flat lists on disk, so only the set can break uv's shape
+        pytest.param(lambda ts: _set(ts.tracks[1], uv=ts.tracks[1].uv[:-1]), None,
+                     ".tracks[1].uv: shape (4, 2) != (5, 2)", id="uv-short"),
+        pytest.param(lambda ts: _set(ts.tracks[1], uv=np.hstack([ts.tracks[1].uv, ts.tracks[1].uv[:, :1]])), None,
+                     ".tracks[1].uv: shape (5, 3) != (5, 2)", id="uv-triples"),
+        pytest.param(lambda ts: _set(ts.tracks[0], uv=ts.tracks[0].uv[:, 0]), None,
+                     ".tracks[0].uv: shape (5,) != (5, 2)", id="uv-flat"),
     ],
 )
 def test_save_refuses_what_load_refuses_with_the_loaders_text(tmp_path, break_set, break_doc, message):
@@ -407,8 +449,8 @@ def test_writer_spellings_read_back_bit_exactly(tmp_path, v):
 
     doc = json.loads(p.read_bytes())
     K = doc["intrinsics"]
-    read = [K["cx"], K["cy"], *(fr["cam_pose"]["t"] for fr in doc["frames"]), *doc["tracks"][0]["uv"],
-            doc["tracks"][0]["depth"]]
+    read = [K["cx"], K["cy"], *(fr["cam_pose"]["t"] for fr in doc["frames"]), doc["tracks"][0]["u"],
+            doc["tracks"][0]["v"], doc["tracks"][0]["depth"]]
     loaded = trackio.load_trackset(p)
     read += [loaded.intrinsics.cx, loaded.intrinsics.cy, *(pose.t for pose in loaded.cam_poses),
              loaded.tracks[0].uv, loaded.tracks[0].depth]
@@ -442,8 +484,8 @@ def two_faults(first, second):
                                 lambda d: d["tracks"][2].update(id=d["tracks"][1]["id"])),
                      "tracks[2].id: duplicate track id 1", id="structure-before-visible-depth"),
         pytest.param(two_faults(lambda d: d["tracks"][0]["depth"].__setitem__(0, None),
-                                lambda d: d["tracks"][1]["uv"][2].__setitem__(1, "v")),
-                     "tracks[1].uv[2][1]: expected a number, got 'v'", id="elements-before-visible-depth"),
+                                lambda d: d["tracks"][1]["v"].__setitem__(2, "v")),
+                     "tracks[1].v[2]: expected a number, got 'v'", id="elements-before-visible-depth"),
         pytest.param(two_faults(lambda d: d["tracks"][2]["vis"].__setitem__(1, 0),
                                 lambda d: d["tracks"][1]["depth"].__setitem__(4, False)),
                      "tracks[1].depth[4]: expected a number or null, got False", id="elements-by-track"),
@@ -459,8 +501,8 @@ def test_loader_reports_the_first_fault_in_its_documented_order(tmp_path, mutate
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
-        (lambda d: d["tracks"][0]["uv"][1].__setitem__(0, 10**400),
-         "tracks[0].uv[1][0]: expected a finite number"),
+        (lambda d: d["tracks"][0]["u"].__setitem__(1, 10**400),
+         "tracks[0].u[1]: expected a finite number"),
         (lambda d: d["intrinsics"].update(fx=10**400), "intrinsics.fx: expected a finite number"),
         (lambda d: d["frames"][2]["cam_pose"]["q"].__setitem__(0, 10**400),
          "frames[2].cam_pose.q[0]: expected a finite number"),
@@ -486,14 +528,16 @@ def test_loader_rejects_overflowing_depth_literal_on_hidden_frame(tmp_path):
 
 
 def test_loader_rejects_integer_literal_too_long_to_convert(tmp_path):
-    p = _doc(tmp_path, lambda d: d["tracks"][0]["uv"][1].__setitem__(0, 0))
-    p.write_text(p.read_text().replace("[0, ", "[" + "1" * 5000 + ", ", 1))
+    p = _doc(tmp_path, lambda d: d["tracks"][0]["u"].__setitem__(0, 0))
+    p.write_text(p.read_text().replace('"u": [0, ', '"u": [' + "1" * 5000 + ", ", 1))
     with pytest.raises(TrackFileError, match="malformed JSON"):
         trackio.load_trackset(p)
 
 
-finite = st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-1000, 1000).map(float)
-positive = st.floats(1e-3, 50.0) | st.integers(1, 20).map(float)
+# integral floats, a negative zero and the smallest subnormal among them
+finite = (st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-1000, 1000).map(float)
+          | st.sampled_from([-0.0, 5e-324]))
+positive = st.floats(1e-3, 50.0) | st.integers(1, 20).map(float) | st.just(5e-324)
 
 
 @st.composite
@@ -533,14 +577,17 @@ def test_load_inverts_save(ts):
             return
         trackio.save_trackset(path, ts)
         back = trackio.load_trackset(path)
+        again = Path(d) / "again.json"
+        trackio.save_trackset(again, back)
+        assert again.read_bytes() == path.read_bytes()
     assert back.intrinsics == ts.intrinsics
     assert np.array_equal(back.hand, ts.hand)
     for a, b in zip(ts.cam_poses, back.cam_poses, strict=True):
         assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
     for a, b in zip(ts.tracks, back.tracks, strict=True):
         assert a.id == b.id
-        assert np.array_equal(a.uv, b.uv)
-        assert np.array_equal(a.depth, b.depth, equal_nan=True)
+        for x, y in ((a.uv, b.uv), (a.depth, b.depth)):  # bit for bit: -0.0 stays -0.0
+            assert x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
         assert np.array_equal(a.vis, b.vis)
 
 
@@ -561,8 +608,8 @@ def track_lists(draw) -> tuple:
     for tid in range(draw(st.integers(0, 4))):
         vis = draw(st.lists(st.booleans(), min_size=T, max_size=T))
         depth = [draw(file_depth) if v else draw(st.none() | file_number) for v in vis]
-        uv = [[draw(file_number), draw(file_number)] for _ in range(T)]
-        tracks.append({"id": tid, "uv": uv, "depth": depth, "vis": vis})
+        u, v = ([draw(file_number) for _ in range(T)] for _ in "uv")
+        tracks.append({"id": tid, "u": u, "v": v, "depth": depth, "vis": vis})
     return T, tracks
 
 
@@ -570,7 +617,7 @@ def track_lists(draw) -> tuple:
 @given(case=track_lists())
 def test_bulk_load_equals_the_element_walk_bit_for_bit(case):
     T, tracks = case
-    doc = {"version": 1, "intrinsics": {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0},
+    doc = {"version": 2, "intrinsics": {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0},
            "frames": [{"t": t, "cam_pose": {"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0, 0.0]},
                        "hand": False} for t in range(T)],
            "tracks": tracks}
@@ -583,7 +630,7 @@ def test_bulk_load_equals_the_element_walk_bit_for_bit(case):
         loaded = trackio.load_trackset(path).tracks
     assert len(loaded) == len(raw)
     for k, (tr, got) in enumerate(zip(raw, loaded)):
-        walked = trackio._walk_track(tr["uv"], tr["depth"], tr["vis"], f"tracks[{k}]")
+        walked = trackio._walk_track(tr["u"], tr["v"], tr["depth"], tr["vis"], f"tracks[{k}]")
         for a, b in zip((got.uv, got.depth, got.vis), walked, strict=True):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
