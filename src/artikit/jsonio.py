@@ -6,8 +6,8 @@ integer literal outside [-2**63, 2**64 - 1], read as a float; so a file with
 an integer literal of 19 or more digits, and all that orjson refuses (NaN,
 Infinity, 1e400, a byte-order mark, UTF-16, lone surrogates, malformed
 files), is parsed by ``json``. ``trackio.save_trackset`` writes track files
-with orjson, straight from the arrays, after checking that the only
-non-finite value is a NaN depth (written as null). ``dump_json`` writes all
+with orjson, each track's per-frame columns as base64 strings of their
+bytes, so no non-finite value reaches a JSON number. ``dump_json`` writes all
 other files with ``json``: ``allow_nan=False`` makes callers map NaN to
 null, and ground-truth seeds may exceed 64 bits, which orjson refuses.
 Both write shortest round-trip floats, so a value survives save -> load

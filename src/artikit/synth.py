@@ -67,6 +67,13 @@ class JointSpec:
         return Twist(np.zeros(3), self.axis_dir)
 
 
+def _check_hand_window(window) -> None:
+    """Both ends of a hand window (start, end) must be integers: they bound
+    a slice of frames."""
+    for i, x in enumerate(window):
+        check_value(f"hand_window[{i}]", x, kind=int)
+
+
 @dataclass
 class SynthConfig:
     seed: int = bounded(MISSING, ">= 0", int)
@@ -93,6 +100,7 @@ class SynthConfig:
             )
         if self.hand_window is None:
             self.hand_window = (0, T - 1)
+        _check_hand_window(self.hand_window)
         s, e = self.hand_window
         if not (0 <= s <= e < T):
             raise ValueError(f"hand_window {self.hand_window} out of range for {T} frames")
@@ -250,11 +258,12 @@ def generate(cfg: SynthConfig) -> tuple[TrackSet, list]:
     noise = np.zeros((T, n_total, 3))
     drawn = np.empty((T, n_total, len(cols)))
     draw_noise, normal, uniform = cfg.noise_sigma > 0, rng.standard_normal, rng.random
-    for z, u in zip(list(noise.reshape(-1, 3)), list(drawn.reshape(T * n_total, -1))):
+    z, u = noise.reshape(-1, 3), drawn.reshape(T * n_total, -1)  # one row per frame and point
+    for i in range(T * n_total):
         if draw_noise:
-            normal(out=z)
+            normal(out=z[i])
         if cols:
-            uniform(out=u)
+            uniform(out=u[i])
     draws = np.ones((T, n_total, 2))  # occlusion, dropout; 1.0 is below no rate
     draws[..., cols] = drawn
     if draw_noise:
@@ -384,8 +393,7 @@ def config_from_dict(doc: dict) -> SynthConfig:
         hand_window = doc.get("hand_window", [0, T - 1])
         if not (isinstance(hand_window, list) and len(hand_window) == 2):
             raise ValueError(f"hand_window must be [start, end], got {hand_window!r}")
-        for i, x in enumerate(hand_window):
-            check_value(f"hand_window[{i}]", x, kind=int)
+        _check_hand_window(hand_window)  # before the ramp reads it
         hand_window = tuple(hand_window)
         motion = _object(jd.get("motion", {}), "joint.motion")
         if "profile" in motion:

@@ -3,38 +3,42 @@
 A track file carries, per frame, the camera pose (camera-to-world) and a hand
 detection flag, plus a set of 2D point tracks with per-frame depth and
 visibility. Units are meters, pixels, radians throughout; depth is along the
-camera z axis. NaN depth is encoded as null on disk.
+camera z axis.
 
-Schema (version 2)::
+Schema (version 3)::
 
-    {"version": 2,
+    {"version": 3,
      "units": {"length": "m"},
      "intrinsics": {"fx": .., "fy": .., "cx": .., "cy": ..},
      "frames": [{"t": 0, "cam_pose": {"q": [w,x,y,z], "t": [x,y,z]}, "hand": false}, ...],
-     "tracks": [{"id": 0, "u": [..], "v": [..], "depth": [..|null, ...], "vis": [true, ...]}, ...]}
+     "tracks": [{"id": 0, "u": "<base64>", "v": "<base64>", "depth": "<base64>", "vis": "<base64>"}, ...]}
 
-A track's per-frame fields are flat lists of T scalars; in memory ``u`` and
-``v`` are the columns of one (T, 2) ``uv`` array.
+Each of a track's per-frame columns is one base64 string (standard alphabet,
+with padding) of its T values' little-endian bytes: float64 for ``u``, ``v``
+and ``depth``, where NaN depth means no depth, and one byte of 0 or 1 per
+frame for ``vis``. Intrinsics, frames and ids are JSON numbers. In memory
+``u`` and ``v`` are the columns of one (T, 2) ``uv`` array.
 
 A track ``id`` is an integer in the signed 64-bit range [-2**63, 2**63 - 1].
 Validation errors name the offending field and index. A frame where
-``vis`` is true must carry finite positive depth; depth beyond ``max_depth``
+``vis`` is 1 must carry finite positive depth; depth beyond ``max_depth``
 is legal in the file and is marked invalid at lift time.
 
-Loading checks the frames, then all tracks at once, in bulk first: the
-element types of the tracks' flat lists, then one (tracks, frames) array per
-field with finiteness checks; each track holds rows of those arrays. Frames
-or tracks that fail go through the element-by-element walk, which checks a
-track's u, v, vis and depth in that order and names the first bad element,
-so the bulk path never decides an error message. Lifting and world mapping
-take one track or a stack of tracks with a leading track axis; the pipeline
-carries a segment's lifted world tracks as one stack, a ``SegmentTrack``,
-and pixel coordinates stop at the lift.
+Loading checks the frames in bulk first; frames that fail go through the
+frame-by-frame walk, which names the first bad element. It then checks each
+track's structure, decoding its columns one by one, and joins each column's
+bytes over all tracks into one (tracks, frames) array, whose values are
+checked at once; each track holds rows of those arrays. Lifting and world
+mapping take one track or a stack of tracks with a leading track axis; the
+pipeline carries a segment's lifted world tracks as one stack, a
+``SegmentTrack``, and pixel coordinates stop at the lift.
 Files are written as compact one-line JSON.
 """
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -48,7 +52,7 @@ from .errors import TrackFileError
 from .lie import RigidTransform, apply_each, quat_to_matrix
 
 DEFAULT_MAX_DEPTH = 10.0  # meters; depth beyond this is treated as sensor junk
-VERSION = 2  # of the track-file schema
+VERSION = 3  # of the track-file schema
 
 
 @dataclass
@@ -192,77 +196,70 @@ _ID_RULE = "must be an integer in the signed 64-bit range"
 _VISIBLE_DEPTH_RULE = "visible frames require finite positive depth"
 
 
+def _is_track_id(x) -> bool:
+    """A JSON integer, or a numpy one in memory, that fits ``_ID_RULE``."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and -2**63 <= x < 2**63
+
+
 def _require(cond: bool, where: str, msg: str):
     if not cond:
         raise TrackFileError(f"{where}: {msg}")
 
 
-def _to_float(x) -> float:
-    """float(x); an integer too large for a float becomes +-inf, as a float
-    literal of that size does in the JSON parser."""
-    try:
-        return float(x)
-    except OverflowError:
-        return float("inf") if x > 0 else float("-inf")
-
-
 def _as_number(x, where: str) -> float:
     _require(isinstance(x, (int, float)) and not isinstance(x, bool), where, f"expected a number, got {x!r}")
-    val = _to_float(x)
+    try:
+        val = float(x)
+    except OverflowError:  # an integer too large for a float is no finite number
+        val = math.inf
     _require(np.isfinite(val), where, f"expected a finite number, got {x!r}")
     return val
 
 
-_PER_FRAME = ("u", "v", "depth", "vis")  # a track's lists of T scalars, in file order
 _NUMBER = {int, float}
-_NUMBER_OR_NULL = {int, float, type(None)}
+# a track's per-frame columns, in file order, and the dtype of their bytes
+_COLUMNS = {"u": np.dtype("<f8"), "v": np.dtype("<f8"), "depth": np.dtype("<f8"), "vis": np.dtype("u1")}
+# per column, in check order within a track: its name, its fault and the text that names it
+_VALUE_RULES = (
+    ("u", lambda x: ~np.isfinite(x), "expected a finite number"),
+    ("v", lambda x: ~np.isfinite(x), "expected a finite number"),
+    ("vis", lambda x: x > 1, "expected 0 or 1"),
+    ("depth", np.isinf, "expected a finite number or NaN"),
+)
 
 
-def _track_stacks(raw_tracks: list, T: int):
-    """(uv, depth, vis) stacks, shaped (N, T, 2), (N, T) and (N, T), of
-    structurally checked tracks, or None if an element is bad.
-
-    Type checks over all tracks' flat lists, then one conversion per list.
-    None hands the tracks to ``_walk_track``, which finds the first bad element.
-    """
-    cols = []
+def _decode_column(s, T: int, name: str, w: str) -> bytes:
+    """The bytes of one track's column ``name``, checked to hold T values."""
+    _require(isinstance(s, str), f"{w}.{name}", "must be a base64 string")
     try:
-        for name, types in (("u", _NUMBER), ("v", _NUMBER), ("depth", _NUMBER_OR_NULL)):
-            flat = list(chain.from_iterable(tr[name] for tr in raw_tracks))
-            if not set(map(type, flat)) <= types:
-                return None
-            cols.append(np.array(flat, dtype=float).reshape(-1, T))  # null becomes NaN
-    except OverflowError:  # an integer too large for a float
-        return None
-    uv, depth = np.stack(cols[:2], axis=-1), cols[2]
-    # every NaN depth must come from a null in depth's list: a NaN or infinite literal is bad
-    if not np.isfinite(uv).all() or np.count_nonzero(~np.isfinite(depth)) != flat.count(None):
-        return None
-    flat = list(chain.from_iterable(tr["vis"] for tr in raw_tracks))
-    if not set(map(type, flat)) <= {bool}:
-        return None
-    return uv, depth, np.array(flat, dtype=bool).reshape(-1, T)
+        data = base64.b64decode(s, validate=True)
+    except ValueError as e:  # a character outside the alphabet, bad padding, non-ASCII
+        raise TrackFileError(f"{w}.{name}: not base64: {e}") from None
+    _require_bytes(len(data), T, name, w)
+    return data
 
 
-def _walk_track(u: list, v: list, depth: list, vis: list, w: str):
-    """The element-by-element check: raises naming the first bad element."""
-    uv_arr = np.column_stack([[_as_number(x, f"{w}.{name}[{t}]") for t, x in enumerate(col)]
-                              for name, col in (("u", u), ("v", v))])
-    T = len(vis)
-    vis_arr = np.zeros(T, dtype=bool)
-    for t, b in enumerate(vis):
-        _require(isinstance(b, bool), f"{w}.vis[{t}]", f"must be a boolean, got {b!r}")
-        vis_arr[t] = b
-    depth_arr = np.full(T, np.nan)
-    for t, d in enumerate(depth):
-        if d is None:
-            continue
-        _require(isinstance(d, (int, float)) and not isinstance(d, bool), f"{w}.depth[{t}]", f"expected a number or null, got {d!r}")
-        depth_arr[t] = _to_float(d)
-        # a visible frame's depth gets the finite-positive check in load_trackset
-        _require(vis_arr[t] or np.isfinite(depth_arr[t]), f"{w}.depth[{t}]",
-                 f"expected a finite number or null, got {d!r}")
-    return uv_arr, depth_arr, vis_arr
+def _require_bytes(n: int, T: int, name: str, w: str) -> None:
+    """Column ``name`` of track ``w`` holds n bytes: one value per frame."""
+    want = T * _COLUMNS[name].itemsize
+    _require(n == want, f"{w}.{name}", f"holds {n} bytes, expected {want} for {T} frames")
+
+
+def _check_columns(where: str, cols: dict) -> None:
+    """Raise naming the first bad value of the (tracks, frames) columns: track
+    by track, u, v, vis and depth within a track; then the first visible
+    frame, by track and then by frame, without finite positive depth."""
+    bad = np.stack([fault(cols[name]) for name, fault, _ in _VALUE_RULES], axis=1)
+    if bad.any():
+        k, i, t = map(int, np.argwhere(bad)[0])
+        name, _, rule = _VALUE_RULES[i]
+        raise TrackFileError(f"{where}.tracks[{k}].{name}[{t}]: {rule}, got {cols[name][k, t].item()!r}")
+    depth = cols["depth"]
+    bad = (cols["vis"] != 0) & ~(depth > 0)
+    if bad.any():
+        k, t = map(int, np.argwhere(bad)[0])
+        raise TrackFileError(f"{where}.tracks[{k}].depth[{t}]: frame is visible but depth is "
+                             f"{depth[k, t].item()!r}; {_VISIBLE_DEPTH_RULE}")
 
 
 def _frame_arrays(frames: list):
@@ -318,9 +315,10 @@ def load_trackset(path) -> TrackSet:
 
     A file with several faults reports the first one met in this order: the
     top level, intrinsics and frames; each track's structure (an object, an
-    integer id not seen before, u/v/depth/vis lists of the frame count),
-    track by track; the element types and finiteness of every track, track
-    by track; the visible-depth rule, by track and then by frame.
+    integer id not seen before, u/v/depth/vis base64 strings that decode to
+    the frame count's values), track by track; the values, track by track:
+    u and v finite, vis 0 or 1, depth finite or NaN; the visible-depth
+    rule, by track and then by frame.
     The cyclic collector stays paused until the parsed document is freed.
     """
     doc = jsonio.load_json(path)
@@ -349,32 +347,22 @@ def load_trackset(path) -> TrackSet:
     T = len(frames)
     raw_tracks = doc.get("tracks")
     _require(isinstance(raw_tracks, list), where, "tracks must be a list")
+    data = {name: [] for name in _COLUMNS}
     seen_ids = set()
     for k, tr in enumerate(raw_tracks):
         w = f"{where}.tracks[{k}]"
         _require(isinstance(tr, dict), w, "must be an object")
         tid = tr.get("id")
-        _require(isinstance(tid, int) and not isinstance(tid, bool) and -2**63 <= tid < 2**63, f"{w}.id", _ID_RULE)
+        _require(_is_track_id(tid), f"{w}.id", _ID_RULE)
         _require(tid not in seen_ids, f"{w}.id", f"duplicate track id {tid}")
         seen_ids.add(tid)
-        for name in _PER_FRAME:
-            arr = tr.get(name)
-            _require(isinstance(arr, list), f"{w}.{name}", "must be a list")
-            _require(len(arr) == T, f"{w}.{name}", f"length {len(arr)} != frame count {T}")
-    stacks = _track_stacks(raw_tracks, T)
-    if stacks is None:
-        walked = [_walk_track(*(tr[name] for name in _PER_FRAME), f"{where}.tracks[{k}]")
-                  for k, tr in enumerate(raw_tracks)]
-        stacks = tuple(map(np.stack, zip(*walked)))
-    uv, depth, vis = stacks
-    bad = vis & ~(np.isfinite(depth) & (depth > 0))
-    if np.any(bad):
-        k, t = map(int, np.argwhere(bad)[0])
-        raise TrackFileError(
-            f"{where}.tracks[{k}].depth[{t}]: frame is visible but depth is "
-            f"{raw_tracks[k]['depth'][t]!r}; {_VISIBLE_DEPTH_RULE}"
-        )
-    tracks = [Track(tr["id"], *rows) for tr, *rows in zip(raw_tracks, uv, depth, vis)]
+        for name in _COLUMNS:
+            data[name].append(_decode_column(tr.get(name), T, name, w))
+    # one buffer per column over all tracks; a bytearray keeps the arrays writable
+    cols = {name: np.frombuffer(bytearray().join(data[name]), dtype).reshape(-1, T) for name, dtype in _COLUMNS.items()}
+    _check_columns(where, cols)
+    uv = np.stack([cols["u"], cols["v"]], axis=-1)
+    tracks = [Track(tr["id"], *rows) for tr, *rows in zip(raw_tracks, uv, cols["depth"], cols["vis"].view(bool))]
 
     return TrackSet(intrinsics=intr, cam_poses=poses, hand=hand, tracks=tracks)
 
@@ -383,41 +371,37 @@ def save_trackset(path, ts: TrackSet) -> None:
     """Write a track file; load(save(x)) reproduces x exactly.
 
     Before anything is written, what load would reject raises TrackFileError
-    naming its field: no frames (the loader's text); a hand that is not one
-    flag per frame; then, track by track, an id outside the signed 64-bit range
-    or seen before (the loader's texts); a uv not shaped (T, 2); a depth or
-    vis whose length is not the frame count (the loader's text); a
-    non-finite pixel coordinate; an infinite depth; a visible frame without
-    finite positive depth (the loader's text). Poses and intrinsics are
-    checked when built, so the only non-finite value written is a NaN
-    depth, which orjson writes as null.
+    naming its field, in the loader's order and with its texts: no frames; a
+    hand that is not one flag per frame; then, track by track, an id outside
+    the signed 64-bit range or seen before, a uv not shaped (T, 2), a depth
+    or vis that is not one value per frame; then the values and the
+    visible-depth rule as ``load_trackset`` checks them. Each column is
+    written as the base64 of its little-endian bytes: float64 for u, v and
+    depth (NaN depth kept), one 0/1 byte per frame for vis.
     """
+    where = str(path)
     T = ts.frame_count
-    _require(T > 0, str(path), "frames must be a non-empty list")
-    _require(np.shape(ts.hand) == (T,), f"{path}.hand", f"shape {np.shape(ts.hand)} != frame count ({T},)")
+    _require(T > 0, where, "frames must be a non-empty list")
+    _require(np.shape(ts.hand) == (T,), f"{where}.hand", f"shape {np.shape(ts.hand)} != frame count ({T},)")
     seen_ids = set()
     for k, tr in enumerate(ts.tracks):
-        w = f"{path}.tracks[{k}]"
-        _require(-2**63 <= tr.id < 2**63, f"{w}.id", _ID_RULE)
+        w = f"{where}.tracks[{k}]"
+        _require(_is_track_id(tr.id), f"{w}.id", _ID_RULE)
         _require(tr.id not in seen_ids, f"{w}.id", f"duplicate track id {tr.id}")
         seen_ids.add(tr.id)
         _require(np.shape(tr.uv) == (T, 2), f"{w}.uv", f"shape {np.shape(tr.uv)} != ({T}, 2)")
         for name in ("depth", "vis"):
-            n = len(getattr(tr, name))
-            _require(n == T, f"{w}.{name}", f"length {n} != frame count {T}")
-        bad = np.flatnonzero(~np.all(np.isfinite(tr.uv), axis=1))
-        if len(bad):
-            t = int(bad[0])
-            raise TrackFileError(f"{w}.uv[{t}]: expected finite pixel coordinates, got {tr.uv[t].tolist()}")
-        bad = np.flatnonzero(np.isinf(tr.depth))
-        if len(bad):
-            t = int(bad[0])
-            raise TrackFileError(f"{w}.depth[{t}]: expected a finite depth or NaN, got {tr.depth[t]}")
-        bad = np.flatnonzero(np.asarray(tr.vis, dtype=bool) & ~(tr.depth > 0))
-        if len(bad):
-            t, d = int(bad[0]), float(tr.depth[bad[0]])
-            raise TrackFileError(f"{w}.depth[{t}]: frame is visible but depth is "
-                                 f"{None if np.isnan(d) else d!r}; {_VISIBLE_DEPTH_RULE}")
+            x = getattr(tr, name)
+            _require(np.ndim(x) == 1, f"{w}.{name}", f"shape {np.shape(x)} != ({T},)")
+            _require_bytes(len(x) * _COLUMNS[name].itemsize, T, name, w)
+    uv = np.array([tr.uv for tr in ts.tracks], dtype="<f8").reshape(-1, T, 2)
+    cols = {
+        "u": np.ascontiguousarray(uv[..., 0]),
+        "v": np.ascontiguousarray(uv[..., 1]),
+        "depth": np.array([tr.depth for tr in ts.tracks], dtype="<f8").reshape(-1, T),
+        "vis": np.array([tr.vis for tr in ts.tracks], dtype=bool).reshape(-1, T).view(np.uint8),
+    }
+    _check_columns(where, cols)
     doc = {
         "version": VERSION,
         "units": {"length": "m"},
@@ -426,16 +410,9 @@ def save_trackset(path, ts: TrackSet) -> None:
             {"t": i, "cam_pose": ts.cam_poses[i].to_dict(), "hand": bool(ts.hand[i])}
             for i in range(T)
         ],
-        # orjson refuses non-contiguous arrays and spells float32 by its own repr
         "tracks": [
-            {
-                "id": int(tr.id),
-                "u": np.ascontiguousarray(tr.uv[:, 0], dtype=np.float64),
-                "v": np.ascontiguousarray(tr.uv[:, 1], dtype=np.float64),
-                "depth": np.ascontiguousarray(tr.depth, dtype=np.float64),
-                "vis": np.ascontiguousarray(tr.vis, dtype=bool),
-            }
-            for tr in ts.tracks
+            {"id": int(tr.id), **{name: base64.b64encode(cols[name][k]).decode("ascii") for name in _COLUMNS}}
+            for k, tr in enumerate(ts.tracks)
         ],
     }
-    Path(path).write_bytes(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE))
+    Path(path).write_bytes(orjson.dumps(doc, option=orjson.OPT_APPEND_NEWLINE))

@@ -525,7 +525,7 @@ def test_malformed_segment_data_exits_2_with_json_error(tmp_path, capsys, comman
 
 
 def one_frame_tracks(**overrides) -> dict:
-    doc = {"version": 2, "units": {"length": "m"},
+    doc = {"version": 3, "units": {"length": "m"},
            "intrinsics": {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0},
            "frames": [{"t": 0, "cam_pose": {"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0, 0.0]},
                        "hand": False}],

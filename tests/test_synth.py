@@ -384,6 +384,23 @@ def test_synth_config_validation():
         SynthConfig(seed=0, joint=joint, camera_path=path, occlusion_rate=1.0)
 
 
+@pytest.mark.parametrize("window, message", [
+    ((1.5, 4), "hand_window[0] must be an integer, got 1.5"),
+    ((1, 4.0), "hand_window[1] must be an integer, got 4.0"),
+    ((True, 4), "hand_window[0] must be an integer, got True"),
+    ((None, 4), "hand_window[0] must be an integer, got None"),
+])
+def test_synth_config_built_directly_refuses_a_non_integer_hand_window(window, message):
+    """A config built without ``config_from_dict`` gets the same check, so
+    ``generate`` never slices frames by a fraction."""
+    T = 6
+    joint = JointSpec("prismatic", np.array([1.0, 0.0, 0.0]), np.zeros(T))
+    path = [RigidTransform.identity() for _ in range(T)]
+    with pytest.raises(ValueError) as ei:
+        SynthConfig(seed=0, joint=joint, camera_path=path, hand_window=window)
+    assert str(ei.value) == message
+
+
 # ---------------------------------------------------------------------------
 # ground truth and scene files
 
