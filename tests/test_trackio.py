@@ -199,7 +199,7 @@ def test_written_file_is_version_3_with_base64_columns(tmp_path):
         assert tr["id"] == want.id
         for name, values in (("u", want.uv[:, 0]), ("v", want.uv[:, 1]), ("depth", want.depth),
                              ("vis", want.vis.astype(np.uint8))):
-            assert tr[name] == base64.b64encode(np.asarray(values, DTYPES[name]).tobytes()).decode("ascii")
+            assert tr[name] == encode(values, name)
     assert column(doc, 1, "vis").tolist() == [1, 1, 0, 1, 1]
 
 
