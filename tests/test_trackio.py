@@ -327,6 +327,10 @@ def _doc(tmp_path, mutate):
                      "tracks[1].depth: must be a base64 string", id="null"),
         pytest.param(lambda d: d["tracks"][2].update(vis=1),
                      "tracks[2].vis: must be a base64 string", id="number"),
+        pytest.param(lambda d: d["tracks"][0].update(depth=True),
+                     "tracks[0].depth: must be a base64 string", id="depth-true"),
+        pytest.param(lambda d: d["tracks"][1].update(u=True),
+                     "tracks[1].u: must be a base64 string", id="uv-true"),
         pytest.param(lambda d: d["tracks"][2].update(vis="AQ-B"),
                      "tracks[2].vis: not base64: ", id="outside-alphabet"),
         pytest.param(lambda d: d["tracks"][0].update(v=d["tracks"][0]["v"].rstrip("=")),
