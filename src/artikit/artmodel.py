@@ -46,7 +46,7 @@ from .lie import (
     transform_twist,
     twist_gauge,
 )
-from .trajest import TrajectoryEstimate, damped_gauss_newton
+from .trajest import TrajectoryEstimate, damped_gauss_newton, tangent_map
 
 log = logging.getLogger(__name__)
 
@@ -106,21 +106,21 @@ def _pose_residual(stack, xi: Twist, thetas: np.ndarray) -> np.ndarray:
 
 
 def _pose_model(stack, ad_inv, xi: Twist, thetas: np.ndarray):
-    """Pose-log residual rows of all stacked poses and their Jacobian
-    callable, in the ``damped_gauss_newton`` model contract; ``ad_inv``
-    holds the poses' ``_inverse_adjoints``."""
+    """Pose-log residual rows of all stacked poses and their linearization,
+    in the ``damped_gauss_newton`` model contract; ``ad_inv`` holds the
+    poses' ``_inverse_adjoints``."""
     r = _pose_residual(stack, xi, thetas)
     return r.ravel(), partial(_pose_blocks, ad_inv, r, xi, thetas)
 
 
 def _pose_blocks(ad_inv, r: np.ndarray, xi: Twist, thetas: np.ndarray, B: np.ndarray):
-    """Jacobian rows ``(Jc, jt, idx)`` of the pose residuals ``r`` (M, 6)."""
-    xvec = xi.as_vector()
+    """Per-pose normal blocks ``(A^T A, A^T r_m)`` of the pose residuals
+    ``r`` (M, 6), A (6, k+1) each pose's Jacobian along the chart and its
+    magnitude."""
     # d r / d u = -Jr^-1(r) Ad(T^-1) Jl(u), u = theta * xi the folded twist coords
-    Jr_inv = np.linalg.inv(se3_left_jacobian(-r))
-    base = -Jr_inv @ ad_inv @ se3_left_jacobian(thetas[:, None] * xvec)
-    Jc = base @ (thetas[:, None, None] * B)
-    return Jc.reshape(-1, B.shape[1]), (base @ xvec).ravel(), np.repeat(np.arange(len(thetas)), 6)
+    A = -np.linalg.inv(se3_left_jacobian(-r)) @ ad_inv @ tangent_map(xi, thetas, B)
+    At = np.swapaxes(A, 1, 2)
+    return At @ A, (At @ r[:, :, None])[:, :, 0]
 
 
 def _validate_poses(poses):

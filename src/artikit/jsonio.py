@@ -2,17 +2,16 @@
 
 ``load_json`` gives what the standard ``json`` gives, errors included. It
 parses with orjson, which agrees with ``json`` on all it accepts except an
-integer literal outside [-2**63, 2**64 - 1], read as a float; so a file with
-an integer literal of 19 or more digits, and all that orjson refuses (NaN,
-Infinity, 1e400, a byte-order mark, UTF-16, lone surrogates, malformed
-files), is parsed by ``json``. ``trackio.save_trackset`` writes track files
-with orjson, each track's per-frame columns as base64 strings of their
-bytes, so no non-finite value reaches a JSON number. ``dump_json`` writes all
-other files with ``json``: ``allow_nan=False`` makes callers map NaN to
-null, and ground-truth seeds may exceed 64 bits, which orjson refuses.
-Both write shortest round-trip floats, so a value survives save -> load
-bit-exactly. Files are compact one-line JSON, read as UTF-8 whatever the
-locale.
+integer literal outside [-2**63, 2**64 - 1], read as a float of magnitude
+2**63 or more; so a document where orjson finds such a float, and all that
+orjson refuses (NaN, Infinity, 1e400, a byte-order mark, UTF-16, lone
+surrogates, malformed files), is parsed by ``json``. ``trackio.save_trackset``
+writes track files with orjson, each column as base64, so no non-finite
+value reaches a JSON number. ``dump_json`` writes all other files with
+``json``: ``allow_nan=False`` makes callers map NaN to null, and
+ground-truth seeds may exceed 64 bits, which orjson refuses. Both write
+shortest round-trip floats, so a value survives save -> load bit-exactly.
+Files are compact one-line JSON, read as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -26,16 +25,20 @@ import orjson
 
 from .errors import TrackFileError
 
-# digits -> "0", "." -> ".", any other byte -> "x": an integer literal of 19
-# or more digits shows as "x" and 19 zeros (a false alarm, such as digits in a
-# string, costs only speed)
-_DIGIT_SHAPE = bytes(ord("0" if chr(b) in "0123456789" else "." if chr(b) == "." else "x") for b in range(256))
-_LONG_INTEGER = b"x" + b"0" * 19
 
-
-def _has_long_integer(data: bytes) -> bool:
-    shape = data.translate(_DIGIT_SHAPE)
-    return shape.startswith(_LONG_INTEGER[1:]) or _LONG_INTEGER in shape
+def _has_huge_float(doc) -> bool:
+    """Whether the parsed document holds a float of magnitude 2**63 or more,
+    which is what orjson makes of an integer literal beyond 64 bits."""
+    stack = [doc]
+    while stack:
+        x = stack.pop()
+        if type(x) is list:
+            stack.extend(x)
+        elif type(x) is dict:
+            stack.extend(x.values())
+        elif type(x) is float and abs(x) >= 2.0**63:
+            return True
+    return False
 
 
 @contextmanager
@@ -60,11 +63,13 @@ def load_json(path) -> object:
     except OSError as e:
         raise TrackFileError(f"{path}: cannot read: {e}") from e
     with collector_paused():
-        if not _has_long_integer(data):
-            try:
-                return orjson.loads(data)
-            except orjson.JSONDecodeError:
-                pass  # the standard parser accepts it or names the fault
+        try:
+            doc = orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass  # the standard parser accepts it or names the fault
+        else:
+            if not _has_huge_float(doc):
+                return doc
         try:
             return json.loads(data)
         except json.JSONDecodeError as e:

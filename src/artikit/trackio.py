@@ -229,12 +229,15 @@ _VALUE_RULES = (
 
 
 def _decode_column(s, T: int, name: str, w: str) -> bytes:
-    """The bytes of one track's column ``name``, checked to hold T values."""
+    """The bytes of one track's column ``name``: canonical base64 of T values."""
     _require(isinstance(s, str), f"{w}.{name}", "must be a base64 string")
     try:
         data = base64.b64decode(s, validate=True)
     except ValueError as e:  # a character outside the alphabet, bad padding, non-ASCII
         raise TrackFileError(f"{w}.{name}: not base64: {e}") from None
+    pad = s.endswith("=") + s.endswith("==")  # the decoder ignores the unused bits before it
+    _require(not pad or base64.b64encode(data[pad - 3:]) == s[-4:].encode(), f"{w}.{name}",
+             "not canonical base64: unused bits set before the padding")
     _require_bytes(len(data), T, name, w)
     return data
 
@@ -315,11 +318,11 @@ def load_trackset(path) -> TrackSet:
 
     A file with several faults reports the first one met in this order: the
     top level, intrinsics and frames; each track's structure (an object, an
-    integer id not seen before, u/v/depth/vis base64 strings that decode to
-    the frame count's values), track by track; the values, track by track:
-    u and v finite, vis 0 or 1, depth finite or NaN; the visible-depth
-    rule, by track and then by frame.
-    The cyclic collector stays paused until the parsed document is freed.
+    integer id not seen before, u/v/depth/vis canonical base64 strings that
+    decode to the frame count's values), track by track; the values, track
+    by track: u and v finite, vis 0 or 1, depth finite or NaN; the
+    visible-depth rule, by track and then by frame. The cyclic collector
+    stays paused until the parsed document is freed.
     """
     doc = jsonio.load_json(path)
     where = str(path)

@@ -28,11 +28,14 @@ Two estimators share the correspondence structure:
   plus the per-step magnitudes, with analytic Jacobians of the exp-map
   point action. The fit hands the solver one model callable: at each trial
   point it moves every pair's source with the stacked ``lie`` kernels, in a
-  few array calls, and returns the residuals plus a Jacobian callable that
-  reuses the moved points; the solver linearizes only accepted points and
-  assembles the arrowhead normal matrix from those rows with
-  ``_normal_equations``, which the score test calls too (see
-  ``damped_gauss_newton`` for the contract and stop rules).
+  few array calls, and returns the residuals plus a callable that
+  linearizes that point. The solver calls it only for accepted points. It
+  builds each step's normal blocks from sums over the step's pairs, with no
+  Jacobian row built (``_pair_normal``, which the score test calls too),
+  and the solver assembles the arrowhead normal matrix from those blocks
+  (see ``damped_gauss_newton`` for the contract and stop rules). No matrix
+  product is long enough for BLAS to split over threads, so no result
+  depends on their count.
 
 Step transforms are world-frame displacement fields and chain by left
 multiplication from an anchor placed at the centroid of the part's first
@@ -62,6 +65,7 @@ from .lie import (
     renormalize,
     retract_twist,
     se3_left_jacobian,
+    skew,
     twist_tangent_basis,
 )
 
@@ -204,7 +208,7 @@ def residual_stats(corr: CorrespondenceSet, steps) -> tuple[float, np.ndarray]:
     (``corr.track_count``,), NaN for a row without pairs."""
     R = quat_to_matrix(steps[0])
     norms = np.linalg.norm(corr.dst - apply_each(R[corr.step], steps[1][corr.step], corr.src), axis=1)
-    total = float(norms @ norms)
+    total = float(np.sum(norms * norms))
     with np.errstate(invalid="ignore"):  # 0 / 0 for a row without pairs
         means = np.bincount(corr.track, norms, corr.track_count) / np.bincount(corr.track, minlength=corr.track_count)
     return float(np.sqrt(total / len(norms))), means
@@ -266,22 +270,17 @@ def fit_independent(corr: CorrespondenceSet, anchor_points=None, steps=None) -> 
 # shared damped Gauss-Newton solver
 
 
-def _normal_equations(Jc: np.ndarray, jt: np.ndarray, idx: np.ndarray, r: np.ndarray, M: int):
-    """Arrowhead normal matrix ``JtJ`` and gradient ``Jtr`` of the residual
-    rows ``r`` from their Jacobian rows ``(Jc, jt, idx)`` (see
-    ``damped_gauss_newton``) over M magnitudes: the chart block is one
-    matmul; the magnitude border and diagonal are sums per magnitude, by
-    ``np.bincount``."""
-    k = Jc.shape[1]
-    border = np.bincount(
-        (idx[:, None] * k + np.arange(k)).ravel(), (Jc * jt[:, None]).ravel(), M * k
-    ).reshape(M, k)
+def _arrowhead(H: np.ndarray, b: np.ndarray):
+    """Arrowhead normal matrix ``JtJ`` and gradient ``Jtr`` from per-step
+    blocks ``H`` (M, k+1, k+1) and ``b`` (M, k+1) over k chart coordinates
+    and each step's own magnitude (see ``damped_gauss_newton``)."""
+    M, k = b.shape[0], b.shape[1] - 1
     JtJ = np.zeros((k + M, k + M))
-    JtJ[:k, :k] = Jc.T @ Jc
-    JtJ[k:, :k] = border
-    JtJ[:k, k:] = border.T
-    JtJ[np.arange(k, k + M), np.arange(k, k + M)] = np.bincount(idx, jt * jt, M)
-    return JtJ, np.concatenate((Jc.T @ r, np.bincount(idx, jt * r, M)))
+    JtJ[:k, :k] = H[:, :k, :k].sum(axis=0)
+    JtJ[k:, :k] = H[:, k, :k]
+    JtJ[:k, k:] = H[:, k, :k].T
+    JtJ[np.arange(k, k + M), np.arange(k, k + M)] = H[:, k, k]
+    return JtJ, np.concatenate((b[:, :k].sum(axis=0), b[:, k]))
 
 
 def _predicted_decrease(JtJ: np.ndarray, Jtr: np.ndarray, lam: float) -> float:
@@ -298,15 +297,15 @@ def damped_gauss_newton(xi: Twist, thetas: np.ndarray, model):
     """Levenberg-damped Gauss-Newton over a normalized twist's gauge-fixed
     chart plus free magnitudes; the normal matrix is an arrowhead.
 
-    ``model(xi, thetas)`` returns ``(r, jacobian)``: every residual row at
-    that point (R,), and a callable ``jacobian(B)`` that linearizes the same
-    point as ``(Jc, jt, idx)``: the Jacobian along the k chart directions of
-    basis ``B`` (R, k), the Jacobian along each row's own magnitude (R,) and
-    the index of that magnitude (R,). The cost is ``r @ r``. Each point is
-    evaluated once; ``jacobian`` is called only for accepted points, so a
-    model defers the Jacobian's work to it and reuses what the residual step
-    computed. ``_normal_equations`` assembles the arrowhead normal matrix
-    from those rows.
+    ``model(xi, thetas)`` returns ``(r, linearize)``: every residual row at
+    that point (R,), and a callable ``linearize(B)`` that linearizes the same
+    point along the k chart directions of basis ``B`` as per-step blocks
+    ``(H, b)``: step m's ``J_m^T J_m`` (M, k+1, k+1) and ``J_m^T r_m``
+    (M, k+1), J_m the Jacobian of its rows along the chart and then along its
+    own magnitude. The cost is ``sum(r * r)``. Each point is evaluated once;
+    ``linearize`` is called only for accepted points, so a model defers its
+    work to it and reuses what the residual step computed. ``_arrowhead``
+    assembles the arrowhead normal matrix from those blocks.
 
     A step is accepted when it lowers the cost; a relative drop below
     COST_RTOL converges. When no damping up to DAMPING_MAX lowers the cost,
@@ -324,12 +323,12 @@ def damped_gauss_newton(xi: Twist, thetas: np.ndarray, model):
     convergence the best iterate comes back.
     """
     M = len(thetas)
-    r, jacobian = model(xi, thetas)
-    cost = float(r @ r)
+    r, linearize = model(xi, thetas)
+    cost = float(np.sum(r * r))
     lam = DAMPING_INIT
     stop = None
     for _ in range(MAX_ITER):
-        JtJ, Jtr = _normal_equations(*jacobian(twist_tangent_basis(xi)), r, M)
+        JtJ, Jtr = _arrowhead(*linearize(twist_tangent_basis(xi)))
         k = len(Jtr) - M
         lam_start = lam
         while lam <= DAMPING_MAX:
@@ -340,13 +339,13 @@ def damped_gauss_newton(xi: Twist, thetas: np.ndarray, model):
                 continue
             xi_new = retract_twist(xi, delta[:k])
             thetas_new = thetas + delta[k:]
-            r_new, jacobian_new = model(xi_new, thetas_new)
-            cost_new = float(r_new @ r_new)
+            r_new, linearize_new = model(xi_new, thetas_new)
+            cost_new = float(np.sum(r_new * r_new))
             if cost_new < cost:
                 lam = max(lam / 10.0, 1e-15)
                 drop = cost - cost_new
                 xi, thetas, cost = xi_new, thetas_new, cost_new
-                r, jacobian = r_new, jacobian_new
+                r, linearize = r_new, linearize_new
                 if drop < COST_RTOL * max(cost, 1e-300) or cost == 0.0:
                     stop = "converged"
                 break
@@ -381,34 +380,42 @@ def _pair_residual(corr: CorrespondenceSet, xi: Twist, thetas: np.ndarray) -> tu
 
 
 def _pair_model(corr: CorrespondenceSet, xi: Twist, thetas: np.ndarray):
-    """Point-pair residual rows of all steps and their Jacobian callable, in
-    the ``damped_gauss_newton`` model contract."""
+    """Point-pair residual rows of all steps and their linearization, in the
+    ``damped_gauss_newton`` model contract."""
     y, r = _pair_residual(corr, xi, thetas)
-    return r.ravel(), partial(_pair_blocks, corr.step, y, xi, thetas)
+    return r.ravel(), partial(_pair_normal, corr.step, y, r, xi, thetas)
 
 
-def _pair_blocks(step: np.ndarray, y: np.ndarray, xi: Twist, thetas: np.ndarray, B: np.ndarray):
-    """Jacobian rows ``(Jc, jt, idx)`` of the pair residuals at the point
-    whose moved sources are ``y``."""
-    k = B.shape[1]
+def tangent_map(xi: Twist, thetas: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(M, 6, k+1): per step, the tangent motion of exp(theta_m hat(xi)) along
+    each chart direction of basis ``B`` (6, k), then along theta_m (xi)."""
     xvec = xi.as_vector()
-    # (M, 6, k+1): per step, the tangent motion along each chart coordinate,
-    # then d/dtheta exp(theta xi) = xi exactly
-    D = np.concatenate(
-        (
-            se3_left_jacobian(thetas[:, None] * xvec) @ (thetas[:, None, None] * B),
-            np.broadcast_to(xvec[:, None], (len(thetas), 6, 1)),
-        ),
-        axis=2,
-    )
-    # d(residual) = -(tau_w x y + tau_v) per column, by component
-    y0, y1, y2 = y[:, 0:1], y[:, 1:2], y[:, 2:3]
-    J = np.empty((len(y), 3, k + 1))
-    J[:, 0] = D[step, 2] * y1 - D[step, 1] * y2 - D[step, 3]
-    J[:, 1] = D[step, 0] * y2 - D[step, 2] * y0 - D[step, 4]
-    J[:, 2] = D[step, 1] * y0 - D[step, 0] * y1 - D[step, 5]
-    J = J.reshape(-1, k + 1)
-    return J[:, :k], J[:, k], np.repeat(step, 3)
+    chart = se3_left_jacobian(thetas[:, None] * xvec) @ (thetas[:, None, None] * B)
+    return np.concatenate((chart, np.broadcast_to(xvec[:, None], (len(thetas), 6, 1))), axis=2)
+
+
+def _pair_normal(step: np.ndarray, y: np.ndarray, r: np.ndarray, xi: Twist, thetas: np.ndarray, B: np.ndarray):
+    """Per-step normal blocks ``(H, b)`` of the pair residuals ``r`` at moved
+    sources ``y`` (P, 3 each), from sums over each step's pairs.
+
+    A step's tangent tau = (tau_w, tau_v) moves a residual by
+    [y]x tau_w - tau_v, so its information matrix is
+    G = [[sum(|y|^2 I - y y^T), [sum y]x], [-[sum y]x, n I]] and its gradient
+    g = [sum r x y, -sum r]; with the tangent map D, H = D^T G D and
+    b = D^T g. All sums are one ``np.bincount``, in table order.
+    """
+    M = len(thetas)
+    y0, y1, y2 = y.T
+    # columns: 1; y; y0y0, y0y1, y0y2, y1y1, y1y2, y2y2; r x y; r
+    table = np.column_stack((np.ones(len(y)), y, y0 * y0, y0 * y1, y0 * y2, y1 * y1, y1 * y2, y2 * y2, np.cross(r, y), r))
+    S = np.bincount((step[:, None] * 16 + np.arange(16)).ravel(), table.ravel(), M * 16).reshape(M, 16)
+    yy = S[:, [4, 5, 6, 5, 7, 8, 6, 8, 9]].reshape(M, 3, 3)
+    sy, eye = skew(S[:, 1:4]), np.eye(3)
+    G = np.block([[np.trace(yy, axis1=1, axis2=2)[:, None, None] * eye - yy, sy], [-sy, S[:, 0, None, None] * eye]])
+    g = np.concatenate((S[:, 10:13], -S[:, 13:16]), axis=1)
+    D = tangent_map(xi, thetas, B)
+    Dt = np.swapaxes(D, 1, 2)
+    return Dt @ G @ D, (Dt @ g[:, :, None])[:, :, 0]
 
 
 def _init_from_steps(corr: CorrespondenceSet, steps=None) -> tuple[Twist, np.ndarray]:
@@ -458,8 +465,7 @@ def _score_drop(corr: CorrespondenceSet, xi: Twist, thetas: np.ndarray, r: np.nd
     ``Jtr^T (J^T J)^-1 Jtr`` over omega's three axes, v's two tangent
     directions and the magnitudes; infinite when that system is singular."""
     B = np.hstack((np.eye(6)[:, :3], twist_tangent_basis(xi)))
-    blocks = _pair_blocks(corr.step, corr.dst - r, xi, thetas, B)
-    JtJ, Jtr = _normal_equations(*blocks, r.ravel(), len(thetas))
+    JtJ, Jtr = _arrowhead(*_pair_normal(corr.step, corr.dst - r, r, xi, thetas, B))
     return 2.0 * _predicted_decrease(JtJ, Jtr, 0.0)  # that model drop is of half the cost
 
 

@@ -207,6 +207,35 @@ def test_worker_count_does_not_change_output(workdir):
     assert (workdir / "serial.json").read_bytes() == (workdir / "parallel.json").read_bytes()
 
 
+def test_blas_thread_count_does_not_change_output(tmp_path):
+    """One noisy revolute scene of 300 part tracks over 70 frames, run in two
+    fresh interpreters, one with OpenBLAS held to one thread and one allowed
+    two: a product over every pair that BLAS splits between two threads
+    rounds its sum differently from one thread, and the two documents would
+    differ in their last digits. On a one-CPU machine both runs use one
+    thread, so there the test cannot fail."""
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(scene_doc(
+        seed=0, frames=70, hand_window=[10, 55], n_dynamic=300, n_static=20,
+        joint={"type": "revolute", "axis_dir": [0.0, 0.6, 0.8], "axis_point": [0.4, -0.2, 1.0],
+               "motion": {"kind": "ramp", "magnitude": 0.6}},
+        noise_sigma=0.005, occlusion_rate=0.2, invalid_depth_rate=0.05,
+    )))
+    tracks = tmp_path / "tracks.json"
+    assert main(["synth", "--config", str(scene), "--out-tracks", str(tracks)]) == 0
+    docs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"threads-{threads}.json"
+        done = subprocess.run([sys.executable, "-m", "artikit", "run", "--tracks", str(tracks), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        docs.append(out.read_bytes())
+    assert json.loads(docs[0])["results"]
+    assert docs[0] == docs[1]
+
+
 def test_flag_beats_config_file(workdir, capsys):
     cfg = workdir / "tweaked.json"
     cfg.write_text(json.dumps({"segmenter": {"t_min": 40}}))

@@ -130,15 +130,19 @@ def test_load_json_reads_an_integer_beyond_64_bits_exactly(n, rest):
     [
         pytest.param(b"[123456789012345678, -123456789012345678]", ["orjson"], id="18-digit-integers"),
         pytest.param(b"[0.00012345678901234567, 1.2345678901234567e-05]", ["orjson"], id="long-fractions"),
-        pytest.param(b"[1234567890123456789]", ["json"], id="19-digit-integer"),
-        pytest.param(b"-1234567890123456789", ["json"], id="19-digit-integer-alone"),
-        pytest.param(b"[12345678901234567890.5]", ["json"], id="false-alarm-float"),
-        pytest.param(b'{"a": "x1234567890123456789"}', ["json"], id="false-alarm-string"),
+        pytest.param(b"[1234567890123456789]", ["orjson"], id="19-digit-integer"),
+        pytest.param(b"-1234567890123456789", ["orjson"], id="19-digit-integer-alone"),
+        pytest.param(b"[98765432109876543210]", ["orjson", "json"], id="20-digit-integer"),
+        pytest.param(b"[12345678901234567890.5]", ["orjson", "json"], id="false-alarm-float"),
+        pytest.param(b'{"a": "x1234567890123456789"}', ["orjson"], id="false-alarm-string"),
     ],
 )
 def test_load_json_sends_integer_literals_of_19_digits_to_the_standard_parser(tmp_path, monkeypatch, data, parsers):
-    """Integer literals of at most 18 digits and fractions of any length go to
-    orjson; 19 or more digits that follow no "." go to json."""
+    """orjson parses every document first; json parses it again only when
+    orjson's result holds a float of magnitude 2**63 or more, which an
+    integer literal beyond 64 bits becomes (and which a float literal that
+    large already is). Integers of 19 digits within 64 bits and digits in
+    strings stay with orjson."""
     ran = []
     for module in (orjson, json):
         monkeypatch.setattr(module, "loads", lambda s, loads=module.loads, name=module.__name__: ran.append(name) or loads(s))

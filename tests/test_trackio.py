@@ -342,6 +342,12 @@ def _doc(tmp_path, mutate):
         pytest.param(lambda d: d["tracks"][1].update(u="\u00e9" + d["tracks"][1]["u"][1:]),
                      "tracks[1].u: not base64: string argument should contain only ASCII characters",
                      id="non-ascii"),
+        pytest.param(lambda d: d["tracks"][2].update(vis="AQEBAQF="),  # was AQEBAQE=
+                     "tracks[2].vis: not canonical base64: unused bits set before the padding",
+                     id="vis-unused-bits"),
+        pytest.param(lambda d: d["tracks"][0].update(u=d["tracks"][0]["u"][:-3] + "B=="),
+                     "tracks[0].u: not canonical base64: unused bits set before the padding",
+                     id="u-unused-bits"),
         pytest.param(lambda d: d["tracks"][1].update(vis=encode([1] * 6, "vis")),
                      "tracks[1].vis: holds 6 bytes, expected 5 for 5 frames", id="vis-long"),
         pytest.param(lambda d: d["tracks"][2].update(depth=encode([1] * 5, "vis")),
