@@ -36,6 +36,7 @@ from .lie import (
     inverse,
     log_map,
     normalize_twist,
+    pose_stack,
     rotation_angle,
     se3_adjoint,
     se3_left_jacobian,
@@ -54,7 +55,6 @@ from .trackio import (
     lift_track,
     load_trackset,
     save_trackset,
-    stack_poses,
     to_world,
 )
 from .trajest import (

@@ -20,7 +20,9 @@ Stacks: ``exp_map`` with a 1-D array of M magnitudes, ``log_map`` and
 work on every row at once (see each docstring), Taylor or Shepperd branch
 chosen per row, with cross products written by component. Each map has one
 formula: one ``exp_map``, ``log_map``, ``inverse``, ``matrix_to_quat`` or
-``se3_left_jacobian`` is a one-row stack.
+``se3_left_jacobian`` is a one-row stack. A camera path is one ``pose_stack``,
+a record array of (T, 4) ``q`` and (T, 3) ``t`` whose row i has pose i's own
+``.q`` and ``.t``; ``RigidTransform``'s check is its one-row case.
 """
 
 from __future__ import annotations
@@ -92,15 +94,6 @@ class Twist:
     def to_dict(self) -> dict:
         return {"omega": self.omega.tolist(), "v": self.v.tolist()}
 
-    @classmethod
-    def from_dict(cls, d) -> "Twist":
-        """The twist ``{"omega": .., "v": ..}``; a ValueError says what is wrong."""
-        if not isinstance(d, dict):
-            raise ValueError(f"must be an object, got {d!r}")
-        if "omega" not in d or "v" not in d:
-            raise ValueError(f"missing {'v' if 'omega' in d else 'omega'}")
-        return cls(np.asarray(d["omega"], dtype=float), np.asarray(d["v"], dtype=float))
-
 
 # ---------------------------------------------------------------------------
 # quaternion helpers (w, x, y, z)
@@ -162,13 +155,29 @@ def matrix_to_quat(R) -> np.ndarray:
     return q if R.ndim == 3 else q[0]
 
 
-def renormalize(q: np.ndarray, n: float | None = None) -> np.ndarray:
-    """``q`` over its norm ``n`` (computed when not given), unless that is within
-    1e-13 of 1: renormalizing a unit quaternion wobbles the last ulp, so
-    save/load/save would not be idempotent."""
-    if n is None:
-        n = np.linalg.norm(q)
+def renormalize(q: np.ndarray) -> np.ndarray:
+    """``q`` over its norm, unless that is within 1e-13 of 1: renormalizing a
+    unit quaternion wobbles the last ulp, so save/load/save would not be
+    idempotent."""
+    n = np.linalg.norm(q)
     return q if abs(n - 1.0) <= 1e-13 else q / n
+
+
+def _unit_rows(q: np.ndarray, t: np.ndarray, stacked: bool = True) -> np.ndarray:
+    """Quaternions (M, 4), each renormalized as ``renormalize`` does once every
+    row is checked: q and t finite, |q| within 1e-3 of 1. A fault raises
+    ValueError naming the first bad row ``poses[m]``, unless not ``stacked``."""
+    with np.errstate(over="ignore"):  # a huge q is refused below, not warned about
+        n = row_norms(q)
+    off = np.abs(n - 1.0)
+    good = (off <= 1e-3) & np.isfinite(t).all(axis=1)  # a NaN or infinite q has no finite norm
+    if not good.all():
+        m = int(np.argmin(good))
+        fault = (f"q must be finite, got {q[m]}" if not np.isfinite(q[m]).all()
+                 else f"q must be near unit norm, got |q| = {n[m]}" if not off[m] <= 1e-3
+                 else f"t must be finite, got {t[m]}")
+        raise ValueError(f"poses[{m}]: {fault}" if stacked else fault)
+    return q / np.where(off > 1e-13, n, 1.0)[:, None]  # x / 1.0 is x, bit for bit
 
 
 @dataclass
@@ -179,24 +188,15 @@ class RigidTransform:
     t: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.shape != (4,):
-            raise ValueError(f"q must be a 4-vector, got shape {q.shape}")
-        if not np.isfinite(q).all():
-            raise ValueError(f"q must be finite, got {q}")
-        n = np.linalg.norm(q)
-        if abs(n - 1.0) > 1e-3:
-            raise ValueError(f"q must be near unit norm, got |q| = {n}")
-        self.q = renormalize(q, n)
-        self.t = _as_vec3(self.t, "t")
+        q, t = np.asarray(self.q, dtype=float), np.asarray(self.t, dtype=float)
+        for name, v, n in (("q", q, 4), ("t", t, 3)):
+            if v.shape != (n,):
+                raise ValueError(f"{name} must be a {n}-vector, got shape {v.shape}")
+        self.q, self.t = _unit_rows(q[None], t[None], stacked=False)[0], t
 
     @classmethod
     def identity(cls) -> "RigidTransform":
         return cls(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
-
-    @classmethod
-    def from_matrix(cls, R, t) -> "RigidTransform":
-        return cls(matrix_to_quat(R), np.asarray(t, dtype=float))
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.q)
@@ -211,14 +211,22 @@ class RigidTransform:
     def to_dict(self) -> dict:
         return {"q": self.q.tolist(), "t": self.t.tolist()}
 
-    @classmethod
-    def from_dict(cls, d) -> "RigidTransform":
-        """The pose ``{"q": .., "t": ..}``; a ValueError says what is wrong."""
-        if not isinstance(d, dict):
-            raise ValueError(f"must be an object, got {d!r}")
-        if "q" not in d or "t" not in d:
-            raise ValueError(f"missing {'t' if 'q' in d else 'q'}")
-        return cls(d["q"], d["t"])
+
+# one row of a pose stack: a unit quaternion (w, x, y, z) and a translation (m)
+POSE = np.dtype([("q", float, (4,)), ("t", float, (3,))])
+
+
+def pose_stack(q, t=None) -> np.recarray:
+    """T poses as one record array with fields ``q`` (T, 4) and ``t`` (T, 3),
+    from (T, 4) quaternions and (T, 3) translations, or from ``q`` alone as
+    anything ``np.asarray`` turns into POSE rows, such as a list of a stack's
+    rows. Each row equals ``RigidTransform(q, t)`` bit for bit; a fault
+    raises ValueError naming the first bad row."""
+    rows = np.array(q, dtype=POSE) if t is None else np.rec.fromarrays((q, t), dtype=POSE)
+    if rows.ndim != 1:
+        raise ValueError(f"poses must be one row per pose, got shape {rows.shape}")
+    rows["q"] = _unit_rows(rows["q"], rows["t"])
+    return rows.view(np.recarray)
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:

@@ -50,7 +50,6 @@ from .trackio import (
     _as_number,
     _require,
     lift_track,
-    stack_poses,
     to_world,
 )
 from .trajest import (
@@ -153,7 +152,7 @@ def stage_filter(ts: TrackSet, seg: Segment, cfg: PipelineConfig) -> tuple[Segme
     frames = slice(seg.start, seg.end + 1)
     stack = Track(np.array([tr.id for tr in ts.tracks]),
                   *(np.array([getattr(tr, f)[frames] for tr in ts.tracks]) for f in ("uv", "depth", "vis")))
-    world = to_world(lift_track(stack, ts.intrinsics, cfg.max_depth), stack_poses(ts.cam_poses[frames]))
+    world = to_world(lift_track(stack, ts.intrinsics, cfg.max_depth), ts.cam_poses[frames])
     tracks = SegmentTrack(stack.id, world.positions, world.valid)
     static = filter_static(tracks, cfg.filter)
     keep = static & filter_unreliable(tracks, cfg.filter)

@@ -13,10 +13,11 @@ documented order: dynamic base points, static points, then per-frame noise,
 occlusion and depth dropouts in track-major order. Identical configs produce
 byte-identical files.
 
-A camera path is one stacked look-at. ``generate`` moves the part by one
-stacked ``exp_map`` of the profile, collects the per-point draws in that
-order in a loop that does nothing else, then inverts the camera path as one
-stack and projects every frame's points at once.
+A camera path is one ``lie.pose_stack``, built by one stacked look-at.
+``generate`` moves the part by one stacked ``exp_map`` of the profile,
+collects the per-point draws in that order in a loop that does nothing else,
+then inverts the camera path as one stack, projects every frame's points at
+once and hands the path to the TrackSet as it is.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import jsonio
 from .bounds import bounded, check_bounds, check_keys, check_value
 from .errors import TrackFileError
-from .lie import RigidTransform, Twist, apply_each, exp_map, inverse, matrix_to_quat, row_norms
+from .lie import RigidTransform, Twist, apply_each, exp_map, inverse, matrix_to_quat, pose_stack, row_norms
 from .segmenter import Segment
 from .trackio import CameraIntrinsics, Track, TrackSet
 
@@ -78,7 +79,7 @@ def _check_hand_window(window) -> None:
 class SynthConfig:
     seed: int = bounded(MISSING, ">= 0", int)
     joint: JointSpec
-    camera_path: list  # list[RigidTransform], camera-to-world, length T
+    camera_path: np.recarray  # pose_stack of T rows, camera-to-world
     n_dynamic: int = bounded(48, ">= 1", int)
     n_static: int = bounded(20, ">= 0", int)
     noise_sigma: float = bounded(0.0, ">= 0")  # m, isotropic 3D
@@ -93,6 +94,7 @@ class SynthConfig:
 
     def __post_init__(self):
         check_bounds(self)
+        self.camera_path = pose_stack(self.camera_path)
         T = len(self.camera_path)
         if len(self.joint.motion_profile) != T:
             raise ValueError(
@@ -225,12 +227,12 @@ def arc_camera_path(
     height: float = 0.3,
     sweep_deg: float = 25.0,
     start_deg: float = 200.0,
-) -> list:
+) -> np.recarray:
     """Camera orbiting the target over a modest arc, one stacked look-at."""
     target = np.asarray(target, dtype=float)
     angles = np.deg2rad(start_deg + np.linspace(0.0, sweep_deg, T))
     eyes = target + np.column_stack((radius * np.cos(angles), radius * np.sin(angles), np.full(T, height)))
-    return [RigidTransform(q, eye) for q, eye in zip(_look_at_rows(eyes, target), eyes)]
+    return pose_stack(_look_at_rows(eyes, target), eyes)
 
 
 def generate(cfg: SynthConfig) -> tuple[TrackSet, list]:
@@ -270,8 +272,7 @@ def generate(cfg: SynthConfig) -> tuple[TrackSet, list]:
         # rng.normal(0, sigma) returns 0 + sigma * z: the same operations
         world = world + (0.0 + cfg.noise_sigma * noise)
 
-    path = cfg.camera_path
-    _, R_cam, t_cam = inverse((np.array([p.q for p in path]), np.array([p.t for p in path])))
+    _, R_cam, t_cam = inverse((cfg.camera_path.q, cfg.camera_path.t))
     p_cam = apply_each(R_cam[:, None], t_cam[:, None], world)
     front = p_cam[..., 2] > 1e-6
     occluded = draws[..., 0] < rates[0]
@@ -294,7 +295,7 @@ def generate(cfg: SynthConfig) -> tuple[TrackSet, list]:
     ]
     ts = TrackSet(
         intrinsics=cfg.intrinsics,
-        cam_poses=list(cfg.camera_path),
+        cam_poses=cfg.camera_path,
         hand=hand,
         tracks=tracks,
     )
@@ -367,6 +368,26 @@ _ARC_KEYS = ("radius", "height", "sweep_deg", "start_deg")
 _INTRINSICS_KEYS = ("fx", "fy", "cx", "cy")
 
 
+def _camera_poses(poses) -> np.recarray:
+    """The path of a ``"poses"`` camera: one ``{"q": [w, x, y, z], "t": [x,
+    y, z]}`` object per frame, each number read as given."""
+    for i, p in enumerate(poses):
+        where = f"camera.poses[{i}]"
+        if not isinstance(p, dict):
+            raise ValueError(f"{where}: must be an object, got {p!r}")
+        check_keys(p, ("q", "t"), f"{where}.")
+        for key, n in (("q", 4), ("t", 3)):
+            v = _field(p, key, f"{where}: ")
+            for j, x in enumerate(v if isinstance(v, list) else ()):
+                check_value(f"{where}.{key}[{j}]", x)
+            if np.shape(v) != (n,):
+                raise ValueError(f"{where}: {key} must be a {n}-vector, got shape {np.shape(v)}")
+    try:
+        return pose_stack([(p["q"], p["t"]) for p in poses])
+    except ValueError as e:  # the stack names its first bad row poses[m]
+        raise ValueError(f"camera.{e}") from None
+
+
 def config_from_dict(doc: dict) -> SynthConfig:
     """Build a SynthConfig from a scene description dictionary.
 
@@ -436,12 +457,7 @@ def config_from_dict(doc: dict) -> SynthConfig:
             path = arc_camera_path(T, target, **arc)
         elif kind == "poses":
             check_keys(cam, ("kind", "poses"), "camera.")
-            path = []
-            for i, p in enumerate(_field(cam, "poses", "camera: ")):
-                try:
-                    path.append(RigidTransform.from_dict(p))
-                except (TypeError, ValueError) as e:
-                    raise ValueError(f"camera.poses[{i}]: {e}") from None
+            path = _camera_poses(_field(cam, "poses", "camera: "))
         else:
             raise ValueError(f"unknown camera kind {kind!r}")
         kwargs = {key: doc[key] for key in _SCALAR_KEYS if key in doc}

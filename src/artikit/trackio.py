@@ -17,21 +17,23 @@ Each of a track's per-frame columns is one base64 string (standard alphabet,
 with padding) of its T values' little-endian bytes: float64 for ``u``, ``v``
 and ``depth``, where NaN depth means no depth, and one byte of 0 or 1 per
 frame for ``vis``. Intrinsics, frames and ids are JSON numbers. In memory
-``u`` and ``v`` are the columns of one (T, 2) ``uv`` array.
+``u`` and ``v`` are the columns of one (T, 2) ``uv`` array, and the camera
+poses are one ``lie.pose_stack`` of T rows.
 
 A track ``id`` is an integer in the signed 64-bit range [-2**63, 2**63 - 1].
 Validation errors name the offending field and index. A frame where
 ``vis`` is 1 must carry finite positive depth; depth beyond ``max_depth``
 is legal in the file and is marked invalid at lift time.
 
-Loading checks the frames in bulk first; frames that fail go through the
-frame-by-frame walk, which names the first bad element. It then checks each
-track's structure, decoding its columns one by one, and joins each column's
-bytes over all tracks into one (tracks, frames) array, whose values are
-checked at once; each track holds rows of those arrays. Lifting and world
-mapping take one track or a stack of tracks with a leading track axis; the
-pipeline carries a segment's lifted world tracks as one stack, a
-``SegmentTrack``, and pixel coordinates stop at the lift.
+Loading checks the frames in bulk first and builds the pose stack in one
+call; only frames that fail go through the frame-by-frame walk, which names
+the first bad element. It then checks each track's structure, decoding its
+columns one by one, and joins each column's bytes over all tracks into one
+(tracks, frames) array, whose values are checked at once; each track holds
+rows of those arrays. Lifting and world mapping take one track or a stack
+of tracks with a leading track axis, and a slice of the pose stack; the
+pipeline carries a segment's world tracks as one stack, a ``SegmentTrack``,
+and pixel coordinates stop at the lift.
 Files are written as compact one-line JSON.
 """
 
@@ -42,14 +44,13 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import orjson
 
 from . import jsonio
 from .errors import TrackFileError
-from .lie import RigidTransform, apply_each, quat_to_matrix
+from .lie import RigidTransform, apply_each, pose_stack, quat_to_matrix
 
 DEFAULT_MAX_DEPTH = 10.0  # meters; depth beyond this is treated as sensor junk
 VERSION = 3  # of the track-file schema
@@ -125,9 +126,12 @@ class TrackSet:
     """A full recording: intrinsics, per-frame poses + hand flag, tracks."""
 
     intrinsics: CameraIntrinsics
-    cam_poses: list = field(default_factory=list)  # list[RigidTransform], camera-to-world
+    cam_poses: np.recarray = field(default_factory=list)  # pose_stack of T rows, camera-to-world
     hand: np.ndarray = None  # (T,) bool
     tracks: list = field(default_factory=list)  # list[Track]
+
+    def __post_init__(self):
+        self.cam_poses = pose_stack(self.cam_poses)
 
     @property
     def frame_count(self) -> int:
@@ -156,35 +160,18 @@ def lift_track(track: Track, intrinsics: CameraIntrinsics, max_depth: float = DE
     return Track3D(pos, ok)
 
 
-class PoseStack(NamedTuple):
-    """Per-frame camera-to-world poses as stacked arrays, built once and
-    shared by every track lifted over those frames."""
-
-    rotations: np.ndarray  # (T, 3, 3)
-    translations: np.ndarray  # (T, 3)
-
-
-def stack_poses(cam_poses) -> PoseStack:
-    """Stack a list of RigidTransform into rotation and translation arrays;
-    C-contiguous, as ``apply_each`` rounds alike only on alike layouts."""
-    return PoseStack(
-        np.ascontiguousarray(quat_to_matrix(np.array([p.q for p in cam_poses]).reshape(-1, 4))),
-        np.array([p.t for p in cam_poses]).reshape(-1, 3),
-    )
-
-
-def to_world(track3d: Track3D, poses: PoseStack) -> Track3D:
+def to_world(track3d: Track3D, poses: np.recarray) -> Track3D:
     """Map camera-frame positions to world coordinates with the per-frame
-    poses of ``stack_poses``.
+    camera-to-world ``poses``, a ``pose_stack`` of one row per frame.
 
     ``track3d`` is one track or a stack with a leading track axis.
     """
     ok = track3d.valid
-    if len(poses.rotations) != ok.shape[-1]:
-        raise ValueError(f"pose count {len(poses.rotations)} != frame count {ok.shape[-1]}")
+    if len(poses) != ok.shape[-1]:
+        raise ValueError(f"pose count {len(poses)} != frame count {ok.shape[-1]}")
     frame = np.nonzero(ok)[-1]
     out = np.full_like(track3d.positions, np.nan)
-    out[ok] = apply_each(poses.rotations[frame], poses.translations[frame], track3d.positions[ok])
+    out[ok] = apply_each(quat_to_matrix(poses.q)[frame], poses.t[frame], track3d.positions[ok])
     return Track3D(out, ok.copy())
 
 
@@ -265,51 +252,39 @@ def _check_columns(where: str, cols: dict) -> None:
                              f"{depth[k, t].item()!r}; {_VISIBLE_DEPTH_RULE}")
 
 
-def _frame_arrays(frames: list):
-    """(poses, hand) of well-formed frames, or None.
-
-    Type checks over all frames, then one (T, 7) array of quaternions and
-    translations. None hands the frames to ``_walk_frames``, which finds the
-    first bad element.
+def _frame_arrays(frames: list, where: str):
+    """(poses, hand) of the frames: type checks over all frames, then one
+    pose stack of the (T, 4) quaternions and (T, 3) translations. Frames
+    that fail go to ``_walk_frames``, which refuses exactly those frames.
     """
     try:
         t, hand, qs, ts = zip(*((fr["t"], fr["hand"], fr["cam_pose"]["q"], fr["cam_pose"]["t"]) for fr in frames))
-    except (KeyError, TypeError):  # a frame or cam_pose that is no object, a missing key
-        return None
-    if (list(t) != list(range(len(frames))) or set(map(type, hand)) != {bool}
-            or set(map(type, qs + ts)) != {list} or set(map(len, qs)) != {4} or set(map(len, ts)) != {3}
-            or not set(map(type, chain.from_iterable(qs + ts))) <= _NUMBER):
-        return None
-    try:
-        poses = [RigidTransform(row[:4], row[4:]) for row in np.array([q + t for q, t in zip(qs, ts)], dtype=float)]
-    except (OverflowError, ValueError):  # a huge integer, a non-finite or non-unit pose
-        return None
-    return poses, np.array(hand)
+        if (list(t) == list(range(len(frames))) and set(map(type, hand)) == {bool}
+                and set(map(type, qs + ts)) == {list} and set(map(len, qs)) == {4} and set(map(len, ts)) == {3}
+                and set(map(type, chain.from_iterable(qs + ts))) <= _NUMBER):
+            return pose_stack(np.array(qs, dtype=float), np.array(ts, dtype=float)), np.array(hand)
+    except (KeyError, TypeError, OverflowError, ValueError):  # no object, a missing key; a huge integer, a bad pose
+        pass
+    _walk_frames(frames, where)
 
 
-def _walk_frames(frames: list, where: str):
-    """The frame-by-frame check: raises naming the first bad element."""
-    poses = []
-    hand = np.zeros(len(frames), dtype=bool)
+def _walk_frames(frames: list, where: str) -> None:
+    """The frame-by-frame check of frames that ``_frame_arrays`` refused:
+    raises naming the first bad element."""
     for i, fr in enumerate(frames):
         w = f"{where}.frames[{i}]"
         _require(isinstance(fr, dict), w, "must be an object")
         _require(fr.get("t") == i, w, f"t must equal the frame index {i}, got {fr.get('t')!r}")
         cp = fr.get("cam_pose")
         _require(isinstance(cp, dict) and "q" in cp and "t" in cp, w, "cam_pose must carry q and t")
-        q = cp["q"]
-        tt = cp["t"]
-        _require(isinstance(q, list) and len(q) == 4, f"{w}.cam_pose.q", "must be a 4-list [w,x,y,z]")
-        _require(isinstance(tt, list) and len(tt) == 3, f"{w}.cam_pose.t", "must be a 3-list")
-        qv = [_as_number(x, f"{w}.cam_pose.q[{j}]") for j, x in enumerate(q)]
-        tv = [_as_number(x, f"{w}.cam_pose.t[{j}]") for j, x in enumerate(tt)]
+        _require(isinstance(cp["q"], list) and len(cp["q"]) == 4, f"{w}.cam_pose.q", "must be a 4-list [w,x,y,z]")
+        _require(isinstance(cp["t"], list) and len(cp["t"]) == 3, f"{w}.cam_pose.t", "must be a 3-list")
+        pose = [[_as_number(x, f"{w}.cam_pose.{k}[{j}]") for j, x in enumerate(cp[k])] for k in ("q", "t")]
         try:
-            poses.append(RigidTransform(np.array(qv), np.array(tv)))
+            RigidTransform(*pose)
         except ValueError as e:
             raise TrackFileError(f"{w}.cam_pose: {e}") from e
         _require(isinstance(fr.get("hand"), bool), f"{w}.hand", "must be a boolean")
-        hand[i] = fr["hand"]
-    return poses, hand
 
 
 @jsonio.collector_paused()
@@ -345,7 +320,7 @@ def load_trackset(path) -> TrackSet:
 
     frames = doc.get("frames")
     _require(isinstance(frames, list) and frames, where, "frames must be a non-empty list")
-    poses, hand = _frame_arrays(frames) or _walk_frames(frames, where)
+    poses, hand = _frame_arrays(frames, where)
 
     T = len(frames)
     raw_tracks = doc.get("tracks")
@@ -410,8 +385,8 @@ def save_trackset(path, ts: TrackSet) -> None:
         "units": {"length": "m"},
         "intrinsics": ts.intrinsics.to_dict(),
         "frames": [
-            {"t": i, "cam_pose": ts.cam_poses[i].to_dict(), "hand": bool(ts.hand[i])}
-            for i in range(T)
+            {"t": i, "cam_pose": {"q": q, "t": t}, "hand": bool(h)}
+            for i, (q, t, h) in enumerate(zip(ts.cam_poses.q.tolist(), ts.cam_poses.t.tolist(), ts.hand))
         ],
         "tracks": [
             {"id": int(tr.id), **{name: base64.b64encode(cols[name][k]).decode("ascii") for name in _COLUMNS}}

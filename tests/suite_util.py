@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from artikit import evalkit, synth
+from artikit.lie import pose_stack
 from artikit.artmodel import ClassifierConfig
 from artikit.pipeline import PipelineConfig, run_pipeline
 from artikit.smoother import SmootherConfig
@@ -27,6 +28,11 @@ N_REVOLUTE = 25
 NOISE_SIGMA = 0.005
 OCCLUSION_RATE = 0.20
 INVALID_DEPTH_RATE = 0.05
+
+
+def still_camera(T: int):
+    """A camera that stays at the world origin for T frames, as a pose stack."""
+    return pose_stack(np.tile([1.0, 0.0, 0.0, 0.0], (T, 1)), np.zeros((T, 3)))
 
 
 def scene_config(i: int, noisy: bool, redraw: int = 0) -> synth.SynthConfig:

@@ -16,10 +16,10 @@ import pytest
 from artikit import cli
 from artikit.cli import _overrides, build_parser, main
 from artikit.jsonio import load_json
-from artikit.lie import RigidTransform
 from artikit.pipeline import PipelineConfig, effective_config, load_segment_data
 from artikit.synth import JointSpec, SynthConfig, generate
 from artikit.trackio import load_trackset, save_trackset
+from suite_util import still_camera
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,7 +102,7 @@ def test_stage_composition_matches_run_with_skips_at_several_stages(workdir):
         seed=21,
         joint=JointSpec("revolute", np.array([0.0, 0.0, 1.0]), profile,
                         axis_point=np.array([0.4, 0.0, 1.0])),
-        camera_path=[RigidTransform.identity() for _ in range(T)],
+        camera_path=still_camera(T),
         n_dynamic=15,
         n_static=8,
     ))
@@ -614,10 +614,18 @@ def camera_poses_scene(bad_pose) -> dict:
 
 BAD_CAMERA_POSES = {
     "non-unit-q": ({"q": [2.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0, 0.0]},
-                   "q must be near unit norm, got |q| = 2.0"),
-    "missing-t": ({"q": [1.0, 0.0, 0.0, 0.0]}, "missing t"),
-    "short-t": ({"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0]}, "t must be a 3-vector, got shape (2,)"),
-    "not-an-object": (5, "must be an object, got 5"),
+                   "camera.poses[3]: q must be near unit norm, got |q| = 2.0"),
+    "missing-t": ({"q": [1.0, 0.0, 0.0, 0.0]}, "camera.poses[3]: missing t"),
+    "short-t": ({"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0]},
+                "camera.poses[3]: t must be a 3-vector, got shape (2,)"),
+    "not-an-object": (5, "camera.poses[3]: must be an object, got 5"),
+    # read as given, like every other scene-config value
+    "string-q": ({"q": ["1", "0", "0", "0"], "t": [0.0, 0.0, 0.0]},
+                 "camera.poses[3].q[0] must be a number, got '1'"),
+    "boolean-t": ({"q": [1.0, 0.0, 0.0, 0.0], "t": [True, 0, 0]},
+                  "camera.poses[3].t[0] must be a number, got True"),
+    "unknown-key": ({"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0, 0.0], "extra": 1},
+                    "unknown config key 'camera.poses[3].extra'"),
 }
 
 
@@ -631,7 +639,7 @@ def test_synth_names_the_bad_explicit_camera_pose(tmp_path, capsys, case):
     assert len(err_lines) == 1
     msg = json.loads(err_lines[0])
     assert msg["error"] == "TrackFileError"
-    assert msg["message"] == f"scene config: camera.poses[3]: {reason}"
+    assert msg["message"] == f"scene config: {reason}"
     assert not (tmp_path / "t.json").exists()
 
 

@@ -12,7 +12,6 @@ from artikit import pipeline, trajest
 from artikit.artmodel import ClassifierConfig
 from artikit.errors import IllPosedError, TrackFileError
 from artikit.evalkit import axis_distance
-from artikit.lie import RigidTransform
 from artikit.pipeline import (
     PipelineConfig,
     effective_config,
@@ -50,7 +49,7 @@ def two_block_recording():
     cfg = SynthConfig(
         seed=21,
         joint=JointSpec("revolute", AXIS_DIR, profile, axis_point=AXIS_POINT),
-        camera_path=[RigidTransform.identity() for _ in range(T)],
+        camera_path=suite_util.still_camera(T),
         n_dynamic=15,
         n_static=8,
     )

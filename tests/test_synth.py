@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from artikit.errors import TrackFileError
-from artikit.lie import RigidTransform
+from artikit.lie import RigidTransform, quat_to_matrix
 from artikit.synth import (
     GroundTruthJoint,
     JointSpec,
@@ -26,12 +26,12 @@ from artikit.synth import (
     _look_at_rows,
     save_ground_truth,
 )
-from artikit.trackio import lift_track, save_trackset, stack_poses, to_world
-from suite_util import scene_config
+from artikit.trackio import lift_track, save_trackset, to_world
+from suite_util import scene_config, still_camera
 
 
 def world_points(ts, track):
-    t3 = to_world(lift_track(track, ts.intrinsics), stack_poses(ts.cam_poses))
+    t3 = to_world(lift_track(track, ts.intrinsics), ts.cam_poses)
     return t3.positions, t3.valid
 
 
@@ -47,7 +47,7 @@ def static_cam_config(**overrides):
     kwargs = dict(
         seed=7,
         joint=joint,
-        camera_path=[RigidTransform.identity() for _ in range(T)],
+        camera_path=still_camera(T),
         n_dynamic=15,
         n_static=8,
     )
@@ -79,7 +79,7 @@ def test_prismatic_scene_moves_points_along_axis():
     cfg = SynthConfig(
         seed=3,
         joint=JointSpec("prismatic", d, prof),
-        camera_path=[RigidTransform.identity() for _ in range(T)],
+        camera_path=still_camera(T),
         n_dynamic=10,
         n_static=4,
         part_center=np.array([0.0, 0.0, 1.2]),
@@ -339,12 +339,11 @@ def test_arc_camera_path_orbits_target():
     target = np.array([0.3, -0.2, 1.0])
     path = arc_camera_path(9, target, radius=2.0, height=0.4)
     assert len(path) == 9
-    for T in path:
-        offset = T.t - target
+    for pose, fwd in zip(path, quat_to_matrix(path.q)[:, :, 2], strict=True):
+        offset = pose.t - target
         assert np.hypot(offset[0], offset[1]) == pytest.approx(2.0)
         assert offset[2] == pytest.approx(0.4)
-        fwd = T.rotation_matrix()[:, 2]
-        assert np.dot(fwd, target - T.t) > 0
+        assert np.dot(fwd, target - pose.t) > 0
 
 
 def test_joint_spec_validation():
@@ -375,7 +374,7 @@ def test_revolute_twist_passes_through_axis_point():
 def test_synth_config_validation():
     T = 6
     joint = JointSpec("prismatic", np.array([1.0, 0.0, 0.0]), np.zeros(T))
-    path = [RigidTransform.identity() for _ in range(T)]
+    path = still_camera(T)
     with pytest.raises(ValueError, match="motion_profile"):
         SynthConfig(seed=0, joint=joint, camera_path=path[:-1])
     with pytest.raises(ValueError, match="hand_window"):
@@ -395,7 +394,7 @@ def test_synth_config_built_directly_refuses_a_non_integer_hand_window(window, m
     ``generate`` never slices frames by a fraction."""
     T = 6
     joint = JointSpec("prismatic", np.array([1.0, 0.0, 0.0]), np.zeros(T))
-    path = [RigidTransform.identity() for _ in range(T)]
+    path = still_camera(T)
     with pytest.raises(ValueError) as ei:
         SynthConfig(seed=0, joint=joint, camera_path=path, hand_window=window)
     assert str(ei.value) == message

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 import suite_util
 from artikit.errors import InsufficientTracksError
-from artikit.lie import RigidTransform
 from artikit.pipeline import PipelineConfig, run_pipeline, stage_filter
 from artikit.segmenter import Segment
 from artikit.synth import generate
@@ -199,7 +198,7 @@ def test_filters_partition_their_input(inputs):
     # identity camera poses
     T = tracks.world.shape[1]
     ts = TrackSet(CameraIntrinsics(1.0, 1.0, 0.0, 0.0),
-                  [RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))] * T, np.zeros(T, dtype=bool),
+                  suite_util.still_camera(T), np.zeros(T, dtype=bool),
                   [Track(i, tracks.world[i, :, :2], tracks.world[i, :, 2], tracks.valid[i]) for i in range(n)])
     try:
         kept, counts = stage_filter(ts, Segment(0, T - 1), PipelineConfig(filter=cfg))

@@ -16,9 +16,14 @@ from hypothesis.extra import numpy as hnp
 
 from artikit import jsonio, trackio
 from artikit.errors import TrackFileError
-from artikit.lie import RigidTransform, apply, exp_map, inverse, Twist
+from artikit.lie import apply, exp_map, inverse, pose_stack, Twist
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def stacked(poses):
+    """A list of RigidTransform as one pose stack."""
+    return pose_stack([p.q for p in poses], [p.t for p in poses])
 
 
 def make_trackset(T=5, n=3) -> trackio.TrackSet:
@@ -36,7 +41,7 @@ def make_trackset(T=5, n=3) -> trackio.TrackSet:
         tracks.append(trackio.Track(i, uv, depth, vis))
     hand = np.zeros(T, dtype=bool)
     hand[1:3] = True
-    return trackio.TrackSet(intrinsics=intr, cam_poses=poses, hand=hand, tracks=tracks)
+    return trackio.TrackSet(intrinsics=intr, cam_poses=stacked(poses), hand=hand, tracks=tracks)
 
 
 def test_lift_track_matches_the_pinhole_formula():
@@ -83,7 +88,7 @@ def test_to_world_applies_camera_poses():
     ]
     pos = rng.normal(size=(4, 3))
     valid = np.array([True, True, False, True])
-    w = trackio.to_world(trackio.Track3D(pos.copy(), valid), trackio.stack_poses(poses))
+    w = trackio.to_world(trackio.Track3D(pos.copy(), valid), stacked(poses))
     for t in range(4):
         if valid[t]:
             assert np.array_equal(w.positions[t], apply(poses[t], pos[t]))
@@ -95,7 +100,7 @@ def test_lift_and_to_world_on_a_stack_equal_per_track_calls():
     rng = np.random.default_rng(4)
     intr = trackio.CameraIntrinsics(525.0, 500.0, 320.0, 240.0)
     N, T = 9, 12
-    poses = trackio.stack_poses([
+    poses = stacked([
         exp_map(Twist(rng.normal(size=3), rng.normal(size=3)), rng.uniform(0, 1)) for _ in range(T)
     ])
     uv = rng.uniform(0.0, 640.0, (N, T, 2))
@@ -124,7 +129,7 @@ def test_world_rigidity_of_static_scene():
             x, y, depth[t] = apply(inverse(pose), p)
             uv[t] = intr.fx * x / depth[t] + intr.cx, intr.fy * y / depth[t] + intr.cy
         tr = trackio.Track(0, uv, depth, np.ones(5, dtype=bool))
-        w = trackio.to_world(trackio.lift_track(tr, intr), trackio.stack_poses(poses))
+        w = trackio.to_world(trackio.lift_track(tr, intr), stacked(poses))
         assert np.max(np.ptp(w.positions, axis=0)) < 1e-9
 
 
@@ -141,6 +146,34 @@ def test_save_load_round_trip(tmp_path):
     for a, b in zip(ts.tracks, ts2.tracks):
         assert np.array_equal(a.uv, b.uv)
         assert np.array_equal(a.depth, b.depth, equal_nan=True)
+
+
+def test_trackset_joined_from_per_frame_pose_rows(tmp_path):
+    """Recordings played back to back join their camera poses as a Python
+    list of per-frame rows, each read by ``.q`` and ``.t``: the set equals
+    the one built from the stacked arrays and saves, loads and saves again
+    to the same bytes."""
+    a, b = make_trackset(T=5), make_trackset(T=3)
+    b.cam_poses = pose_stack(b.cam_poses.q[::-1], b.cam_poses.t + 1.0)
+    tracks = [trackio.Track(x.id, *(np.concatenate([getattr(x, f), getattr(y, f)]) for f in ("uv", "depth", "vis")))
+              for x, y in zip(a.tracks, b.tracks)]
+    hand = np.concatenate([a.hand, b.hand])
+    joined = trackio.TrackSet(a.intrinsics, [p for s in (a, b) for p in s.cam_poses], hand, tracks)
+    whole = trackio.TrackSet(a.intrinsics, pose_stack(np.concatenate([a.cam_poses.q, b.cam_poses.q]),
+                                                      np.concatenate([a.cam_poses.t, b.cam_poses.t])), hand, tracks)
+    assert isinstance(joined.cam_poses, np.recarray)
+    assert joined.cam_poses.tobytes() == whole.cam_poses.tobytes()
+    assert joined.frame_count == whole.frame_count == 8
+    assert joined.cam_poses[5:8].tobytes() == b.cam_poses.tobytes()
+    for t, pose in enumerate(joined.cam_poses):
+        src, k = (a, t) if t < 5 else (b, t - 5)
+        assert np.array_equal(pose.q, src.cam_poses.q[k]) and np.array_equal(pose.t, src.cam_poses.t[k])
+    p, again = tmp_path / "joined.json", tmp_path / "again.json"
+    trackio.save_trackset(p, joined)
+    trackio.save_trackset(tmp_path / "whole.json", whole)
+    assert p.read_bytes() == (tmp_path / "whole.json").read_bytes()
+    trackio.save_trackset(again, trackio.load_trackset(p))
+    assert again.read_bytes() == p.read_bytes()
 
 
 def test_depth_nan_is_written_as_a_nan_double(tmp_path):
@@ -452,7 +485,7 @@ def _set(obj, **values):
         pytest.param(lambda ts: ts.tracks[0].depth.__setitem__(1, -1.0) or ts.tracks[2].uv.__setitem__((3, 1), np.nan),
                      lambda d: set_value(d, 0, "depth", 1, -1.0) or set_value(d, 2, "v", 3, math.nan),
                      ".tracks[2].v[3]: expected a finite number, got nan", id="values-before-visible-depth"),
-        pytest.param(lambda ts: _set(ts, cam_poses=[], hand=np.zeros(0, dtype=bool)),
+        pytest.param(lambda ts: _set(ts, cam_poses=ts.cam_poses[:0], hand=np.zeros(0, dtype=bool)),
                      lambda d: d.update(frames=[]), ": frames must be a non-empty list", id="no-frames"),
         # the hand flags live in the frames on disk, so only the set can break them
         pytest.param(lambda ts: _set(ts, hand=ts.hand[:3]), None,
@@ -538,7 +571,7 @@ def test_writer_spellings_read_back_bit_exactly(tmp_path, v):
     T = 2
     ts = make_trackset(T, n=0)
     ts.intrinsics = trackio.CameraIntrinsics(v if v > 0 else 1.0, v if v > 0 else 1.0, v, v)
-    ts.cam_poses = [RigidTransform(pose.q, np.full(3, v)) for pose in ts.cam_poses]
+    ts.cam_poses = pose_stack(ts.cam_poses.q, np.full((T, 3), v))
     ts.tracks = [trackio.Track(0, np.full((T, 2), v), np.full(T, v), np.full(T, v > 0))]
     p = tmp_path / "a.json"
     trackio.save_trackset(p, ts)
@@ -621,6 +654,34 @@ def test_loader_reports_the_first_fault_in_its_documented_order(tmp_path, mutate
     assert str(ei.value).startswith(f"{p}.{message}")
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from([10**400, 0.5, 2.0, math.nan, math.inf]) | st.just("1"),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.sampled_from(["t", "q", "hand", "cam_pose"]), inner,
+                                                                max_size=4),
+    max_leaves=6)
+
+
+@PROPERTY
+@given(frame=st.integers(0, 2), place=st.sampled_from([(), ("t",), ("hand",), ("cam_pose",), ("cam_pose", "q"),
+                                                       ("cam_pose", "t"), ("cam_pose", "q", 0), ("cam_pose", "t", 2)]),
+       value=json_values)
+def test_frames_the_bulk_check_refuses_are_named_by_the_walk(frame, place, value):
+    """Whatever one frame holds, the frames load as a pose stack or the
+    frame-by-frame walk raises: no frame falls between the two checks."""
+    frames = [{"t": i, "cam_pose": {"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0, float(i)]}, "hand": False}
+              for i in range(3)]
+    *path, last = (frame, *place)
+    target = frames
+    for key in path:
+        target = target[key]
+    target[last] = value
+    try:
+        poses, hand = trackio._frame_arrays(frames, "f")
+    except TrackFileError:
+        return
+    assert len(poses) == len(hand) == 3
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -655,7 +716,7 @@ positive = st.floats(1e-3, 50.0) | st.integers(1, 20).map(float) | st.sampled_fr
 # one frame, with each edge value in every column that takes it
 ONE_FRAME = trackio.TrackSet(
     trackio.CameraIntrinsics(5e-324, BIGGEST, -0.0, -BIGGEST),
-    [RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.array([-0.0, 5e-324, BIGGEST]))],
+    pose_stack([[1.0, 0.0, 0.0, 0.0]], [[-0.0, 5e-324, BIGGEST]]),
     np.array([True]),
     [trackio.Track(0, np.array([[-0.0, 5e-324]]), np.array([np.nan]), np.array([False])),
      trackio.Track(-5, np.array([[BIGGEST, -BIGGEST]]), np.array([5e-324]), np.array([True])),
@@ -670,11 +731,9 @@ def tracksets(draw) -> trackio.TrackSet:
     infinite depth, and whose visible frames carry finite positive depth;
     save_trackset accepts it unless a depth is infinite."""
     T = draw(st.integers(1, 6))
-    poses = []
-    for _ in range(T):
-        q = draw(hnp.arrays(float, 4, elements=st.floats(-1.0, 1.0)).filter(
-            lambda q: np.linalg.norm(q) > 0.1))
-        poses.append(RigidTransform(q / np.linalg.norm(q), draw(hnp.arrays(float, 3, elements=finite))))
+    qs = [draw(hnp.arrays(float, 4, elements=st.floats(-1.0, 1.0)).filter(lambda q: np.linalg.norm(q) > 0.1))
+          for _ in range(T)]
+    poses = pose_stack([q / np.linalg.norm(q) for q in qs], draw(hnp.arrays(float, (T, 3), elements=finite)))
     ids = draw(st.lists(st.integers(-10**6, 10**6), unique=True, max_size=3))
     tracks = []
     for tid in ids:
