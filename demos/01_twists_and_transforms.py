@@ -3,12 +3,13 @@
 A 1-DoF joint is a unit twist xi = (omega, v); scaling by theta and
 exponentiating gives the rigid motion of the attached part. This script
 builds a door hinge, swings a handle point through it, and shows that the
-log map recovers exactly the twist that generated each pose.
+log map recovers exactly the twist that generated each pose. A pose is a row
+of a ``pose_stack``: a quaternion ``.q`` and a translation ``.t``.
 """
 
 import numpy as np
 
-from artikit.lie import Twist, apply, compose, exp_map, inverse, log_map, normalize_twist
+from artikit.lie import Twist, apply, exp_map, inverse, log_map, normalize_twist, pose_stack
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -32,14 +33,19 @@ T = exp_map(hinge, 1.2)
 back = log_map(T)
 print("\nround trip error:", np.abs(back.as_vector() - 1.2 * hinge.as_vector()).max())
 
-# composition and inversion behave like 4x4 matrices without ever building one
+# motions about one axis add, and the inverse pose undoes a pose
 A = exp_map(hinge, 0.4)
 B = exp_map(hinge, 0.7)
-C = compose(B, A)  # same axis, so angles just add
-print("compose(0.7, 0.4) equals exp(1.1):",
-      np.allclose(C.as_matrix(), exp_map(hinge, 1.1).as_matrix()))
-print("T * T^-1 is the identity:",
-      np.allclose(compose(T, inverse(T)).as_matrix(), np.eye(4)))
+print("0.7 after 0.4 equals exp(1.1):",
+      np.allclose(apply(B, apply(A, handle)), apply(exp_map(hinge, 1.1), handle)))
+print("T^-1 undoes T:", np.allclose(apply(inverse(T), apply(T, handle)), handle))
+
+# a whole swing is one stack: row m is the pose at the m-th angle
+q, _, t = exp_map(hinge, np.deg2rad([0.0, 30.0, 60.0, 90.0]))
+swing = pose_stack(q, t)
+print("row 2 of the stack is the 60 deg pose:", np.allclose(apply(swing[2], handle),
+                                                           apply(exp_map(hinge, np.deg2rad(60)), handle)))
+print("logs of every row at once:\n", log_map(swing))
 
 # any scaled twist normalizes to a unit-gauge representative plus magnitude
 unit, scale = normalize_twist(Twist(2.0 * axis_dir, -np.cross(2.0 * axis_dir, axis_point)))

@@ -28,10 +28,8 @@ from .errors import (
 )
 from .evalkit import EvalReport, angular_error, axis_distance, evaluate, render_report
 from .lie import (
-    RigidTransform,
     Twist,
     apply,
-    compose,
     exp_map,
     inverse,
     log_map,

@@ -12,7 +12,7 @@ xi and per-pose magnitudes Theta_m minimizing
     sum_m | log( exp(Theta_m hat(xi))^-1  T_m ) |^2
 
 with ``trajest.damped_gauss_newton``; Theta_0 is pinned to zero. The poses
-T_m are one ``(q, t)`` stack in the anchor's frame. A trajectory is
+T_m are one ``lie.pose_stack`` in the anchor's frame. A trajectory is
 revolute only when the free model shows enough total rotation and beats
 the prismatic-constrained (omega = 0) fit's residual by
 ``residual_margin``; everything else is prismatic, the drawer-like default.
@@ -31,13 +31,14 @@ import numpy as np
 from .bounds import bounded, check_bounds
 from .errors import InsufficientMotionError
 from .lie import (
-    RigidTransform,
     Twist,
     apply_each,
     exp_map,
     inverse,
     log_map,
+    log_rows,
     normalize_twist,
+    pose_stack,
     quat_mul,
     quat_to_matrix,
     rotation_angle,
@@ -88,8 +89,8 @@ class ArticulationEstimate:
 
 
 def _inverse_adjoints(stack) -> np.ndarray:
-    """Ad(T^-1) of every stacked pose, (M, 6, 6)."""
-    q, t = stack
+    """Ad(T^-1) of every pose of a ``pose_stack``, (M, 6, 6)."""
+    q, t = stack.q, stack.t
     Rt = quat_to_matrix(q).transpose(0, 2, 1)
     A = np.zeros((len(q), 6, 6))
     A[:, :3, :3] = Rt
@@ -99,10 +100,9 @@ def _inverse_adjoints(stack) -> np.ndarray:
 
 
 def _pose_residual(stack, xi: Twist, thetas: np.ndarray) -> np.ndarray:
-    """log(exp(theta_m hat(xi))^-1 T_m) for every stacked pose, (M, 6)."""
-    q, t = stack
+    """log(exp(theta_m hat(xi))^-1 T_m) for every pose of a ``pose_stack``, (M, 6)."""
     qi, Ri, ti = exp_map(xi, -thetas)  # exp(-theta xi) is the inverse motion
-    return log_map((quat_mul(qi, q), apply_each(Ri, ti, t)))
+    return log_rows(quat_mul(qi, stack.q), apply_each(Ri, ti, stack.t))
 
 
 def _pose_model(stack, ad_inv, xi: Twist, thetas: np.ndarray):
@@ -124,16 +124,15 @@ def _pose_blocks(ad_inv, r: np.ndarray, xi: Twist, thetas: np.ndarray, B: np.nda
 
 
 def _validate_poses(poses):
-    q, t = poses
-    if len(q) < 2:
-        raise ValueError(f"need at least 2 poses, got {len(q)}")
-    if rotation_angle(RigidTransform(q[0], t[0])) > 1e-6 or np.linalg.norm(t[0]) > 1e-6:
+    if len(poses) < 2:
+        raise ValueError(f"need at least 2 poses, got {len(poses)}")
+    if rotation_angle(poses[0]) > 1e-6 or np.linalg.norm(poses.t[0]) > 1e-6:
         raise ValueError("poses[0] must be the identity")
 
 
 def fit_twist_to_poses(poses, gauge: str = "auto") -> PoseTwistFit:
-    """Fit a single normalized twist plus magnitudes to a pose sequence,
-    stacked as ``(q (M+1, 4), t (M+1, 3))`` with pose 0 the identity.
+    """Fit a single normalized twist plus magnitudes to a pose sequence, a
+    ``pose_stack`` of M+1 rows with pose 0 the identity.
 
     ``gauge`` is "auto" (chart chosen from the data) or "prismatic" (omega
     pinned to zero). Raises InsufficientMotionError when every pose is within
@@ -142,7 +141,7 @@ def fit_twist_to_poses(poses, gauge: str = "auto") -> PoseTwistFit:
     _validate_poses(poses)
     if gauge not in ("auto", "prismatic"):
         raise ValueError(f"gauge must be 'auto' or 'prismatic', got {gauge!r}")
-    stack = (poses[0][1:], poses[1][1:])
+    stack = poses[1:]
     logs = np.vstack((np.zeros(6), log_map(stack)))  # pose 0 is the identity
     mags = np.linalg.norm(logs, axis=1)
     if float(mags.max()) <= MIN_POSE_MOTION:
@@ -179,9 +178,10 @@ def fit_twist_to_poses(poses, gauge: str = "auto") -> PoseTwistFit:
 def free_model_from_trajectory(trajectory: TrajectoryEstimate) -> PoseTwistFit:
     """The free-gauge ``fit_twist_to_poses`` minimizer of a regularized
     trajectory in closed form: relative pose m is exp(Theta_m Ad(anchor^-1)
-    xi), Theta_m the running sum of the step magnitudes. Same sign rule."""
+    xi), Theta_m the running sum of the step magnitudes, the anchor pose 0.
+    Same sign rule."""
     xi, scale = normalize_twist(
-        transform_twist(inverse(trajectory.anchor), trajectory.base_twist)
+        transform_twist(inverse(trajectory.poses[0]), trajectory.base_twist)
     )
     thetas = np.concatenate(([0.0], np.cumsum(trajectory.thetas))) * scale
     if np.sum(thetas) < 0:
@@ -258,8 +258,8 @@ def build_articulation_estimate(
 ) -> ArticulationEstimate:
     """Classify and package the articulation model for one segment: by
     the regularized chart and the rotation gate, else in pose space."""
-    q, t = trajectory.poses
-    relative = (q, t - trajectory.anchor.t)  # exact: the anchor carries no rotation
+    poses = trajectory.poses
+    relative = pose_stack(poses.q, poses.t - poses.t[0])  # exact: the anchor, pose 0, carries no rotation
     if trajectory.base_twist is None:
         fit_u, fit_p = fit_joint_models(relative)
         joint_type = classify_joint(fit_u, fit_p, cfg)

@@ -9,20 +9,22 @@ Conventions used throughout the package:
 
 * a twist is the pair (omega, v); ``exp_map(xi, theta)`` is the screw motion
   ``exp(theta * hat(xi))``,
-* transforms act on points as ``apply(T, p) = R @ p + t``,
-* ``compose(a, b)`` applies ``b`` first, then ``a``,
+* a pose is a row of a ``pose_stack``: a record array of (T, 4) ``q`` and
+  (T, 3) ``t`` whose row i has pose i's own ``.q`` and ``.t``; a single
+  pose is row 0 of a one-row stack, and nothing else holds a pose,
+* poses act on points as ``apply(T, p) = R @ p + t``,
 * 6-vectors stack the rotational part first: ``(omega, v)``.
 
 Stacks: ``exp_map`` with a 1-D array of M magnitudes, ``log_map`` and
-``inverse`` of a pair of stacked quaternions and translations,
-``se3_left_jacobian`` of (M, 6) rows, ``skew`` of (M, 3) rows, ``quat_mul`` and
-``quat_to_matrix`` of (M, 4) rows and ``matrix_to_quat`` of (M, 3, 3) rows all
-work on every row at once (see each docstring), Taylor or Shepperd branch
-chosen per row, with cross products written by component. Each map has one
-formula: one ``exp_map``, ``log_map``, ``inverse``, ``matrix_to_quat`` or
-``se3_left_jacobian`` is a one-row stack. A camera path is one ``pose_stack``,
-a record array of (T, 4) ``q`` and (T, 3) ``t`` whose row i has pose i's own
-``.q`` and ``.t``; ``RigidTransform``'s check is its one-row case.
+``inverse`` of a pose stack, ``log_rows`` of bare (M, 4) quaternions and
+(M, 3) translations, ``se3_left_jacobian`` of (M, 6) rows, ``skew`` of (M, 3)
+rows, ``quat_mul`` and ``quat_to_matrix`` of (M, 4) rows and
+``matrix_to_quat`` of (M, 3, 3) rows all work on every row at once (see each
+docstring), Taylor or Shepperd branch chosen per row, with cross products
+written by component. Each map has one formula: one ``exp_map``,
+``log_map``, ``inverse``, ``matrix_to_quat`` or ``se3_left_jacobian`` is a
+one-row stack. The stacked ``exp_map`` and ``log_rows`` work on bare arrays,
+so a solver's model evaluations build no pose stack.
 """
 
 from __future__ import annotations
@@ -163,10 +165,21 @@ def renormalize(q: np.ndarray) -> np.ndarray:
     return q if abs(n - 1.0) <= 1e-13 else q / n
 
 
-def _unit_rows(q: np.ndarray, t: np.ndarray, stacked: bool = True) -> np.ndarray:
-    """Quaternions (M, 4), each renormalized as ``renormalize`` does once every
-    row is checked: q and t finite, |q| within 1e-3 of 1. A fault raises
-    ValueError naming the first bad row ``poses[m]``, unless not ``stacked``."""
+# one row of a pose stack: a unit quaternion (w, x, y, z) and a translation (m)
+POSE = np.dtype([("q", float, (4,)), ("t", float, (3,))])
+
+
+def pose_stack(q, t=None) -> np.recarray:
+    """T poses as one record array with fields ``q`` (T, 4) and ``t`` (T, 3),
+    from (T, 4) quaternions and (T, 3) translations, or from ``q`` alone as
+    anything ``np.asarray`` turns into POSE rows, such as a list of a stack's
+    rows. Every row is checked, q and t finite and |q| within 1e-3 of 1, and
+    each quaternion renormalized as ``renormalize`` does; a fault raises
+    ValueError naming the first bad row ``poses[m]``."""
+    rows = np.array(q, dtype=POSE) if t is None else np.rec.fromarrays((q, t), dtype=POSE)
+    if rows.ndim != 1:
+        raise ValueError(f"poses must be one row per pose, got shape {rows.shape}")
+    q, t = rows["q"], rows["t"]
     with np.errstate(over="ignore"):  # a huge q is refused below, not warned about
         n = row_norms(q)
     off = np.abs(n - 1.0)
@@ -176,81 +189,24 @@ def _unit_rows(q: np.ndarray, t: np.ndarray, stacked: bool = True) -> np.ndarray
         fault = (f"q must be finite, got {q[m]}" if not np.isfinite(q[m]).all()
                  else f"q must be near unit norm, got |q| = {n[m]}" if not off[m] <= 1e-3
                  else f"t must be finite, got {t[m]}")
-        raise ValueError(f"poses[{m}]: {fault}" if stacked else fault)
-    return q / np.where(off > 1e-13, n, 1.0)[:, None]  # x / 1.0 is x, bit for bit
-
-
-@dataclass
-class RigidTransform:
-    """SE(3) element: unit quaternion ``q`` (w, x, y, z) plus translation ``t`` (m)."""
-
-    q: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        q, t = np.asarray(self.q, dtype=float), np.asarray(self.t, dtype=float)
-        for name, v, n in (("q", q, 4), ("t", t, 3)):
-            if v.shape != (n,):
-                raise ValueError(f"{name} must be a {n}-vector, got shape {v.shape}")
-        self.q, self.t = _unit_rows(q[None], t[None], stacked=False)[0], t
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
-
-    def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.q)
-
-    def as_matrix(self) -> np.ndarray:
-        """Homogeneous 4x4 matrix."""
-        M = np.eye(4)
-        M[:3, :3] = self.rotation_matrix()
-        M[:3, 3] = self.t
-        return M
-
-    def to_dict(self) -> dict:
-        return {"q": self.q.tolist(), "t": self.t.tolist()}
-
-
-# one row of a pose stack: a unit quaternion (w, x, y, z) and a translation (m)
-POSE = np.dtype([("q", float, (4,)), ("t", float, (3,))])
-
-
-def pose_stack(q, t=None) -> np.recarray:
-    """T poses as one record array with fields ``q`` (T, 4) and ``t`` (T, 3),
-    from (T, 4) quaternions and (T, 3) translations, or from ``q`` alone as
-    anything ``np.asarray`` turns into POSE rows, such as a list of a stack's
-    rows. Each row equals ``RigidTransform(q, t)`` bit for bit; a fault
-    raises ValueError naming the first bad row."""
-    rows = np.array(q, dtype=POSE) if t is None else np.rec.fromarrays((q, t), dtype=POSE)
-    if rows.ndim != 1:
-        raise ValueError(f"poses must be one row per pose, got shape {rows.shape}")
-    rows["q"] = _unit_rows(rows["q"], rows["t"])
+        raise ValueError(f"poses[{m}]: {fault}")
+    rows["q"] = q / np.where(off > 1e-13, n, 1.0)[:, None]  # x / 1.0 is x, bit for bit
     return rows.view(np.recarray)
 
 
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """a after b: apply(compose(a, b), p) == apply(a, apply(b, p))."""
-    q = quat_mul(a.q, b.q)
-    t = quat_to_matrix(a.q) @ b.t + a.t
-    return RigidTransform(q, t)  # constructor renormalizes q
-
-
 def inverse(T):
-    """Inverse transform, a one-row stack: a pair ``(q, t)`` of (M, 4)
-    quaternions and (M, 3) translations gives arrays ``(q, R, t)``, R contiguous."""
-    if isinstance(T, RigidTransform):
-        q, _, t = inverse((T.q[None], T.t[None]))
-        return RigidTransform(q[0], t[0])
-    qc = T[0] * np.array([1.0, -1.0, -1.0, -1.0])
+    """Inverse of a pose row or stack, as the same: each row through one
+    stacked formula."""
+    qc = np.atleast_2d(T.q) * np.array([1.0, -1.0, -1.0, -1.0])
     R = np.ascontiguousarray(quat_to_matrix(qc))
-    return qc, R, -(R @ T[1][:, :, None])[:, :, 0]
+    rows = pose_stack(qc, -(R @ np.atleast_2d(T.t)[:, :, None])[:, :, 0])
+    return rows if T.q.ndim == 2 else rows[0]
 
 
-def apply(T: RigidTransform, points) -> np.ndarray:
-    """Transform a point (3,) or point array (N, 3)."""
+def apply(T, points) -> np.ndarray:
+    """Move a point (3,) or point array (N, 3) by the pose row ``T``."""
     p = np.asarray(points, dtype=float)
-    R = T.rotation_matrix()
+    R = quat_to_matrix(T.q)
     if p.ndim == 1:
         return R @ p + T.t
     return p @ R.T + T.t
@@ -266,8 +222,8 @@ def apply_each(R: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
     return (R @ points[..., None])[..., 0] + t
 
 
-def rotation_angle(T: RigidTransform) -> float:
-    """Rotation magnitude in [0, pi]."""
+def rotation_angle(T) -> float:
+    """Rotation magnitude of the pose row ``T``, in [0, pi]."""
     return 2.0 * np.arctan2(np.linalg.norm(T.q[1:]), abs(T.q[0]))
 
 
@@ -282,7 +238,7 @@ def exp_map(xi: Twist, theta):
     V matrix; both use Taylor fallbacks below SMALL_ANGLE. A 1-D ``theta`` of
     M magnitudes returns the M motions stacked as arrays ``(q, R, t)``:
     quaternions (M, 4), rotations (M, 3, 3) and translations (M, 3); a
-    scalar ``theta`` returns row 0 of that stack as a RigidTransform.
+    scalar ``theta`` returns row 0 of that stack as a ``pose_stack`` row.
     """
     if np.ndim(theta) > 1:
         raise ValueError(f"theta must be a scalar or a 1-D array, got shape {np.shape(theta)}")
@@ -292,21 +248,20 @@ def exp_map(xi: Twist, theta):
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     q, t = _exp_rows(xi, np.array([theta], dtype=float))
-    return RigidTransform(q[0], t[0])
+    return pose_stack(q, t)[0]
 
 
 def log_map(T):
-    """Principal log: the twist (with theta folded in) whose exp is ``T``.
+    """Principal log of a pose row: the twist (with theta folded in) whose
+    exp is ``T``. Of a pose stack, the logs come back as (M, 6) rows
+    (omega, v), as ``log_rows`` gives them.
 
     Raises BranchAmbiguityError when the rotation angle is within PI_MARGIN of
-    pi, where the axis is numerically undetermined. ``T`` may also be a stack
-    given as the pair ``(q, t)`` of quaternions (M, 4) and translations
-    (M, 3); the logs come back as (M, 6) rows (omega, v), and the error names
-    the first pose near pi.
+    pi, where the axis is numerically undetermined.
     """
-    if isinstance(T, RigidTransform):
-        return Twist.from_vector(_log_rows(T.q[None], T.t[None], stacked=False)[0])
-    return _log_rows(*T)
+    if T.q.ndim == 2:
+        return log_rows(T.q, T.t)
+    return Twist.from_vector(log_rows(T.q[None], T.t[None], stacked=False)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +306,11 @@ def _exp_rows(xi: Twist, thetas: np.ndarray):
     return q, rho + A[:, None] * wxr + B[:, None] * _cross(w, wxr)
 
 
-def _log_rows(q: np.ndarray, t: np.ndarray, stacked: bool = True) -> np.ndarray:
+def log_rows(q: np.ndarray, t: np.ndarray, stacked: bool = True) -> np.ndarray:
+    """Logs (M, 6) of the poses held as bare arrays, quaternions (M, 4) and
+    translations (M, 3): the kernel under ``log_map``, for model evaluations
+    that build no pose stack. The error names the first pose near pi, by its
+    index when ``stacked``."""
     q = np.where(q[:, :1] < 0, -q, q)
     s = np.linalg.norm(q[:, 1:], axis=1)
     phi = 2.0 * np.arctan2(s, q[:, 0])
@@ -491,9 +450,9 @@ def se3_left_jacobian(u) -> np.ndarray:
     return J if u.ndim == 2 else J[0]
 
 
-def se3_adjoint(T: RigidTransform) -> np.ndarray:
-    """6x6 adjoint: exp(hat(Ad(T) u)) == T exp(hat(u)) T^-1."""
-    R = T.rotation_matrix()
+def se3_adjoint(T) -> np.ndarray:
+    """6x6 adjoint of the pose row ``T``: exp(hat(Ad(T) u)) == T exp(hat(u)) T^-1."""
+    R = quat_to_matrix(T.q)
     A = np.zeros((6, 6))
     A[:3, :3] = R
     A[3:, 3:] = R
@@ -501,6 +460,6 @@ def se3_adjoint(T: RigidTransform) -> np.ndarray:
     return A
 
 
-def transform_twist(T: RigidTransform, xi: Twist) -> Twist:
-    """Express a twist in the frame reached by ``T`` (adjoint action)."""
+def transform_twist(T, xi: Twist) -> Twist:
+    """Express a twist in the frame reached by the pose row ``T`` (adjoint action)."""
     return Twist.from_vector(se3_adjoint(T) @ xi.as_vector())

@@ -226,9 +226,10 @@ def _to_world_frame(traj: TrajectoryEstimate, est: ArticulationEstimate):
     points shift by the anchor translation; the twist maps through the
     adjoint.
     """
+    anchor = traj.poses[0]
     axis_dir = est.axis_dir
-    axis_point = None if est.axis_point is None else est.axis_point + traj.anchor.t
-    twist = transform_twist(traj.anchor, est.twist)
+    axis_point = None if est.axis_point is None else est.axis_point + anchor.t
+    twist = transform_twist(anchor, est.twist)
     return axis_dir, axis_point, twist
 
 
@@ -261,6 +262,7 @@ def segment_record(seg: Segment, fitted: dict, counts: dict) -> dict:
     traj: TrajectoryEstimate = fitted["traj"]
     est: ArticulationEstimate = fitted["estimate"]
     axis_dir, axis_point, twist = _to_world_frame(traj, est)
+    poses = [{"q": q, "t": t} for q, t in zip(traj.poses.q.tolist(), traj.poses.t.tolist())]
     flags = list(est.flags)
     if fitted["anchored_late"]:
         flags.append("anchored_late")
@@ -280,9 +282,9 @@ def segment_record(seg: Segment, fitted: dict, counts: dict) -> dict:
             "keyframes": [int(k) for k in fitted["corr"].keyframes],
             "rms_residual": float(traj.rms_residual),
             "converged": bool(traj.converged),
-            "anchor": traj.anchor.to_dict(),
+            "anchor": poses[0],
             "anchor_frame": int(fitted["anchor_frame"]),
-            "world_poses": [{"q": q, "t": t} for q, t in zip(traj.poses[0].tolist(), traj.poses[1].tolist())],
+            "world_poses": poses,
         },
     }
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import jsonio
 from .bounds import bounded, check_bounds, check_keys, check_value
 from .errors import TrackFileError
-from .lie import RigidTransform, Twist, apply_each, exp_map, inverse, matrix_to_quat, pose_stack, row_norms
+from .lie import Twist, apply_each, exp_map, inverse, matrix_to_quat, pose_stack, quat_to_matrix, row_norms
 from .segmenter import Segment
 from .trackio import CameraIntrinsics, Track, TrackSet
 
@@ -92,9 +92,12 @@ class SynthConfig:
     scene_center: np.ndarray | None = None  # static background center
     scene_extent: float = bounded(1.6, ">= 0")
 
+    def __setattr__(self, name, value):
+        # every assignment, in __init__ or after it, stores a checked stack
+        super().__setattr__(name, pose_stack(value) if name == "camera_path" else value)
+
     def __post_init__(self):
         check_bounds(self)
-        self.camera_path = pose_stack(self.camera_path)
         T = len(self.camera_path)
         if len(self.joint.motion_profile) != T:
             raise ValueError(
@@ -215,11 +218,6 @@ def _look_at_rows(eyes: np.ndarray, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:
     return matrix_to_quat(np.stack([r, d, f], axis=-1))
 
 
-def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> RigidTransform:
-    """Camera-to-world pose, +z looking from ``eye`` toward ``target``: a one-row look-at."""
-    return RigidTransform(_look_at_rows(np.atleast_2d(eye), target, up)[0], eye)
-
-
 def arc_camera_path(
     T: int,
     target,
@@ -272,8 +270,8 @@ def generate(cfg: SynthConfig) -> tuple[TrackSet, list]:
         # rng.normal(0, sigma) returns 0 + sigma * z: the same operations
         world = world + (0.0 + cfg.noise_sigma * noise)
 
-    _, R_cam, t_cam = inverse((cfg.camera_path.q, cfg.camera_path.t))
-    p_cam = apply_each(R_cam[:, None], t_cam[:, None], world)
+    cam = inverse(cfg.camera_path)
+    p_cam = apply_each(np.ascontiguousarray(quat_to_matrix(cam.q))[:, None], cam.t[:, None], world)
     front = p_cam[..., 2] > 1e-6
     occluded = draws[..., 0] < rates[0]
     dropped = draws[..., 1] < rates[1]

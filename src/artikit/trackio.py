@@ -50,7 +50,7 @@ import orjson
 
 from . import jsonio
 from .errors import TrackFileError
-from .lie import RigidTransform, apply_each, pose_stack, quat_to_matrix
+from .lie import apply_each, pose_stack, quat_to_matrix
 
 DEFAULT_MAX_DEPTH = 10.0  # meters; depth beyond this is treated as sensor junk
 VERSION = 3  # of the track-file schema
@@ -130,8 +130,9 @@ class TrackSet:
     hand: np.ndarray = None  # (T,) bool
     tracks: list = field(default_factory=list)  # list[Track]
 
-    def __post_init__(self):
-        self.cam_poses = pose_stack(self.cam_poses)
+    def __setattr__(self, name, value):
+        # every assignment, in __init__ or after it, stores a checked stack
+        super().__setattr__(name, pose_stack(value) if name == "cam_poses" else value)
 
     @property
     def frame_count(self) -> int:
@@ -281,9 +282,9 @@ def _walk_frames(frames: list, where: str) -> None:
         _require(isinstance(cp["t"], list) and len(cp["t"]) == 3, f"{w}.cam_pose.t", "must be a 3-list")
         pose = [[_as_number(x, f"{w}.cam_pose.{k}[{j}]") for j, x in enumerate(cp[k])] for k in ("q", "t")]
         try:
-            RigidTransform(*pose)
-        except ValueError as e:
-            raise TrackFileError(f"{w}.cam_pose: {e}") from e
+            pose_stack([tuple(pose)])
+        except ValueError as e:  # the one-row stack names its row poses[0]
+            raise TrackFileError(f"{w}.cam_pose: {str(e).removeprefix('poses[0]: ')}") from e
         _require(isinstance(fr.get("hand"), bool), f"{w}.hand", "must be a boolean")
 
 

@@ -39,8 +39,8 @@ Two estimators share the correspondence structure:
 
 Step transforms are world-frame displacement fields and chain by left
 multiplication from an anchor placed at the centroid of the part's first
-observed positions. The chained world poses are one stacked pair of arrays,
-quaternions and translations, with the anchor in row 0.
+observed positions. The step transforms and the chained world poses are each
+one ``lie.pose_stack``; the poses' row 0 is the anchor.
 """
 
 from __future__ import annotations
@@ -53,13 +53,13 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, DegenerateStepError, InsufficientMotionError
 from .lie import (
-    RigidTransform,
     Twist,
     apply_each,
     exp_map,
     log_map,
     matrix_to_quat,
     normalize_twist,
+    pose_stack,
     quat_mul,
     quat_to_matrix,
     renormalize,
@@ -104,14 +104,13 @@ class CorrespondenceSet:
 class TrajectoryEstimate:
     """Integrated world poses plus fit diagnostics.
 
-    ``poses`` stacks the M+1 world poses, with the anchor in row 0.
-    ``rms_residual`` is the pair residual rms of either estimator.
+    ``poses`` is the ``pose_stack`` of the M+1 world poses; row 0 is the
+    anchor. ``rms_residual`` is the pair residual rms of either estimator.
     ``base_twist``/``thetas`` are populated by the regularized estimator only.
     """
 
     mode: str
-    anchor: RigidTransform
-    poses: tuple  # (q (M+1, 4), t (M+1, 3))
+    poses: np.recarray
     rms_residual: float
     base_twist: Twist | None = None
     thetas: np.ndarray | None = None
@@ -155,9 +154,9 @@ def build_correspondences(tracks, stride: int = DEFAULT_STRIDE) -> Correspondenc
 # closed-form per-step registration
 
 
-def register_steps(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray]:
+def register_steps(corr: CorrespondenceSet) -> np.recarray:
     """Least-squares rigid transform of every step, dst ~= R @ src + t, as
-    stacked ``(q (M, 4), t (M, 3))``.
+    one ``pose_stack`` of M rows.
 
     Centroids and the 9 entries of each cross-covariance are sums per step by
     ``np.bincount``, which adds a step's pairs in table order, then one stacked SVD
@@ -184,12 +183,12 @@ def register_steps(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray]:
     V, Ut = np.swapaxes(Vt, 1, 2), np.swapaxes(U, 1, 2)
     V[:, :, 2] *= np.sign(np.linalg.det(V @ Ut))[:, None]
     R = V @ Ut
-    return matrix_to_quat(R), cd - (R @ cs[:, :, None])[:, :, 0]
+    return pose_stack(matrix_to_quat(R), cd - (R @ cs[:, :, None])[:, :, 0])
 
 
-def register_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
-    """Least-squares rigid transform with dst ~= R @ src + t: the one-step
-    case of ``register_steps``, with its errors. Raises ValueError unless
+def register_rigid(src: np.ndarray, dst: np.ndarray):
+    """Least-squares rigid transform with dst ~= R @ src + t, as a pose row:
+    the one-step case of ``register_steps``, with its errors. Raises ValueError unless
     ``src`` and ``dst`` are finite (n, 3) arrays of one shape."""
     src, dst = np.asarray(src, dtype=float), np.asarray(dst, dtype=float)
     for name, x in (("src", src), ("dst", dst)):
@@ -198,42 +197,40 @@ def register_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     if src.shape != dst.shape:
         raise ValueError(f"src {src.shape} and dst {dst.shape} differ in shape")
     n = len(src)
-    q, t = register_steps(CorrespondenceSet(src, dst, np.zeros(n, dtype=int), np.arange(n), 1, np.arange(2), n))
-    return RigidTransform(q[0], t[0])
+    return register_steps(CorrespondenceSet(src, dst, np.zeros(n, dtype=int), np.arange(n), 1, np.arange(2), n))[0]
 
 
 def residual_stats(corr: CorrespondenceSet, steps) -> tuple[float, np.ndarray]:
-    """Residual RMS over all pairs of the stacked step transforms
-    ``(q (M, 4), t (M, 3))``, plus each track row's mean pair residual
+    """Residual RMS over all pairs of the step transforms, a ``pose_stack``
+    of M rows, plus each track row's mean pair residual
     (``corr.track_count``,), NaN for a row without pairs."""
-    R = quat_to_matrix(steps[0])
-    norms = np.linalg.norm(corr.dst - apply_each(R[corr.step], steps[1][corr.step], corr.src), axis=1)
+    R = quat_to_matrix(steps.q)
+    norms = np.linalg.norm(corr.dst - apply_each(R[corr.step], steps.t[corr.step], corr.src), axis=1)
     total = float(np.sum(norms * norms))
     with np.errstate(invalid="ignore"):  # 0 / 0 for a row without pairs
         means = np.bincount(corr.track, norms, corr.track_count) / np.bincount(corr.track, minlength=corr.track_count)
     return float(np.sqrt(total / len(norms))), means
 
 
-def integrate_poses(steps, anchor_points: np.ndarray):
-    """Chain stacked step transforms ``(q (M, 4), t (M, 3))`` into world
-    poses from an anchor; returns ``(anchor, (q (M+1, 4), t (M+1, 3)))``.
+def integrate_poses(steps, anchor_points: np.ndarray) -> np.recarray:
+    """Chain the step transforms, a ``pose_stack`` of M rows, into the
+    ``pose_stack`` of the M+1 world poses, whose row 0 is the anchor.
 
     The anchor has identity rotation and sits at the centroid of
     ``anchor_points`` (the part's observed first-keyframe positions). World
-    poses chain by left multiplication, T_{m} = Delta_m @ T_{m-1}, with the
-    floating-point operations of ``compose``, so the rows equal a chain of
-    ``compose`` calls bit for bit.
+    poses chain by left multiplication, T_{m} = Delta_m @ T_{m-1}: the
+    quaternion product renormalized, the rotated translation plus the
+    step's.
     """
     pts = np.asarray(anchor_points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != 3:
         raise ValueError(f"anchor_points must be (n, 3) with n >= 1, got {pts.shape}")
-    anchor = RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), pts.mean(axis=0))
-    q, t = [anchor.q], [anchor.t]
+    q, t = [np.array([1.0, 0.0, 0.0, 0.0])], [pts.mean(axis=0)]
     # one quat_to_matrix call per step: a stacked call rounds R @ t differently
-    for dq, dt in zip(*steps):
+    for dq, dt in zip(steps.q, steps.t):
         q.append(renormalize(quat_mul(dq, q[-1])))
         t.append(quat_to_matrix(dq) @ t[-1] + dt)
-    return anchor, (np.array(q), np.array(t))
+    return pose_stack(np.array(q), np.array(t))
 
 
 def choose_anchor(tracks) -> tuple[np.ndarray, int, bool]:
@@ -257,11 +254,9 @@ def fit_independent(corr: CorrespondenceSet, anchor_points=None, steps=None) -> 
         steps = register_steps(corr)
     if anchor_points is None:
         anchor_points = corr.src[corr.step == 0]
-    anchor, poses = integrate_poses(steps, anchor_points)
     return TrajectoryEstimate(
         mode="independent",
-        anchor=anchor,
-        poses=poses,
+        poses=integrate_poses(steps, anchor_points),
         rms_residual=residual_stats(corr, steps)[0],
     )
 
@@ -512,11 +507,9 @@ def fit_regularized(corr: CorrespondenceSet, anchor_points=None, steps=None) -> 
     q, _, t = exp_map(xi, thetas)
     if anchor_points is None:
         anchor_points = corr.src[corr.step == 0]
-    anchor, poses = integrate_poses((q, t), anchor_points)
     return TrajectoryEstimate(
         mode="regularized",
-        anchor=anchor,
-        poses=poses,
+        poses=integrate_poses(pose_stack(q, t), anchor_points),
         rms_residual=float(np.sqrt(cost / len(corr.src))),
         base_twist=xi,
         thetas=thetas,

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from artikit import evalkit, synth
-from artikit.lie import pose_stack
+from artikit.lie import pose_stack, quat_mul, quat_to_matrix
 from artikit.artmodel import ClassifierConfig
 from artikit.pipeline import PipelineConfig, run_pipeline
 from artikit.smoother import SmootherConfig
@@ -28,6 +28,17 @@ N_REVOLUTE = 25
 NOISE_SIGMA = 0.005
 OCCLUSION_RATE = 0.20
 INVALID_DEPTH_RATE = 0.05
+
+
+def pose(q, t):
+    """One pose row from a quaternion (4,) and a translation (3,)."""
+    return pose_stack(np.asarray(q)[None], np.asarray(t)[None])[0]
+
+
+def compose(a, b):
+    """The pose row of ``a`` after ``b``: apply(compose(a, b), p) equals
+    apply(a, apply(b, p)); the chain step of ``trajest.integrate_poses``."""
+    return pose(quat_mul(a.q, b.q), quat_to_matrix(a.q) @ b.t + a.t)
 
 
 def still_camera(T: int):

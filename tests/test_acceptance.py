@@ -22,10 +22,8 @@ import artikit
 import suite_util
 from artikit.evalkit import angular_error, axis_distance
 from artikit.lie import (
-    RigidTransform,
     Twist,
     apply,
-    compose,
     exp_map,
     inverse,
     log_map,
@@ -35,6 +33,7 @@ from artikit.segmenter import Segment, SegmenterConfig, extract_segments, match_
 from artikit.smoother import SmootherConfig, smooth_track, smoothing_energy
 from artikit.trackio import SegmentTrack
 from artikit.trajest import build_correspondences, register_steps
+from suite_util import compose, pose
 from test_segmenter import naive_moving_average, naive_runs
 from test_smoother import dense_smooth, noisy_problem
 
@@ -122,13 +121,13 @@ def test_criterion_3_registration_oracle():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(0.05, 0.5)
-        T = RigidTransform(exp_map(Twist(axis * angle, np.zeros(3)), 1.0).q, rng.uniform(-0.2, 0.2, 3))
+        T = pose(exp_map(Twist(axis * angle, np.zeros(3)), 1.0).q, rng.uniform(-0.2, 0.2, 3))
         steps.append(T)
         world[:, m + 1] = apply(T, world[:, m])
     tracks = SegmentTrack(np.arange(n_pts), world, np.ones((n_pts, n_steps + 1), dtype=bool))
-    registered = zip(*register_steps(build_correspondences(tracks, stride=1)))
+    registered = register_steps(build_correspondences(tracks, stride=1))
     worst = 0.0
-    for got, want in zip((RigidTransform(q, t) for q, t in registered), steps):
+    for got, want in zip(registered, steps):
         D = compose(got, inverse(want))
         worst = max(worst, rotation_angle(D) + float(np.linalg.norm(D.t)))
     assert worst < 1e-9
@@ -141,10 +140,10 @@ def test_criterion_3_registration_oracle():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(0.05, 0.5)
-        T = RigidTransform(exp_map(Twist(axis * angle, np.zeros(3)), 1.0).q, rng.uniform(-0.2, 0.2, 3))
+        T = pose(exp_map(Twist(axis * angle, np.zeros(3)), 1.0).q, rng.uniform(-0.2, 0.2, 3))
         Y = apply(T, X) + rng.normal(0.0, 0.005, (100, 3))
         pair = SegmentTrack(np.arange(100), np.stack([X, Y], axis=1), np.ones((100, 2), dtype=bool))
-        got = RigidTransform(*(a[0] for a in register_steps(build_correspondences(pair, stride=1))))
+        got = register_steps(build_correspondences(pair, stride=1))[0]
         errs_deg.append(math.degrees(rotation_angle(compose(got, inverse(T)))))
     p95 = float(np.percentile(errs_deg, 95))
     assert p95 < 0.5

@@ -18,26 +18,25 @@ from artikit.artmodel import (
     total_translation,
 )
 from artikit.errors import InsufficientMotionError
-from artikit.lie import RigidTransform, Twist, exp_map, normalize_twist
+from artikit.lie import Twist, exp_map, normalize_twist, pose_stack
 from artikit.trajest import TrajectoryEstimate, fit_independent
 
 
 def pose_chain(xi, thetas):
-    """The poses exp(theta hat(xi)) stacked as (q, t), by one exp_map call."""
+    """The poses exp(theta hat(xi)) as one pose stack, by one exp_map call."""
     q, _, t = exp_map(xi, thetas)
-    return q, t
+    return pose_stack(q, t)
 
 
 def anchor_frame_poses(traj):
-    """A trajectory's poses in its anchor's frame, as the estimate forms them."""
-    q, t = traj.poses
-    return q, t - traj.anchor.t
+    """A trajectory's poses in its anchor's frame, pose 0, as the estimate forms them."""
+    return pose_stack(traj.poses.q, traj.poses.t - traj.poses.t[0])
 
 
 def make_trajectory(poses, flags=()):
+    """An independent trajectory of ``poses``; its anchor is their row 0."""
     return TrajectoryEstimate(
         mode="independent",
-        anchor=RigidTransform.identity(),
         poses=poses,
         rms_residual=0.0,
         flags=list(flags),
@@ -335,7 +334,7 @@ def count_pose_fits(monkeypatch) -> list:
 def test_build_estimate_fits_only_unknown_models(noisy_suite_fit, monkeypatch, mode, gauges):
     traj = noisy_suite_fit["traj"]
     if mode == "independent":
-        traj = fit_independent(noisy_suite_fit["corr"], traj.anchor.t[None, :])
+        traj = fit_independent(noisy_suite_fit["corr"], traj.poses.t[:1])
     seen = count_pose_fits(monkeypatch)
     build_articulation_estimate(traj, ClassifierConfig())
     assert seen == gauges

@@ -14,6 +14,7 @@ from scipy.linalg import expm
 
 from artikit import lie
 from artikit.errors import BranchAmbiguityError
+from suite_util import compose, pose
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -33,6 +34,14 @@ def rand_twist(rng) -> lie.Twist:
     return lie.Twist(rng.normal(size=3), rng.normal(size=3))
 
 
+def hom(T) -> np.ndarray:
+    """Homogeneous 4x4 matrix of a pose row."""
+    M = np.eye(4)
+    M[:3, :3] = lie.quat_to_matrix(T.q)
+    M[:3, 3] = T.t
+    return M
+
+
 def test_skew_is_cross_product():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -46,7 +55,7 @@ def test_exp_matches_dense_matrix_exponential():
     for _ in range(200):
         xi = rand_twist(rng)
         theta = rng.uniform(-2.5, 2.5)
-        ours = lie.exp_map(xi, theta).as_matrix()
+        ours = hom(lie.exp_map(xi, theta))
         oracle = expm(hat4(xi, theta))
         assert np.max(np.abs(ours - oracle)) < 1e-12
 
@@ -55,7 +64,7 @@ def test_exp_small_angle_matches_oracle():
     rng = np.random.default_rng(2)
     for scale in (1e-5, 1e-7, 1e-9, 1e-12, 0.0):
         xi = rand_twist(rng)
-        ours = lie.exp_map(xi, scale).as_matrix()
+        ours = hom(lie.exp_map(xi, scale))
         oracle = expm(hat4(xi, scale))
         assert np.max(np.abs(ours - oracle)) < 1e-14
 
@@ -70,7 +79,7 @@ def test_exp_log_round_trip():
         if lie.rotation_angle(T) >= np.pi - 1e-5:
             continue
         back = lie.exp_map(lie.log_map(T), 1.0)
-        D = lie.compose(back, lie.inverse(T))
+        D = compose(back, lie.inverse(T))
         assert lie.rotation_angle(D) < 1e-10
         assert np.linalg.norm(D.t) < 1e-10
 
@@ -99,9 +108,9 @@ def test_log_refuses_angle_near_pi():
 def test_quat_matrix_round_trip_all_branches():
     rng = np.random.default_rng(5)
     axes = [np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0])]
-    cases = [lie.exp_map(lie.Twist(a, np.zeros(3)), 3.0).rotation_matrix() for a in axes]
+    cases = [lie.quat_to_matrix(lie.exp_map(lie.Twist(a, np.zeros(3)), 3.0).q) for a in axes]
     cases += [
-        lie.exp_map(rand_twist(rng), rng.uniform(0, 3)).rotation_matrix() for _ in range(100)
+        lie.quat_to_matrix(lie.exp_map(rand_twist(rng), rng.uniform(0, 3)).q) for _ in range(100)
     ]
     for R in cases:
         q = lie.matrix_to_quat(R)
@@ -116,7 +125,7 @@ def test_compose_apply_inverse_consistency():
         A = lie.exp_map(rand_twist(rng), rng.uniform(0, 2))
         B = lie.exp_map(rand_twist(rng), rng.uniform(0, 2))
         p = rng.normal(size=3)
-        assert np.allclose(lie.apply(lie.compose(A, B), p), lie.apply(A, lie.apply(B, p)))
+        assert np.allclose(lie.apply(compose(A, B), p), lie.apply(A, lie.apply(B, p)))
         assert np.allclose(lie.apply(lie.inverse(A), lie.apply(A, p)), p, atol=1e-12)
     pts = rng.normal(size=(7, 3))
     out = lie.apply(A, pts)
@@ -136,7 +145,7 @@ def test_se3_left_jacobian_finite_difference():
             d[k] = eps
             Tp = expm(hat4(lie.Twist.from_vector(u + d), 1.0))
             D = Tp @ np.linalg.inv(T0)
-            w = lie.log_map(lie.RigidTransform(lie.matrix_to_quat(D[:3, :3]), D[:3, 3]))
+            w = lie.log_map(pose(lie.matrix_to_quat(D[:3, :3]), D[:3, 3]))
             fd = w.as_vector() / eps
             assert np.linalg.norm(fd - J[:, k]) < 1e-5 * max(1.0, np.linalg.norm(J[:, k]))
 
@@ -154,9 +163,9 @@ def test_adjoint_conjugation_identity():
     for _ in range(50):
         T = lie.exp_map(rand_twist(rng), rng.uniform(0, 2))
         u = rand_twist(rng)
-        lhs = lie.compose(T, lie.compose(lie.exp_map(u, 0.3), lie.inverse(T)))
+        lhs = compose(T, compose(lie.exp_map(u, 0.3), lie.inverse(T)))
         rhs = lie.exp_map(lie.transform_twist(T, u), 0.3)
-        D = lie.compose(lhs, lie.inverse(rhs))
+        D = compose(lhs, lie.inverse(rhs))
         assert lie.rotation_angle(D) < 1e-10
         assert np.linalg.norm(D.t) < 1e-10
 
@@ -184,7 +193,7 @@ def test_normalized_twist_reproduces_motion():
         unit, scale = lie.normalize_twist(xi)
         a = lie.exp_map(xi, 0.7)
         b = lie.exp_map(unit, 0.7 * scale)
-        D = lie.compose(a, lie.inverse(b))
+        D = compose(a, lie.inverse(b))
         assert lie.rotation_angle(D) < 1e-12
         assert np.linalg.norm(D.t) < 1e-12
 
@@ -233,17 +242,17 @@ def test_twist_vector_and_dict_round_trips():
     assert np.all(back.omega == xi.omega) and np.all(back.v == xi.v)
 
     T = lie.exp_map(xi, 0.8)
-    back = lie.RigidTransform(**T.to_dict())
+    back = lie.pose_stack([(T.q.tolist(), T.t.tolist())])[0]  # as a results document writes a pose
     assert np.all(back.q == T.q) and np.all(back.t == T.t)
 
 
-def test_rigid_transform_validation():
+def test_one_row_stack_validation():
     with pytest.raises(ValueError):
-        lie.RigidTransform(np.array([1.0, 0, 0]), np.zeros(3))
-    with pytest.raises(ValueError):
-        lie.RigidTransform(np.array([2.0, 0, 0, 0]), np.zeros(3))
-    with pytest.raises(ValueError):
-        lie.RigidTransform(np.array([np.nan, 0, 0, 0]), np.zeros(3))
+        pose(np.array([1.0, 0, 0]), np.zeros(3))
+    with pytest.raises(ValueError, match=r"^poses\[0\]: q must be near unit norm"):
+        pose(np.array([2.0, 0, 0, 0]), np.zeros(3))
+    with pytest.raises(ValueError, match=r"^poses\[0\]: q must be finite"):
+        pose(np.array([np.nan, 0, 0, 0]), np.zeros(3))
 
 
 def unit_quats():
@@ -265,19 +274,20 @@ bad_rows = st.one_of(
 
 @PROPERTY
 @given(rows=st.lists(good_rows, max_size=8) | st.lists(good_rows | bad_rows, min_size=1, max_size=8))
-def test_pose_stack_rows_are_rigid_transforms(rows):
-    """Each row of a pose stack is ``RigidTransform(q, t)`` bit for bit, and
-    a bad stack raises with RigidTransform's text for its first bad row."""
+def test_pose_stack_rows_are_one_row_stacks(rows):
+    """Each row of a pose stack is the one-row stack of its own q and t bit
+    for bit, and a bad stack raises with that one-row stack's text, naming
+    its first bad row."""
     q = np.array([r[0] for r in rows]).reshape(-1, 4)
     t = np.array([r[1] for r in rows]).reshape(-1, 3)
     want = []
     for m, (qm, tm) in enumerate(rows):
         try:
-            want.append(lie.RigidTransform(qm, tm))
+            want.append(pose(qm, tm))
         except ValueError as e:
             with pytest.raises(ValueError) as ei:
                 lie.pose_stack(q, t)
-            assert str(ei.value) == f"poses[{m}]: {e}"
+            assert str(ei.value) == str(e).replace("poses[0]", f"poses[{m}]", 1)
             return
         n = np.linalg.norm(qm)
         assert want[-1].q.tobytes() == (qm if abs(n - 1.0) <= 1e-13 else qm / n).tobytes()
@@ -319,10 +329,10 @@ def test_log_inverts_exp_away_from_pi(w, v):
 @given(q=vectors(4, 1.0), t=vectors(3, 3.0))
 def test_exp_inverts_log_away_from_pi(q, t):
     assume(np.linalg.norm(q) > 0.1)
-    T = lie.RigidTransform(q / np.linalg.norm(q), t)
+    T = pose(q / np.linalg.norm(q), t)
     assume(lie.rotation_angle(T) < np.pi - 0.1)
     back = lie.exp_map(lie.log_map(T), 1.0)
-    assert np.allclose(back.as_matrix(), T.as_matrix(), rtol=0.0, atol=1e-9)
+    assert np.allclose(hom(back), hom(T), rtol=0.0, atol=1e-9)
 
 
 @PROPERTY
@@ -330,9 +340,9 @@ def test_exp_inverts_log_away_from_pi(q, t):
 def test_transform_twist_is_conjugation(a, u, theta):
     T = lie.exp_map(lie.Twist.from_vector(a), 1.0)
     xi = lie.Twist.from_vector(u)
-    conj = lie.compose(T, lie.compose(lie.exp_map(xi, theta), lie.inverse(T)))
+    conj = compose(T, compose(lie.exp_map(xi, theta), lie.inverse(T)))
     moved = lie.exp_map(lie.transform_twist(T, xi), theta)
-    assert np.allclose(moved.as_matrix(), conj.as_matrix(), rtol=0.0, atol=1e-9)
+    assert np.allclose(hom(moved), hom(conj), rtol=0.0, atol=1e-9)
 
 
 def in_gauge(xi: lie.Twist) -> bool:
@@ -405,7 +415,7 @@ def test_stacked_log_matches_scalar(u, thetas):
     xi = lie.Twist.from_vector(u)
     poses = [lie.exp_map(xi, th) for th in thetas]
     assume(all(lie.rotation_angle(T) < np.pi - 0.1 for T in poses))
-    logs = lie.log_map((np.array([T.q for T in poses]), np.array([T.t for T in poses])))
+    logs = lie.log_map(lie.pose_stack(poses))
     assert logs.shape == (len(thetas), 6)
     for m, T in enumerate(poses):
         assert np.allclose(logs[m], lie.log_map(T).as_vector(), rtol=0.0, atol=1e-12)
@@ -421,7 +431,7 @@ def test_stacked_log_names_first_pose_near_pi(u, thetas, data):
     off = data.draw(st.sampled_from([0.0, 1e-9, 0.5 * lie.PI_MARGIN]), label="below pi")
     axis = np.array([0.0, 0.6, 0.8])
     poses.insert(j, lie.exp_map(lie.Twist(axis, np.array([0.1, 0.0, 0.2])), np.pi - off))
-    stack = (np.array([T.q for T in poses]), np.array([T.t for T in poses]))
+    stack = lie.pose_stack(poses)
     with pytest.raises(BranchAmbiguityError, match=rf"^pose {j}: "):
         lie.log_map(stack)
 

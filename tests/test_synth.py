@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from artikit.errors import TrackFileError
-from artikit.lie import RigidTransform, quat_to_matrix
+from artikit.lie import quat_to_matrix
 from artikit.synth import (
     GroundTruthJoint,
     JointSpec,
@@ -21,13 +21,12 @@ from artikit.synth import (
     fibonacci_sphere,
     generate,
     load_ground_truth,
-    look_at_pose,
     ramp_profile,
     _look_at_rows,
     save_ground_truth,
 )
 from artikit.trackio import lift_track, save_trackset, to_world
-from suite_util import scene_config, still_camera
+from suite_util import pose, scene_config, still_camera
 
 
 def world_points(ts, track):
@@ -238,22 +237,28 @@ def test_fibonacci_sphere_spread():
     assert dots.max() < 0.999  # no two directions nearly coincide
 
 
+def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)):
+    """Camera-to-world pose row, +z looking from ``eye`` toward ``target``:
+    the stacked look-at of one row."""
+    return pose(_look_at_rows(np.atleast_2d(eye), target, up)[0], eye)
+
+
 def test_look_at_pose_faces_target():
     eye = np.array([2.0, 1.0, 0.5])
     target = np.array([0.0, 0.0, 1.0])
     T = look_at_pose(eye, target)
-    fwd = T.rotation_matrix()[:, 2]
+    fwd = quat_to_matrix(T.q)[:, 2]
     want = (target - eye) / np.linalg.norm(target - eye)
     assert np.allclose(fwd, want, atol=1e-12)
     assert np.allclose(T.t, eye)
     # degenerate up direction falls back instead of failing
     T2 = look_at_pose([0.0, 0.0, 0.0], [0.0, 0.0, 2.0])
-    assert np.allclose(T2.rotation_matrix()[:, 2], [0.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(quat_to_matrix(T2.q)[:, 2], [0.0, 0.0, 1.0], atol=1e-12)
     with pytest.raises(ValueError):
         look_at_pose(eye, eye)
 
 
-def oracle_look_at(eye, target, up=(0.0, 0.0, 1.0)) -> RigidTransform:
+def oracle_look_at(eye, target, up=(0.0, 0.0, 1.0)):
     """One frame at a time, with Shepperd's method on one matrix: the
     look-at that the stacked one replaced."""
     eye = np.asarray(eye, dtype=float)
@@ -287,10 +292,10 @@ def oracle_look_at(eye, target, up=(0.0, 0.0, 1.0)) -> RigidTransform:
     q = np.array(q)
     if q[0] < 0:
         q = -q
-    return RigidTransform(q / np.linalg.norm(q), eye)
+    return pose(q / np.linalg.norm(q), eye)
 
 
-def same_bits(a: RigidTransform, b: RigidTransform) -> bool:
+def same_bits(a, b) -> bool:
     return a.q.tobytes() == b.q.tobytes() and a.t.tobytes() == b.t.tobytes()
 
 
@@ -319,10 +324,10 @@ def test_stacked_look_at_falls_back_on_the_parallel_row_only():
     eyes = target + np.array([[2.0, 0.5, 0.3], [0.0, 0.0, 1.5], [-1.0, 2.0, -0.4], [0.0, 0.0, -0.7]])
     q = _look_at_rows(eyes, target)
     for m, eye in enumerate(eyes):
-        pose = RigidTransform(q[m], eye)
-        assert same_bits(pose, oracle_look_at(eye, target))
-        assert same_bits(look_at_pose(eye, target), pose)
-        right = pose.rotation_matrix()[:, 0]
+        row = pose(q[m], eye)
+        assert same_bits(row, oracle_look_at(eye, target))
+        assert same_bits(look_at_pose(eye, target), row)
+        right = quat_to_matrix(row.q)[:, 0]
         # rows 1 and 3 look along -z and +z: their right axis is f x (0, 1, 0)
         if m in (1, 3):
             f = np.sign(eye[2] - target[2]) * np.array([0.0, 0.0, -1.0])
@@ -381,6 +386,24 @@ def test_synth_config_validation():
         SynthConfig(seed=0, joint=joint, camera_path=path, hand_window=(0, T))
     with pytest.raises(ValueError, match="occlusion_rate"):
         SynthConfig(seed=0, joint=joint, camera_path=path, occlusion_rate=1.0)
+
+
+def test_camera_path_assigned_after_construction_is_checked():
+    """An assignment to ``camera_path`` goes through ``pose_stack`` as the
+    constructor does: a list of a stack's rows is stored as a checked stack;
+    a bad row raises ``pose_stack``'s text."""
+    T = 6
+    cfg = SynthConfig(seed=0, joint=JointSpec("prismatic", np.array([1.0, 0.0, 0.0]), np.zeros(T)),
+                      camera_path=still_camera(T))
+    want = arc_camera_path(T, np.array([0.0, 0.0, 1.2]))
+    cfg.camera_path = list(want)
+    assert isinstance(cfg.camera_path, np.recarray) and cfg.camera_path.tobytes() == want.tobytes()
+    ts, _ = generate(cfg)
+    assert ts.cam_poses.tobytes() == want.tobytes()
+    bad = list(want)
+    bad[4] = (want.q[4], np.array([0.0, np.nan, 0.0]))
+    with pytest.raises(ValueError, match=r"^poses\[4\]: t must be finite"):
+        cfg.camera_path = bad
 
 
 @pytest.mark.parametrize("window, message", [

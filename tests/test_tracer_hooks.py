@@ -2,6 +2,7 @@
 looks up must exist, and uninstalling must put each original back."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
@@ -26,3 +27,14 @@ def test_tracer_wraps_every_hooked_name_and_restores_it():
         tracer.uninstall()
     assert wrapped == hooks
     assert [hook for hook in hooks if getattr(*hook) is not originals[hook]] == []
+
+
+def test_kernel_probe_returns_its_four_timings():
+    """The benchmark's kernel probe runs the scalar-pose calls (a one-row
+    ``exp_map``, ``apply`` and ``log_map`` of its row, ``register_rigid``)
+    and the smoother, each to a finite positive time per call."""
+    metrics = load_tracing().kernel_metrics()
+    names = ["lie.exp_map.us", "lie.log_map.us", "trajest.register_rigid.us", "smoother.smooth_track.us"]
+    assert sorted(metrics) == sorted(names)
+    for value, unit in metrics.values():
+        assert unit == "us" and math.isfinite(value) and value > 0

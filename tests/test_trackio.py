@@ -22,8 +22,8 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 def stacked(poses):
-    """A list of RigidTransform as one pose stack."""
-    return pose_stack([p.q for p in poses], [p.t for p in poses])
+    """A list of pose rows as one pose stack."""
+    return pose_stack(poses)
 
 
 def make_trackset(T=5, n=3) -> trackio.TrackSet:
@@ -146,6 +146,25 @@ def test_save_load_round_trip(tmp_path):
     for a, b in zip(ts.tracks, ts2.tracks):
         assert np.array_equal(a.uv, b.uv)
         assert np.array_equal(a.depth, b.depth, equal_nan=True)
+
+
+def test_cam_poses_assigned_after_construction_are_checked(tmp_path):
+    """An assignment to ``cam_poses`` goes through ``pose_stack`` as the
+    constructor does: a list of a stack's rows is stored as a checked stack
+    that saves; a bad row, or a (T, 7) array, raises ``pose_stack``'s text."""
+    ts = make_trackset(T=5)
+    want = ts.cam_poses.copy()
+    ts.cam_poses = list(want)
+    assert isinstance(ts.cam_poses, np.recarray) and ts.cam_poses.tobytes() == want.tobytes()
+    trackio.save_trackset(tmp_path / "t.json", ts)
+    assert trackio.load_trackset(tmp_path / "t.json").cam_poses.tobytes() == want.tobytes()
+    bad = list(want)
+    bad[2] = (2.0 * want.q[2], want.t[2])
+    with pytest.raises(ValueError, match=r"^poses\[2\]: q must be near unit norm, got \|q\| = 2\.0$"):
+        ts.cam_poses = bad
+    with pytest.raises(ValueError, match=r"^poses must be one row per pose, got shape \(5, 7\)$"):
+        ts.cam_poses = np.hstack((want.q, want.t))
+    assert ts.cam_poses.tobytes() == want.tobytes()  # a refused assignment leaves the stack as it was
 
 
 def test_trackset_joined_from_per_frame_pose_rows(tmp_path):

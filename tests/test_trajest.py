@@ -28,17 +28,16 @@ from artikit.lie import (
     Twist,
     apply,
     apply_each,
-    compose,
     exp_map,
     inverse,
     normalize_twist,
+    pose_stack,
     quat_mul,
     retract_twist,
     rotation_angle,
     twist_gauge,
     twist_tangent_basis,
     quat_to_matrix,
-    RigidTransform,
 )
 from artikit import trajest
 from artikit.trackio import SegmentTrack
@@ -58,12 +57,13 @@ from artikit.trajest import (
     register_steps,
     residual_stats,
 )
+from suite_util import compose, pose
 
 
 def rand_transform(rng, max_angle=1.0, max_t=0.5):
     w = rng.normal(size=3)
     w = w / np.linalg.norm(w) * rng.uniform(0.05, max_angle)
-    return RigidTransform(exp_map(Twist(w, np.zeros(3)), 1.0).q, rng.uniform(-max_t, max_t, 3))
+    return pose(exp_map(Twist(w, np.zeros(3)), 1.0).q, rng.uniform(-max_t, max_t, 3))
 
 
 def transform_err(A, B):
@@ -100,7 +100,7 @@ def test_register_never_reflects():
     X = rng.uniform(-1, 1, (20, 3))
     Y = X.copy()
     Y[:, 0] *= -1  # a mirror image: the best proper rotation is NOT a reflection
-    R = register_rigid(X, Y).rotation_matrix()
+    R = quat_to_matrix(register_rigid(X, Y).q)
     assert np.linalg.det(R) > 0.99
 
 
@@ -167,7 +167,8 @@ def test_register_steps_matches_per_step_registration():
     rng = np.random.default_rng(12)
     for M in (1, 2, 9):
         corr = noisy_steps(rng, M)
-        q, t = register_steps(corr)
+        steps = register_steps(corr)
+        q, t = steps.q, steps.t
         for m in range(M):
             s = corr.step == m
             one = register_rigid(corr.src[s], corr.dst[s])
@@ -234,7 +235,7 @@ def test_residual_stats_has_one_mean_per_row_and_nan_without_pairs():
     assert means.shape == (6,)
     assert np.isnan(means[4]) and np.all(np.isfinite(np.delete(means, 4)))
     # each row's mean is over that row's pairs alone
-    q, t = steps
+    q, t = steps.q, steps.t
     for k in (0, 5):
         r = [np.linalg.norm(corr.dst[p] - quat_to_matrix(q[m]) @ corr.src[p] - t[m])
              for m in range(corr.step_count) for p in np.flatnonzero((corr.step == m) & (corr.track == k))]
@@ -298,7 +299,7 @@ def test_pair_table_holds_every_pair_observed_at_both_keyframes(mask, seed):
     assert np.array_equal(corr.src, world[corr.track, kf[corr.step]])
     assert np.array_equal(corr.dst, world[corr.track, kf[corr.step + 1]])
     M = corr.step_count
-    steps = (np.tile([1.0, 0.0, 0.0, 0.0], (M, 1)), np.zeros((M, 3)))
+    steps = pose_stack(np.tile([1.0, 0.0, 0.0, 0.0], (M, 1)), np.zeros((M, 3)))
     means = residual_stats(corr, steps)[1]
     paired = np.isin(np.arange(N), [k for _, k in expected])
     assert np.array_equal(np.isnan(means), ~paired)
@@ -330,7 +331,7 @@ def test_fit_independent_recovers_scripted_steps():
     corr = build_correspondences(SegmentTrack(np.arange(n), world, np.ones((n, T), bool)), stride=1)
     est = fit_independent(corr)
     assert est.mode == "independent"
-    registered = [RigidTransform(q, t) for q, t in zip(*register_steps(corr))]
+    registered = register_steps(corr)
     assert len(registered) == T - 1
     for got, want in zip(registered, steps):
         assert transform_err(got, want) < 1e-11
@@ -340,27 +341,26 @@ def test_fit_independent_recovers_scripted_steps():
 
 
 def test_integrate_poses_equals_a_compose_chain_bit_for_bit():
-    """Row for row, the stacked chain equals a chain of ``compose`` calls,
-    also with step quaternions just inside the 1e-13 band in which
-    ``RigidTransform`` keeps a quaternion unrenormalized: their products
-    leave the band at some steps and stay inside it at others."""
+    """Row for row, the stacked chain equals a chain of one-row ``compose``
+    calls from its row 0, the anchor, also with step quaternions just inside
+    the 1e-13 band in which ``pose_stack`` keeps a quaternion
+    unrenormalized: their products leave the band at some steps and stay
+    inside it at others."""
     rng = np.random.default_rng(8)
-    steps = [
-        RigidTransform(T.q * (1.0 + s * 0.99e-13), T.t)
+    steps = pose_stack([
+        (T.q * (1.0 + s * 0.99e-13), T.t)
         for T, s in zip([rand_transform(rng, 0.3, 0.1) for _ in range(40)], rng.choice([-1, 1], 40))
-    ]
+    ])
     pts = rng.uniform(-1, 1, (6, 3))
-    anchor, (q, t) = integrate_poses(
-        (np.array([S.q for S in steps]), np.array([S.t for S in steps])), pts
-    )
-    assert np.allclose(anchor.t, pts.mean(axis=0))
-    assert rotation_angle(anchor) == 0.0
-    assert np.array_equal(q[0], anchor.q) and np.array_equal(t[0], anchor.t)
+    poses = integrate_poses(steps, pts)
+    assert isinstance(poses, np.recarray) and len(poses) == len(steps) + 1
+    anchor = poses[0]
+    assert np.array_equal(anchor.q, [1.0, 0.0, 0.0, 0.0]) and np.array_equal(anchor.t, pts.mean(axis=0))
     cur, band = anchor, []
     for m, S in enumerate(steps):
         band.append(abs(np.linalg.norm(quat_mul(S.q, cur.q)) - 1.0) <= 1e-13)
         cur = compose(S, cur)
-        assert np.array_equal(q[m + 1], cur.q) and np.array_equal(t[m + 1], cur.t), m
+        assert np.array_equal(poses.q[m + 1], cur.q) and np.array_equal(poses.t[m + 1], cur.t), m
     assert 0 < sum(band) < len(band)  # both sides of the renormalization rule
 
 
@@ -451,8 +451,8 @@ def test_regularized_matches_independent_on_noiseless_screw():
     ind = fit_independent(corr)
     reg = fit_regularized(corr)
     assert reg.rms_residual <= ind.rms_residual + 1e-9
-    for a, b in zip(zip(*reg.poses), zip(*ind.poses)):
-        assert transform_err(RigidTransform(*a), RigidTransform(*b)) < 1e-6
+    for a, b in zip(reg.poses, ind.poses, strict=True):
+        assert transform_err(a, b) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +518,7 @@ def test_pose_linearization_matches_central_differences(gauge):
         compose(exp_map(Twist(rng.normal(0, 0.02, 3), rng.normal(0, 0.01, 3)), 1.0), exp_map(xi, th))
         for th in thetas
     ]
-    stack = (np.array([T.q for T in poses]), np.array([T.t for T in poses]))
+    stack = pose_stack(poses)
     start = retract_twist(xi, 0.05 * np.ones(twist_tangent_basis(xi).shape[1]))
     central_difference_check(
         lambda x, th: _pose_residual(stack, x, th).ravel(),
