@@ -259,16 +259,17 @@ def build_articulation_estimate(
     """Classify and package the articulation model for one segment: by
     the regularized chart and the rotation gate, else in pose space."""
     poses = trajectory.poses
-    relative = pose_stack(poses.q, poses.t - poses.t[0])  # exact: the anchor, pose 0, carries no rotation
+    def relative():  # the poses in the anchor's frame; exact: the anchor, pose 0, carries no rotation
+        return pose_stack(poses.q, poses.t - poses.t[0])
     if trajectory.base_twist is None:
-        fit_u, fit_p = fit_joint_models(relative)
+        fit_u, fit_p = fit_joint_models(relative())
         joint_type = classify_joint(fit_u, fit_p, cfg)
         chosen = fit_u if joint_type == "revolute" else fit_p
     else:
         fit_u = chosen = free_model_from_trajectory(trajectory)
         joint_type = "revolute" if total_rotation(fit_u) >= cfg.theta_rot_min else "prismatic"
         if joint_type != fit_u.gauge:  # a revolute chart below the gate
-            chosen = fit_twist_to_poses(relative, gauge="prismatic")
+            chosen = fit_twist_to_poses(relative(), gauge="prismatic")
     axis_dir, axis_point = extract_axis(chosen.twist, joint_type)
     flags = list(trajectory.flags)
     if not chosen.converged:

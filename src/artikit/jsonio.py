@@ -6,11 +6,14 @@ integer literal outside [-2**63, 2**64 - 1], read as a float of magnitude
 2**63 or more; so a document where orjson finds such a float, and all that
 orjson refuses (NaN, Infinity, 1e400, a byte-order mark, UTF-16, lone
 surrogates, malformed files), is parsed by ``json``. ``trackio.save_trackset``
-writes track files with orjson, each column as base64, so no non-finite
-value reaches a JSON number. ``dump_json`` writes all other files with
-``json``: ``allow_nan=False`` makes callers map NaN to null, and
-ground-truth seeds may exceed 64 bits, which orjson refuses. Both write
-shortest round-trip floats, so a value survives save -> load bit-exactly.
+writes track files with orjson; their columns, and those of segment-data
+files, are base64, so no non-finite value reaches a JSON number.
+``dump_json`` writes all other files with ``json``: ``allow_nan=False``
+refuses a non-finite number rather than write a file no strict parser reads,
+and a skip record passed through from a segment-data file may hold an
+integer beyond 64 bits (``{"start": 2**70, ...}``), which orjson refuses.
+Both write shortest round-trip floats, so a value survives save -> load
+bit-exactly.
 Files are compact one-line JSON, read as UTF-8 whatever the locale.
 """
 

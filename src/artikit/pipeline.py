@@ -14,7 +14,8 @@ The pipeline runs four stages per interaction segment:
 4. package: report the axis, twist and pose trail in world coordinates.
 
 The stages pass that one stack along and select its rows with the filters'
-keep masks; only the segment-data files hold one entry per track.
+keep masks; only the segment-data files hold one entry per track, its
+world rows and valid flags stored as track-file columns by ``trackio``.
 
 Segments fail independently: any pipeline error (degenerate geometry, too
 little motion, too few tracks) is recorded under "skipped" with its stage
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +45,11 @@ from .trackio import (
     Track,
     Track3D,
     TrackSet,
-    _ID_RULE,
-    _NUMBER,
-    _as_number,
-    _require,
+    check_track_values,
     lift_track,
+    read_track_columns,
     to_world,
+    track_entries,
 )
 from .trajest import (
     DEFAULT_STRIDE,
@@ -316,68 +315,34 @@ def save_results(path, doc: dict) -> None:
 # segment-stage intermediate files (the stage-by-stage CLI path)
 
 
-def _track_to_dict(tid, world: np.ndarray, valid: np.ndarray) -> dict:
-    """One row of a stacked SegmentTrack as a segment-data track entry."""
-    finite = np.isfinite(world).all(axis=1).tolist()
-    return {
-        "id": int(tid),
-        "world": [row if ok else None for row, ok in zip(world.tolist(), finite)],
-        "valid": valid.tolist(),
-    }
-
-
-def _world_rows(rows: list, T: int, where: str) -> np.ndarray:
-    """A track entry's world rows, [x, y, z] or null, as a (T, 3) float
-    array with NaN for null; a TrackFileError names the first element that
-    is not a number (``_as_number``'s text), or else rows not shaped (T, 3)."""
-    try:
-        a = np.array([[np.nan] * 3 if row is None else row for row in rows], dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged rows, non-numbers, huge integers
-        a = None
-    if a is None or not set(map(type, chain.from_iterable(row for row in rows if type(row) is list))) <= _NUMBER:
-        for t, row in enumerate(rows):
-            for j, x in enumerate(row if type(row) is list else ()):
-                _as_number(x, f"{where}[{t}][{j}]")
-    if a is None or a.shape != (T, 3):
-        got = "" if a is None else f", got shape {a.shape}"
-        raise TrackFileError(f"{where}: expected {T} rows of 3 numbers, one per valid flag{got}")
-    return a
-
-
-def _track_from_dict(d: dict, where: str, T: int) -> tuple:
-    """A segment-data track entry as one row (id, world, valid); a bad id,
-    flag or number is a TrackFileError naming it, in the track file's words."""
-    tid = d["id"]
-    _require(type(tid) is int and -2**63 <= tid < 2**63, f"{where}.id", _ID_RULE)
-    valid = d["valid"]
-    _require(isinstance(valid, list) and len(valid) == T, f"{where}.valid",
-             f"must be a list of {T} booleans, one per segment frame")
-    if not set(map(type, valid)) <= {bool}:
-        t = next(t for t, b in enumerate(valid) if type(b) is not bool)
-        raise TrackFileError(f"{where}.valid[{t}]: must be a boolean, got {valid[t]!r}")
-    valid = np.array(valid, dtype=bool)
-    world = _world_rows(d["world"], T, f"{where}.world")
-    unset = np.flatnonzero(valid & ~np.isfinite(world).all(axis=1))
-    if len(unset):
-        raise TrackFileError(f"{where}.world[{unset[0]}]: valid frame has no finite position")
-    return tid, world, valid
+SEGMENT_DATA_VERSION = 2
+# a segment-data track's columns and the dtype of their bytes; NaN world where no position
+_SEGMENT_COLUMNS = {"world": np.dtype(("<f8", (3,))), "valid": np.dtype("u1")}
+# their value rules, in check order within a track (see ``trackio.check_track_values``)
+_SEGMENT_RULES = (
+    ("world", lambda c: np.isinf(c["world"]).any(axis=-1), "expected finite numbers or NaN"),
+    ("valid", lambda c: c["valid"] > 1, "expected 0 or 1"),
+    ("world", lambda c: (c["valid"] == 1) & ~np.isfinite(c["world"]).all(axis=-1),
+     "valid frame has no finite position"),
+)
+_COUNT_KEYS = ("static", "unreliable", "unsmoothable", "outliers")
 
 
 def save_segment_data(path, stage: str, entries: list, skipped: list) -> None:
     """Write the per-segment working set produced by filter or smooth.
 
     ``entries`` holds (segment, tracks, counts) triples, ``tracks`` a
-    stacked SegmentTrack; the file holds one entry per track: id, world
-    rows (null where not finite) and valid flags.
+    stacked SegmentTrack; the file holds one entry per track, its id and its
+    world rows and valid flags as columns of a track file (``trackio``).
     """
     doc = {
-        "version": 1,
+        "version": SEGMENT_DATA_VERSION,
         "stage": stage,
         "segments": [
             {
                 "segment": seg.to_dict(),
                 "filter_counts": counts,
-                "tracks": [_track_to_dict(*row) for row in zip(tracks.id, tracks.world, tracks.valid)],
+                "tracks": track_entries(tracks.id, {"world": tracks.world, "valid": tracks.valid}, _SEGMENT_COLUMNS),
             }
             for seg, tracks, counts in entries
         ],
@@ -388,24 +353,27 @@ def save_segment_data(path, stage: str, entries: list, skipped: list) -> None:
 
 def load_segment_data(path) -> tuple[list, list]:
     """Read back (segment, tracks, counts) triples, ``tracks`` stacked, plus
-    skip records. Track entries follow the track file's rules for ids,
-    flags and numbers; a ``uv`` entry, which older files carry, is ignored."""
+    skip records. Track entries are read as a track file's are; then world
+    must be finite or NaN, valid 0 or 1, and a valid frame's world finite."""
     doc = jsonio.load_json(path)
-    if not isinstance(doc, dict) or doc.get("version") != 1 or "segments" not in doc:
+    if not isinstance(doc, dict) or doc.get("version") != SEGMENT_DATA_VERSION or "segments" not in doc:
         raise TrackFileError(f"{path}: not a segment-data file")
     entries = []
     try:
         for i, s in enumerate(doc["segments"]):
+            where = f"{path}.segments[{i}]"
             try:
                 seg = Segment.from_dict(s["segment"])
             except ValueError as e:
-                raise TrackFileError(f"{path}.segments[{i}].segment: {e}") from e
-            T = seg.end - seg.start + 1
-            rows = [_track_from_dict(t, f"{path}.segments[{i}].tracks[{k}]", T) for k, t in enumerate(s["tracks"])]
-            ids, world, valid = zip(*rows) if rows else ((),) * 3
-            tracks = SegmentTrack(np.array(ids), np.array(world).reshape(-1, T, 3),
-                                  np.array(valid, dtype=bool).reshape(-1, T))
-            entries.append((seg, tracks, dict(s.get("filter_counts", {}))))
+                raise TrackFileError(f"{where}.segment: {e}") from e
+            ids, cols = read_track_columns(where, s.get("tracks"), seg.end - seg.start + 1, _SEGMENT_COLUMNS)
+            check_track_values(where, cols, _SEGMENT_RULES)
+            counts = s.get("filter_counts")
+            if not (isinstance(counts, dict) and set(counts) <= set(_COUNT_KEYS)
+                    and all(type(n) is int and n >= 0 for n in counts.values())):
+                raise TrackFileError(f"{where}.filter_counts: must be an object of non-negative integers keyed "
+                                     f"by {', '.join(_COUNT_KEYS)}, got {counts!r}")
+            entries.append((seg, SegmentTrack(np.array(ids), cols["world"], cols["valid"].view(bool)), counts))
     except (KeyError, TypeError, ValueError) as e:
         raise TrackFileError(f"{path}: bad segment data: {e}") from e
     skipped = doc.get("skipped", [])

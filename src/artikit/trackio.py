@@ -30,10 +30,11 @@ call; only frames that fail go through the frame-by-frame walk, which names
 the first bad element. It then checks each track's structure, decoding its
 columns one by one, and joins each column's bytes over all tracks into one
 (tracks, frames) array, whose values are checked at once; each track holds
-rows of those arrays. Lifting and world mapping take one track or a stack
-of tracks with a leading track axis, and a slice of the pose stack; the
-pipeline carries a segment's world tracks as one stack, a ``SegmentTrack``,
-and pixel coordinates stop at the lift.
+rows of those arrays. Segment-data files store their world and valid
+columns with the same walk, value check and encoder. Lifting and world
+mapping take one track or a stack of tracks with a leading track axis, and
+a slice of the pose stack; the pipeline carries a segment's world tracks as
+one stack, a ``SegmentTrack``, and pixel coordinates stop at the lift.
 Files are written as compact one-line JSON.
 """
 
@@ -207,44 +208,85 @@ def _as_number(x, where: str) -> float:
 _NUMBER = {int, float}
 # a track's per-frame columns, in file order, and the dtype of their bytes
 _COLUMNS = {"u": np.dtype("<f8"), "v": np.dtype("<f8"), "depth": np.dtype("<f8"), "vis": np.dtype("u1")}
-# per column, in check order within a track: its name, its fault and the text that names it
+# the track file's value rules, in check order within a track (see ``check_track_values``)
 _VALUE_RULES = (
-    ("u", lambda x: ~np.isfinite(x), "expected a finite number"),
-    ("v", lambda x: ~np.isfinite(x), "expected a finite number"),
-    ("vis", lambda x: x > 1, "expected 0 or 1"),
-    ("depth", np.isinf, "expected a finite number or NaN"),
+    ("u", lambda c: ~np.isfinite(c["u"]), "expected a finite number"),
+    ("v", lambda c: ~np.isfinite(c["v"]), "expected a finite number"),
+    ("vis", lambda c: c["vis"] > 1, "expected 0 or 1"),
+    ("depth", lambda c: np.isinf(c["depth"]), "expected a finite number or NaN"),
 )
 
 
-def _decode_column(s, T: int, name: str, w: str) -> bytes:
-    """The bytes of one track's column ``name``: canonical base64 of T values."""
-    _require(isinstance(s, str), f"{w}.{name}", "must be a base64 string")
+def _decode_column(s, T: int, dtype: np.dtype, w: str) -> bytes:
+    """The bytes of the column at ``w``: canonical base64 of T values of ``dtype``."""
+    _require(isinstance(s, str), w, "must be a base64 string")
     try:
         data = base64.b64decode(s, validate=True)
     except ValueError as e:  # a character outside the alphabet, bad padding, non-ASCII
-        raise TrackFileError(f"{w}.{name}: not base64: {e}") from None
+        raise TrackFileError(f"{w}: not base64: {e}") from None
     pad = s.endswith("=") + s.endswith("==")  # the decoder ignores the unused bits before it
-    _require(not pad or base64.b64encode(data[pad - 3:]) == s[-4:].encode(), f"{w}.{name}",
+    _require(not pad or base64.b64encode(data[pad - 3:]) == s[-4:].encode(), w,
              "not canonical base64: unused bits set before the padding")
-    _require_bytes(len(data), T, name, w)
+    _require_bytes(len(data), T, dtype, w)
     return data
 
 
-def _require_bytes(n: int, T: int, name: str, w: str) -> None:
-    """Column ``name`` of track ``w`` holds n bytes: one value per frame."""
-    want = T * _COLUMNS[name].itemsize
-    _require(n == want, f"{w}.{name}", f"holds {n} bytes, expected {want} for {T} frames")
+def _require_bytes(n: int, T: int, dtype: np.dtype, w: str) -> None:
+    """The column at ``w`` holds n bytes: one value of ``dtype`` per frame."""
+    want = T * dtype.itemsize
+    _require(n == want, w, f"holds {n} bytes, expected {want} for {T} frames")
+
+
+def read_track_columns(where: str, entries, T: int, columns: dict) -> tuple[list, dict]:
+    """The ids, in file order, and the columns (name to the dtype of its
+    little-endian bytes) of a file's track entries, each column one (tracks,
+    frames) array followed by the dtype's shape. Track by track, raises
+    naming the first entry that is no object, id that is no integer in the
+    signed 64-bit range or was seen before, or column that is not canonical
+    base64 of T values; the values are left to ``check_track_values``."""
+    _require(isinstance(entries, list), where, "tracks must be a list")
+    data = {name: [] for name in columns}
+    ids = {}  # in file order
+    for k, tr in enumerate(entries):
+        w = f"{where}.tracks[{k}]"
+        _require(isinstance(tr, dict), w, "must be an object")
+        tid = tr.get("id")
+        _require(_is_track_id(tid), f"{w}.id", _ID_RULE)
+        _require(tid not in ids, f"{w}.id", f"duplicate track id {tid}")
+        ids[tid] = None
+        for name, dtype in columns.items():
+            data[name].append(_decode_column(tr.get(name), T, dtype, f"{w}.{name}"))
+    # one buffer per column over all tracks; a bytearray keeps the arrays writable
+    return list(ids), {name: np.frombuffer(bytearray().join(data[name]), dtype.base).reshape((-1, T) + dtype.shape)
+                       for name, dtype in columns.items()}
+
+
+def check_track_values(where: str, cols: dict, rules: tuple) -> None:
+    """Raise naming the first value of the (tracks, frames) columns ``cols``
+    that breaks one of ``rules``, (column, fault, text) triples whose fault
+    maps ``cols`` to a (tracks, frames) mask: track by track, in rule order
+    within a track, then frame by frame."""
+    bad = np.stack([fault(cols) for _, fault, _ in rules], axis=1)
+    if bad.any():
+        k, i, t = map(int, np.argwhere(bad)[0])
+        name, _, rule = rules[i]
+        raise TrackFileError(f"{where}.tracks[{k}].{name}[{t}]: {rule}, got {cols[name][k, t].tolist()!r}")
+
+
+def track_entries(ids, cols: dict, columns: dict) -> list:
+    """The track entries that ``read_track_columns`` reads back as ``ids``
+    and ``cols``: per track its id and, for each of ``columns``, the base64
+    of its row's little-endian bytes of that column's dtype."""
+    data = {name: np.ascontiguousarray(cols[name], dtype.base) for name, dtype in columns.items()}
+    return [{"id": int(tid), **{name: base64.b64encode(a[k]).decode("ascii") for name, a in data.items()}}
+            for k, tid in enumerate(ids)]
 
 
 def _check_columns(where: str, cols: dict) -> None:
-    """Raise naming the first bad value of the (tracks, frames) columns: track
-    by track, u, v, vis and depth within a track; then the first visible
-    frame, by track and then by frame, without finite positive depth."""
-    bad = np.stack([fault(cols[name]) for name, fault, _ in _VALUE_RULES], axis=1)
-    if bad.any():
-        k, i, t = map(int, np.argwhere(bad)[0])
-        name, _, rule = _VALUE_RULES[i]
-        raise TrackFileError(f"{where}.tracks[{k}].{name}[{t}]: {rule}, got {cols[name][k, t].item()!r}")
+    """Raise naming the first bad value of a track file's columns: track by
+    track, u, v, vis and depth within a track; then the first visible frame,
+    by track and then by frame, without finite positive depth."""
+    check_track_values(where, cols, _VALUE_RULES)
     depth = cols["depth"]
     bad = (cols["vis"] != 0) & ~(depth > 0)
     if bad.any():
@@ -323,25 +365,10 @@ def load_trackset(path) -> TrackSet:
     _require(isinstance(frames, list) and frames, where, "frames must be a non-empty list")
     poses, hand = _frame_arrays(frames, where)
 
-    T = len(frames)
-    raw_tracks = doc.get("tracks")
-    _require(isinstance(raw_tracks, list), where, "tracks must be a list")
-    data = {name: [] for name in _COLUMNS}
-    seen_ids = set()
-    for k, tr in enumerate(raw_tracks):
-        w = f"{where}.tracks[{k}]"
-        _require(isinstance(tr, dict), w, "must be an object")
-        tid = tr.get("id")
-        _require(_is_track_id(tid), f"{w}.id", _ID_RULE)
-        _require(tid not in seen_ids, f"{w}.id", f"duplicate track id {tid}")
-        seen_ids.add(tid)
-        for name in _COLUMNS:
-            data[name].append(_decode_column(tr.get(name), T, name, w))
-    # one buffer per column over all tracks; a bytearray keeps the arrays writable
-    cols = {name: np.frombuffer(bytearray().join(data[name]), dtype).reshape(-1, T) for name, dtype in _COLUMNS.items()}
+    ids, cols = read_track_columns(where, doc.get("tracks"), len(frames), _COLUMNS)
     _check_columns(where, cols)
     uv = np.stack([cols["u"], cols["v"]], axis=-1)
-    tracks = [Track(tr["id"], *rows) for tr, *rows in zip(raw_tracks, uv, cols["depth"], cols["vis"].view(bool))]
+    tracks = [Track(*row) for row in zip(ids, uv, cols["depth"], cols["vis"].view(bool))]
 
     return TrackSet(intrinsics=intr, cam_poses=poses, hand=hand, tracks=tracks)
 
@@ -372,13 +399,13 @@ def save_trackset(path, ts: TrackSet) -> None:
         for name in ("depth", "vis"):
             x = getattr(tr, name)
             _require(np.ndim(x) == 1, f"{w}.{name}", f"shape {np.shape(x)} != ({T},)")
-            _require_bytes(len(x) * _COLUMNS[name].itemsize, T, name, w)
-    uv = np.array([tr.uv for tr in ts.tracks], dtype="<f8").reshape(-1, T, 2)
+            _require_bytes(len(x) * _COLUMNS[name].itemsize, T, _COLUMNS[name], f"{w}.{name}")
+    uv = np.array([tr.uv for tr in ts.tracks], dtype=float).reshape(-1, T, 2)
     cols = {
-        "u": np.ascontiguousarray(uv[..., 0]),
-        "v": np.ascontiguousarray(uv[..., 1]),
-        "depth": np.array([tr.depth for tr in ts.tracks], dtype="<f8").reshape(-1, T),
-        "vis": np.array([tr.vis for tr in ts.tracks], dtype=bool).reshape(-1, T).view(np.uint8),
+        "u": uv[..., 0],
+        "v": uv[..., 1],
+        "depth": np.array([tr.depth for tr in ts.tracks], dtype=float).reshape(-1, T),
+        "vis": np.array([tr.vis for tr in ts.tracks], dtype=bool).reshape(-1, T),
     }
     _check_columns(where, cols)
     doc = {
@@ -389,9 +416,6 @@ def save_trackset(path, ts: TrackSet) -> None:
             {"t": i, "cam_pose": {"q": q, "t": t}, "hand": bool(h)}
             for i, (q, t, h) in enumerate(zip(ts.cam_poses.q.tolist(), ts.cam_poses.t.tolist(), ts.hand))
         ],
-        "tracks": [
-            {"id": int(tr.id), **{name: base64.b64encode(cols[name][k]).decode("ascii") for name in _COLUMNS}}
-            for k, tr in enumerate(ts.tracks)
-        ],
+        "tracks": track_entries([tr.id for tr in ts.tracks], cols, _COLUMNS),
     }
     Path(path).write_bytes(orjson.dumps(doc, option=orjson.OPT_APPEND_NEWLINE))

@@ -2,6 +2,7 @@
 locale, in a fresh interpreter."""
 
 import argparse
+import base64
 import dataclasses
 import json
 import math
@@ -65,9 +66,10 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def run_and_stage(workdir, tracks: str) -> tuple:
-    """Results of ``run`` and of the four stage commands on one track file."""
-    c = str(workdir / "pipeline.json")
+def run_and_stage(workdir, tracks: str, c: str = None) -> tuple:
+    """Results of ``run`` and of the four stage commands on one track file,
+    under the config file ``c`` (by default the workdir's pipeline.json)."""
+    c = c or str(workdir / "pipeline.json")
     assert main(["run", "--tracks", tracks, "--out", str(workdir / "run.json"), "--config", c]) == 0
     steps = [
         ["segment", "--tracks", tracks, "--out", str(workdir / "segments.json")],
@@ -118,6 +120,22 @@ def test_stage_composition_matches_run_with_skips_at_several_stages(workdir):
     assert [(r["segment"]["start"], r["stage"]) for r in doc["skipped"]] == [
         (12, "estimate"), (62, "filter")]
     assert [r["segment"]["start"] for r in doc["results"]] == [112]
+
+
+def test_stage_composition_matches_run_with_the_smoother_on(workdir):
+    """With the default smoother, the intermediates hold smoothed positions
+    on unobserved frames too, and they pass between stages bit for bit."""
+    noisy = workdir / "noisy.json"
+    noisy.write_text(json.dumps(scene_doc(noise_sigma=0.005, occlusion_rate=0.2, invalid_depth_rate=0.05)))
+    assert main(["synth", "--config", str(noisy), "--out-tracks", str(workdir / "noisy_tracks.json")]) == 0
+    cfg = workdir / "smoothing.json"
+    cfg.write_text(json.dumps({k: v for k, v in pipeline_cfg().items() if k != "smoother"}))
+
+    run, staged = run_and_stage(workdir, str(workdir / "noisy_tracks.json"), str(cfg))
+    assert run == staged
+    assert len(json.loads(run)["results"]) == 1
+    (_, tracks, _), = load_segment_data(workdir / "smoothed.json")[0]
+    assert np.isfinite(tracks.world[~tracks.valid]).all() and not tracks.valid.all()
 
 
 def config_dotted_keys() -> dict:
@@ -172,30 +190,6 @@ def test_image2d_static_mode_exits_2_naming_the_field_and_why(workdir, capsys):
                    "scored on world positions, since pixel motion mixes camera and part motion",
     }
     assert not (workdir / "o.json").exists()
-
-
-def test_segment_data_with_pixel_tracks_reads_and_runs_as_without(workdir):
-    """Segment-data files once carried each track's ``uv``: such a file loads
-    to the same stacks, and the next stage writes the same bytes."""
-    run_and_stage(workdir, str(workdir / "tracks.json"))
-    c = str(workdir / "pipeline.json")
-    for name, command, want in (("filtered", "smooth", "smoothed"), ("smoothed", "estimate", "staged")):
-        new = workdir / f"{name}.json"
-        doc = load_json(new)
-        for s in doc["segments"]:
-            assert s["tracks"] and all(list(tr) == ["id", "world", "valid"] for tr in s["tracks"])
-            s["tracks"] = [{"id": tr["id"], "uv": [[320.0 + k, 240.0 - t] for t in range(len(tr["valid"]))], **tr}
-                           for k, tr in enumerate(s["tracks"])]
-        old = workdir / f"old-{name}.json"
-        old.write_text(json.dumps(doc))
-        for (seg, a, counts), (seg2, b, counts2) in zip(load_segment_data(new)[0], load_segment_data(old)[0],
-                                                         strict=True):
-            assert (seg, counts) == (seg2, counts2)
-            assert np.array_equal(a.id, b.id) and np.array_equal(a.valid, b.valid)
-            assert np.array_equal(a.world, b.world, equal_nan=True)
-        out = workdir / f"from-old-{name}.json"
-        assert main([command, "--segdata", str(old), "--out", str(out), "--config", c]) == 0
-        assert out.read_bytes() == (workdir / f"{want}.json").read_bytes()
 
 
 def test_worker_count_does_not_change_output(workdir):
@@ -511,34 +505,57 @@ def test_missing_subcommand_is_a_usage_error():
 
 def three_frame_segdata(mutate) -> dict:
     """A segment-data file of one three-frame segment holding one track;
-    ``mutate`` edits the segment's entry."""
-    track = {"id": 0, "world": [[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.2, 0.0, 1.0]],
-             "valid": [True, True, True]}
+    ``mutate`` edits the segment's entry, where each track's world rows and
+    valid flags are lists, encoded as the file's columns after it."""
+    track = {"id": 0, "world": [[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.2, 0.0, 1.0]], "valid": [1, 1, 1]}
     entry = {"segment": {"start": 0, "end": 2}, "filter_counts": {}, "tracks": [track]}
     mutate(entry)
-    return {"version": 1, "stage": "filter", "skipped": [], "segments": [entry]}
+    for tr in entry["tracks"]:
+        for name, dtype in (("world", "<f8"), ("valid", "u1")):
+            if isinstance(tr, dict) and isinstance(tr.get(name), list):
+                tr[name] = base64.b64encode(np.array(tr[name], dtype).tobytes()).decode("ascii")
+    return {"version": 2, "stage": "filter", "skipped": [], "segments": [entry]}
+
+
+COUNTS_RULE = ("filter_counts: must be an object of non-negative integers keyed by static, unreliable, "
+               "unsmoothable, outliers")
 
 
 @pytest.mark.parametrize("command", ["smooth", "estimate"])
 @pytest.mark.parametrize("mutate, field", [
-    (lambda s: s["tracks"][0].update(world=[row[:2] for row in s["tracks"][0]["world"]]), "tracks[0].world"),
-    (lambda s: s["tracks"][0]["world"].pop(), "tracks[0].world"),
-    (lambda s: s["tracks"][0]["world"].__setitem__(1, None), "tracks[0].world[1]"),
-    (lambda s: [s["tracks"][0][k].pop() for k in ("world", "valid")], "tracks[0].valid"),
+    (lambda s: s["tracks"][0].update(world=[row[:2] for row in s["tracks"][0]["world"]]),
+     "tracks[0].world: holds 48 bytes, expected 72 for 3 frames"),
+    (lambda s: s["tracks"][0]["world"].pop(), "tracks[0].world: holds 48 bytes"),
+    (lambda s: s["tracks"][0]["world"].__setitem__(1, [math.nan] * 3),
+     "tracks[0].world[1]: valid frame has no finite position, got [nan, nan, nan]"),
+    (lambda s: [s["tracks"][0][k].pop() for k in ("world", "valid")], "tracks[0].world: holds 48 bytes"),
     (lambda s: s["segment"].update(end=2.0), "segment"),
     (lambda s: s["segment"].update(start="0"), "segment"),
     (lambda s: s["segment"].update(start=False), "segment"),
     (lambda s: s["tracks"][0].update(id=7.9), "tracks[0].id: must be an integer in the signed 64-bit range"),
     (lambda s: s["tracks"][0].update(id="7"), "tracks[0].id: must be an integer in the signed 64-bit range"),
-    (lambda s: s["tracks"][0]["valid"].__setitem__(1, "no"), "tracks[0].valid[1]: must be a boolean, got 'no'"),
-    (lambda s: s["tracks"][0]["valid"].__setitem__(1, 1), "tracks[0].valid[1]: must be a boolean, got 1"),
-    (lambda s: s["tracks"][0]["world"][1].__setitem__(2, "1.5"),
-     "tracks[0].world[1][2]: expected a number, got '1.5'"),
-    (lambda s: s["tracks"][0]["world"][1].__setitem__(0, True), "tracks[0].world[1][0]: expected a number, got True"),
-    (lambda s: s["tracks"][0]["world"][2].__setitem__(1, 10**400), "tracks[0].world[2][1]: expected a finite number"),
+    (lambda s: s["tracks"][0].update(valid="no"), "tracks[0].valid: not base64"),
+    (lambda s: s["tracks"][0]["valid"].__setitem__(1, 2), "tracks[0].valid[1]: expected 0 or 1, got 2"),
+    (lambda s: s["tracks"][0].update(world="0.0 0.0 1.0"), "tracks[0].world: not base64"),
+    (lambda s: s["tracks"][0].update(world=True), "tracks[0].world: must be a base64 string"),
+    (lambda s: s["tracks"][0]["world"][2].__setitem__(1, math.inf),
+     "tracks[0].world[2]: expected finite numbers or NaN, got [0.2, inf, 1.0]"),
+    (lambda s: s["tracks"][0]["valid"].append(1), "tracks[0].valid: holds 4 bytes, expected 3 for 3 frames"),
+    (lambda s: s["tracks"][0].pop("valid"), "tracks[0].valid: must be a base64 string"),
+    (lambda s: s["tracks"].append(dict(s["tracks"][0])), "tracks[1].id: duplicate track id 0"),
+    (lambda s: s["tracks"].append(5), "tracks[1]: must be an object"),
+    (lambda s: s.update(filter_counts=[["static", "lots"]]), COUNTS_RULE),
+    (lambda s: s.update(filter_counts={"static": "lots"}), COUNTS_RULE),
+    (lambda s: s.update(filter_counts={"outliers": True}), COUNTS_RULE),
+    (lambda s: s.update(filter_counts={"static": -1}), COUNTS_RULE),
+    (lambda s: s.update(filter_counts={"static": 1.0}), COUNTS_RULE),
+    (lambda s: s.update(filter_counts={"moving": 1}), COUNTS_RULE),
+    (lambda s: s.pop("filter_counts"), COUNTS_RULE),
 ], ids=["world-two-columns", "world-short", "world-null-on-valid-frame", "shorter-than-segment",
         "end-fraction", "start-string", "start-boolean", "id-fraction", "id-string", "valid-string",
-        "valid-integer", "world-string", "world-boolean", "world-huge-integer"])
+        "valid-integer", "world-string", "world-boolean", "world-huge-integer", "valid-long", "valid-missing",
+        "id-duplicate", "track-number", "counts-list", "counts-string", "counts-boolean", "counts-negative",
+        "counts-fraction", "counts-unknown-key", "counts-missing"])
 def test_malformed_segment_data_exits_2_with_json_error(tmp_path, capsys, command, mutate, field):
     """``field`` names the element, and may go on with the message's text."""
     segdata = tmp_path / "segdata.json"

@@ -47,6 +47,36 @@ def unused_private_names(source: str) -> list:
     )
 
 
+def private_imports(source: str) -> list:
+    """Private names a module takes from another artikit module: imported by
+    name, or read as an attribute of an artikit module it imports."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "artikit"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append((node.lineno, alias.name))
+                elif node.module is None or node.module == "artikit":
+                    modules.add(alias.asname or alias.name)
+    found += [(n.lineno, f"{n.value.id}.{n.attr}") for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules
+              and n.attr.startswith("_") and not n.attr.startswith("__")]
+    return sorted(found)
+
+
+def test_private_imports_are_detected():
+    src = ("from . import jsonio, lie as L\nfrom .trackio import _require, lift_track\n"
+           "from artikit.bounds import _x\nfrom os import _exit\n"
+           "jsonio._private(L.exp_map, L.__doc__)\nL._q\n")
+    assert private_imports(src) == [(2, "_require"), (3, "_x"), (5, "jsonio._private"), (6, "L._q")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_from_other_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
 def test_unused_imports_are_detected():
     src = "import os\nimport sys\nfrom a import b, c as d\nprint(sys, d)\n"
     assert unused_imports(src) == [(1, "os"), (3, "b")]

@@ -347,7 +347,7 @@ def test_segment_data_round_trip(tmp_path):
     cfg = quiet_pipeline_config()
     seg = Segment(12, 43)
     tracks, counts = stage_filter(ts, seg, cfg)
-    # punch a hole so the null encoding for unobserved rows is exercised
+    # punch a hole so the NaN rows of unobserved frames are exercised
     tracks.world[0, 5] = np.nan
     tracks.valid[0, 5] = False
     path = tmp_path / "seg.json"
@@ -365,7 +365,7 @@ def test_segment_data_round_trip(tmp_path):
 
 def test_segment_data_without_tracks_loads_an_empty_stack(tmp_path):
     path = tmp_path / "seg.json"
-    path.write_text(json.dumps({"version": 1, "stage": "filter", "skipped": [], "segments": [
+    path.write_text(json.dumps({"version": 2, "stage": "filter", "skipped": [], "segments": [
         {"segment": {"start": 0, "end": 2}, "filter_counts": {}, "tracks": []}]}))
     (seg, tracks, counts), = load_segment_data(path)[0]
     assert len(tracks) == 0
@@ -377,10 +377,11 @@ def test_segment_data_without_tracks_loads_an_empty_stack(tmp_path):
 
 def test_segment_data_rejects_wrong_files(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"version": 2, "segments": []}')
-    with pytest.raises(TrackFileError):
-        load_segment_data(path)
-    path.write_text('{"version": 1, "segments": [{"segment": {"start": 0}}]}')
+    for version in (1, 3):  # version 1 held JSON numbers, one per element
+        path.write_text(json.dumps({"version": version, "segments": []}))
+        with pytest.raises(TrackFileError, match="not a segment-data file"):
+            load_segment_data(path)
+    path.write_text('{"version": 2, "segments": [{"segment": {"start": 0}}]}')
     with pytest.raises(TrackFileError):
         load_segment_data(path)
 
